@@ -1,9 +1,9 @@
-"""Time the numba kernels against the pure-numpy fallback.
+"""Time the numba beat kernel against the pure-numpy fallback.
 
-Runs both implementations of the two hot loops (pair path response over an
-angle grid, beat-tone accumulation over a frame) on representative sizes and
-prints per-call wall times plus the speedup.  The numba path is compiled
-once before timing so JIT cost never pollutes the numbers.
+Runs both implementations of beat-tone accumulation over a frame on
+representative sizes and prints per-call wall times plus the speedup.  The
+numba path is compiled once before timing so JIT cost never pollutes the
+numbers.
 
 Usage:
     python3 benchmarks/bench_kernels.py [--repeats 20]
@@ -26,24 +26,6 @@ def best_of(fn, args, repeats):
         fn(*args)
         best = min(best, time.perf_counter() - start)
     return best
-
-
-def pair_path_cases():
-    rng = np.random.default_rng(7)
-    for label, n_traversals, n_angles in (
-        ("8 pairs x 721 angles", 16, 721),
-        ("64 pairs x 7201 angles", 128, 7201),
-    ):
-        args = (
-            rng.uniform(-0.1, 0.1, n_traversals),
-            rng.uniform(-0.1, 0.1, n_traversals),
-            rng.uniform(0.0, 0.25, n_traversals),
-            2.0 * math.pi / 0.0125,
-            0.5,
-            np.sin(np.linspace(-math.pi / 2.0, math.pi / 2.0, n_angles)),
-            np.empty(n_angles, dtype=np.complex128),
-        )
-        yield label, args
 
 
 def accumulate_beat_cases():
@@ -71,35 +53,19 @@ def main(argv=None):
     if not kernels.HAS_NUMBA:
         print("numba unavailable (or VANATTA_BACKEND=numpy); timing the fallback only")
 
-    benches = (
-        (
-            "pair_path_response",
-            pair_path_cases,
-            kernels._pair_path_response_numpy,
-            "_pair_path_response_numba",
-        ),
-        (
-            "accumulate_beat",
-            accumulate_beat_cases,
-            kernels._accumulate_beat_numpy,
-            "_accumulate_beat_numba",
-        ),
-    )
+    name = "accumulate_beat"
     print(f"{'kernel':<20} {'case':<28} {'numpy':>10} {'numba':>10} {'speedup':>8}")
-    for name, cases, numpy_impl, numba_name in benches:
-        for label, call_args in cases():
-            t_numpy = best_of(numpy_impl, call_args, args.repeats)
-            if kernels.HAS_NUMBA:
-                numba_impl = getattr(kernels, numba_name)
-                numba_impl(*call_args)  # compile before timing
-                t_numba = best_of(numba_impl, call_args, args.repeats)
-                print(
-                    f"{name:<20} {label:<28} {t_numpy * 1e3:>8.3f}ms "
-                    f"{t_numba * 1e3:>8.3f}ms {t_numpy / t_numba:>7.1f}x"
-                )
-            else:
-                print(f"{name:<20} {label:<28} {t_numpy * 1e3:>8.3f}ms {'-':>10} {'-':>8}")
-
+    for label, call_args in accumulate_beat_cases():
+        t_numpy = best_of(kernels._accumulate_beat_numpy, call_args, args.repeats)
+        if kernels.HAS_NUMBA:
+            kernels._accumulate_beat_numba(*call_args)  # compile before timing
+            t_numba = best_of(kernels._accumulate_beat_numba, call_args, args.repeats)
+            print(
+                f"{name:<20} {label:<28} {t_numpy * 1e3:>8.3f}ms "
+                f"{t_numba * 1e3:>8.3f}ms {t_numpy / t_numba:>7.1f}x"
+            )
+        else:
+            print(f"{name:<20} {label:<28} {t_numpy * 1e3:>8.3f}ms {'-':>10} {'-':>8}")
 
 if __name__ == "__main__":
     main()

@@ -6,7 +6,7 @@ Modules:
     modulation  switch configurations and on-off-keyed schedules
     fmcw        beat synthesis, range/Doppler processing, detection
     link        end-to-end modulated frames and bit decoding
-    kernels     numba/numpy compute backends
+    kernels     pair-path phasor sum, numba/numpy beat kernel
     cli         command-line front end
 """
 
@@ -22,6 +22,7 @@ from .emfield import (
     plate_baseline_pattern,
     plate_monostatic_amplitude,
     range_extension,
+    response_matrix,
     roundtrip_response,
     scaling_sweep,
     write_pattern_csv,

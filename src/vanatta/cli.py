@@ -36,11 +36,12 @@ from .emfield import (
     plate_monostatic_amplitude,
     far_field_amplitude,
     range_extension,
+    response_matrix,
     roundtrip_response,
     scaling_sweep,
     write_pattern_csv,
 )
-from .errors import SimulationError
+from .errors import ConstraintError, SimulationError
 from .fmcw import ChirpParams
 from .geometry import (
     build_concentric_surface,
@@ -61,6 +62,11 @@ from .modulation import constructive_config, destructive_config, encode_bits
 
 class ConfigFileError(Exception):
     """Config file missing, unparseable, or carrying unknown keys."""
+
+
+# Incidences per batched call in the incidence sweep; bounds the response
+# matrix at SWEEP_BLOCK x (grid + SWEEP_BLOCK) entries for long sweeps.
+SWEEP_BLOCK = 64
 
 
 # Every accepted key with its default; None marks optional keys that have a
@@ -249,7 +255,19 @@ def _chirp_params(cfg: dict) -> ChirpParams:
     )
 
 
-def _angle_grid(step: float) -> np.ndarray:
+def _step(name: str, value) -> float:
+    step = float(value)
+    if not (math.isfinite(step) and step > 0.0):
+        raise ConstraintError(f"{name} must be positive and finite, got {step}")
+    return step
+
+
+def _angle_grid(cfg: dict, grid_step: float | None) -> np.ndarray:
+    """The -90..90 deg grid at --grid-step-deg, else at pattern.grid_step_deg."""
+    if grid_step is None:
+        step = _step("pattern.grid_step_deg", cfg["pattern.grid_step_deg"])
+    else:
+        step = _step("--grid-step-deg", grid_step)
     grid = np.arange(-90.0, 90.0 + step / 2.0, step)
     return grid[grid <= 90.0 + 1e-12]
 
@@ -271,8 +289,7 @@ def cmd_validate(cfg: dict, out_dir: str, config_dir: str) -> int:
 def cmd_pattern(cfg: dict, out_dir: str, config_dir: str, grid_step: float | None) -> int:
     layout = _resolve_layout(cfg, config_dir)
     wave = _wave(cfg)
-    step = grid_step if grid_step is not None else float(cfg["pattern.grid_step_deg"])
-    grid = _angle_grid(step)
+    grid = _angle_grid(cfg, grid_step)
     constructive = field_pattern(layout, constructive_config(), wave, grid)
     destructive = field_pattern(layout, destructive_config(layout), wave, grid)
     plate = plate_baseline_pattern(float(cfg["plate.width_m"]), wave, grid)
@@ -376,20 +393,24 @@ def cmd_sweep(cfg: dict, out_dir: str, config_dir: str, seed: int, grid_step: fl
     parameter = str(cfg["sweep.parameter"])
     if parameter == "incidence_angle":
         layout = _resolve_layout(cfg, config_dir)
-        step = grid_step if grid_step is not None else float(cfg["pattern.grid_step_deg"])
-        grid = _angle_grid(step)
-        start, stop, inc = (
-            float(cfg["sweep.start"]),
-            float(cfg["sweep.stop"]),
-            float(cfg["sweep.step"]),
-        )
+        grid = _angle_grid(cfg, grid_step)
+        start, stop = float(cfg["sweep.start"]), float(cfg["sweep.stop"])
+        inc = _step("sweep.step", cfg["sweep.step"])
         thetas = np.arange(start, stop + inc / 2.0, inc)
+        frequency, amplitude = float(cfg["frequency_hz"]), float(cfg["amplitude"])
+        config = constructive_config()
         lines = ["theta_deg,retro_mag,peak_deg"]
-        for theta in thetas:
-            wave = PlaneWave(float(cfg["frequency_hz"]), float(theta), float(cfg["amplitude"]))
-            pattern = field_pattern(layout, constructive_config(), wave, grid)
-            retro = abs(roundtrip_response(layout, constructive_config(), wave, float(theta)))
-            lines.append(f"{theta:.12g},{retro:.12g},{pattern.peak_angle():.12g}")
+        # One batched call per block of incidences, observed over the grid
+        # followed by the block itself: the grid columns give each pattern
+        # peak and the diagonal of the block columns the retro returns.
+        for lo in range(0, thetas.size, SWEEP_BLOCK):
+            block = thetas[lo : lo + SWEEP_BLOCK]
+            angles = np.concatenate((grid, block))
+            mags = np.abs(response_matrix(layout, config, frequency, block, angles, amplitude))
+            peaks = grid[np.argmax(mags[:, : grid.size], axis=1)]
+            retros = np.diagonal(mags[:, grid.size :])
+            for theta, retro, peak in zip(block, retros, peaks):
+                lines.append(f"{theta:.12g},{retro:.12g},{peak:.12g}")
         _emit(out_dir, "sweep_incidence.csv", "\n".join(lines) + "\n")
         print(f"incidence sweep over {len(thetas)} angles written")
         return 0

@@ -15,6 +15,17 @@ round trip, and by the 1/r far-field convention at the reference distance
 phi = theta, so the retro direction adds coherently regardless of theta; a
 half-wavelength switch on half of the pairs turns that sum into a null.
 
+Every response goes through ``response_matrix``, which evaluates a whole
+incidence x observation grid through the factorization
+
+    S(theta, phi) = sum_j exp(-j k (x_in,j sin(theta) + l_j)) * exp(-j k x_out,j sin(phi))
+
+as one (incidences x traversals) @ (traversals x observations) matrix
+product (``kernels.pair_path_response``), so no incidence x traversal x
+observation array is ever built.  A layout is validated once per object:
+the report is cached on the frozen layout (``SurfaceLayout.validation``)
+and reused by every later call.
+
 Patterns are azimuth cuts in the plane spanned by the array x-axis and the
 surface normal; only element x-coordinates enter the projection paths.
 
@@ -37,7 +48,7 @@ import numpy as np
 
 from . import kernels
 from .errors import ConfigurationError, ConstraintError, DesignMismatchWarning
-from .geometry import C0, SurfaceLayout, build_linear_array, validate_layout
+from .geometry import C0, SurfaceLayout, build_linear_array, wavelength_of
 
 # All patterns and responses are quoted at this distance unless overridden.
 REFERENCE_DISTANCE = 1.0
@@ -59,14 +70,9 @@ class PlaneWave:
     amplitude: float = 1.0
 
     def __post_init__(self):
-        if self.frequency <= 0.0:
-            raise ValueError(f"frequency must be positive, got {self.frequency}")
-        if not -90.0 < self.incidence_angle_deg < 90.0:
-            raise ValueError(
-                f"incidence angle must lie in (-90, 90) deg, got {self.incidence_angle_deg}"
-            )
-        if self.amplitude <= 0.0:
-            raise ValueError(f"amplitude must be positive, got {self.amplitude}")
+        _check_positive("frequency", self.frequency)
+        _angles(float(self.incidence_angle_deg), "incidence")
+        _check_positive("amplitude", self.amplitude)
 
     @property
     def wavelength(self) -> float:
@@ -100,10 +106,7 @@ class FieldPattern:
             raise ValueError("reference_distance must be positive")
         if self.angles_deg.shape != self.values.shape:
             raise ValueError("angles and values must have matching shapes")
-        if self.angles_deg.size == 0:
-            raise ValueError("pattern is empty")
-        if np.any(np.diff(self.angles_deg) <= 0.0):
-            raise ValueError("angles must be strictly increasing")
+        _angle_grid(self.angles_deg)
 
     @property
     def samples(self) -> list[tuple[float, complex]]:
@@ -127,11 +130,44 @@ class MonostaticGain(NamedTuple):
     plate_is_null: bool
 
 
-def _check_wave(layout: SurfaceLayout, wave: PlaneWave) -> None:
-    mismatch = abs(wave.wavelength - layout.wavelength) / layout.wavelength
+def _check_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+def _angles(angles_deg, kind: str) -> np.ndarray:
+    """Angles as a 1-D array, each inside the range of its kind.
+
+    Incidence angles lie in (-90, 90) deg, observation angles in [-90, 90];
+    NaN fails both.
+    """
+    angles = np.atleast_1d(np.asarray(angles_deg, dtype=np.float64))
+    if angles.ndim != 1:
+        raise ValueError(f"{kind} angles must be a scalar or a 1-D array")
+    if kind == "incidence":
+        bad, span = ~(np.abs(angles) < 90.0), "(-90, 90)"
+    else:
+        bad, span = ~(np.abs(angles) <= 90.0), "[-90, 90]"
+    if bad.any():
+        raise ValueError(f"{kind} angle must lie in {span} deg, got {float(angles[bad][0])}")
+    return angles
+
+
+def _angle_grid(angles_deg) -> np.ndarray:
+    """A pattern grid: non-empty, strictly increasing, inside [-90, 90] deg."""
+    grid = _angles(angles_deg, "observation")
+    if grid.size == 0:
+        raise ValueError("angle grid is empty")
+    if not np.all(np.diff(grid) > 0.0):
+        raise ValueError("angle grid must be strictly increasing")
+    return grid
+
+
+def _check_wavelength(layout: SurfaceLayout, wavelength: float) -> None:
+    mismatch = abs(wavelength - layout.wavelength) / layout.wavelength
     if mismatch > WAVELENGTH_MISMATCH_LIMIT:
         warnings.warn(
-            f"wave wavelength {wave.wavelength:.6g} m is {mismatch:.1%} off the "
+            f"wave wavelength {wavelength:.6g} m is {mismatch:.1%} off the "
             f"design wavelength {layout.wavelength:.6g} m; switch states will "
             f"not realize clean 0/180 phases",
             DesignMismatchWarning,
@@ -140,58 +176,79 @@ def _check_wave(layout: SurfaceLayout, wave: PlaneWave) -> None:
 
 
 def _traversal_arrays(layout: SurfaceLayout, config: SwitchConfig):
-    """Per-traversal absorber x, re-radiator x and line length arrays."""
-    pair_ids = layout.pair_ids()
-    known = set(pair_ids)
-    for pid in config.toggled:
-        if pid not in known:
-            raise ConfigurationError(f"toggled pair {pid} does not exist")
-        if not layout.line_for(pid).has_switch:
-            raise ConfigurationError(f"pair {pid} has no switch")
+    """Absorber x, re-radiator x and line length of every pair traversal.
 
-    n = 2 * len(pair_ids)
-    x_in = np.empty(n)
-    x_out = np.empty(n)
-    path = np.empty(n)
-    cx = layout.center[0]
-    for i, pid in enumerate(pair_ids):
-        a, b = layout.pair_elements(pid)
-        line = layout.line_for(pid)
-        total = line.base_electrical_length
-        if pid in config.toggled:
-            total += line.switched_extra_length
-        x_in[2 * i] = a.position[0] - cx
-        x_out[2 * i] = b.position[0] - cx
-        x_in[2 * i + 1] = b.position[0] - cx
-        x_out[2 * i + 1] = a.position[0] - cx
-        path[2 * i] = total
-        path[2 * i + 1] = total
-    return x_in, x_out, path
+    Each pair is traversed in both directions: the first half of the arrays
+    runs from each pair's lower-id element to its higher-id one, the second
+    half back.
+    """
+    view = layout.arrays
+    toggled = np.array(sorted(config.toggled), dtype=np.int64)
+    known = np.isin(toggled, view.pair_ids)
+    if not known.all():
+        raise ConfigurationError(f"toggled pair {toggled[~known][0]} does not exist")
+    index = np.searchsorted(view.pair_ids, toggled)
+    fixed = ~view.has_switch[index]
+    if fixed.any():
+        raise ConfigurationError(f"pair {toggled[fixed][0]} has no switch")
+
+    length = view.line_length.copy()
+    length[index] += layout.wavelength / 2.0
+    x = view.x - layout.center[0]
+    x_a, x_b = x[view.a], x[view.b]
+    return np.concatenate((x_a, x_b)), np.concatenate((x_b, x_a)), np.tile(length, 2)
 
 
 def _require_valid(layout: SurfaceLayout) -> None:
-    report = validate_layout(layout)
+    report = layout.validation
     if not report.passed:
         raise ConstraintError(report.summary())
 
 
-def _response_grid(
+def response_matrix(
     layout: SurfaceLayout,
     config: SwitchConfig,
-    wave: PlaneWave,
-    angles_deg: np.ndarray,
-    reference_distance: float,
-    element_taper: bool,
+    frequency: float,
+    incidence_deg,
+    observation_deg,
+    amplitude: float = 1.0,
+    reference_distance: float = REFERENCE_DISTANCE,
+    element_taper: bool = False,
 ) -> np.ndarray:
+    """Complex round-trip field for every (incidence, observation) pair.
+
+    Args:
+        layout: surface geometry; must pass validate_layout.
+        config: switch state applied to the lines.
+        frequency: incident wave frequency in Hz.
+        incidence_deg: incidence angles in degrees, each in (-90, 90).
+        observation_deg: observation angles in degrees, each in [-90, 90],
+            in any order.
+        amplitude: incident wave amplitude.
+        reference_distance: distance in meters the field is quoted at.
+        element_taper: apply a cos(theta)*cos(phi) element factor instead of
+            isotropic elements.
+
+    Returns:
+        Complex array of shape (len(incidence_deg), len(observation_deg)).
+    """
+    _check_positive("frequency", frequency)
+    _check_positive("amplitude", amplitude)
+    theta = np.radians(_angles(incidence_deg, "incidence"))
+    phi = np.radians(_angles(observation_deg, "observation"))
+    if reference_distance <= 0.0:
+        raise ValueError("reference_distance must be positive")
+    _require_valid(layout)
+    wavelength = wavelength_of(frequency)
+    _check_wavelength(layout, wavelength)
+
     x_in, x_out, path = _traversal_arrays(layout, config)
-    theta = math.radians(wave.incidence_angle_deg)
     out = kernels.pair_path_response(
-        x_in, x_out, path, wave.wavenumber, math.sin(theta), np.sin(np.radians(angles_deg))
+        x_in, x_out, path, 2.0 * math.pi / wavelength, np.sin(theta), np.sin(phi)
     )
-    scale = wave.amplitude * math.sqrt(layout.absorption_efficiency) / reference_distance
     if element_taper:
-        out = out * (math.cos(theta) * np.cos(np.radians(angles_deg)))
-    return out * scale
+        out *= np.outer(np.cos(theta), np.cos(phi))
+    return out * (amplitude * math.sqrt(layout.absorption_efficiency) / reference_distance)
 
 
 def roundtrip_response(
@@ -217,18 +274,10 @@ def roundtrip_response(
     Returns:
         Complex field amplitude at the reference distance.
     """
-    if not -90.0 <= observation_angle_deg <= 90.0:
-        raise ValueError(
-            f"observation angle must lie in [-90, 90] deg, got {observation_angle_deg}"
-        )
-    if reference_distance <= 0.0:
-        raise ValueError("reference_distance must be positive")
-    _require_valid(layout)
-    _check_wave(layout, wave)
-    grid = np.array([observation_angle_deg], dtype=np.float64)
-    return complex(
-        _response_grid(layout, config, wave, grid, reference_distance, element_taper)[0]
+    pattern = field_pattern(
+        layout, config, wave, [observation_angle_deg], reference_distance, element_taper
     )
+    return complex(pattern.values[0])
 
 
 def field_pattern(
@@ -240,19 +289,18 @@ def field_pattern(
     element_taper: bool = False,
 ) -> FieldPattern:
     """Evaluate roundtrip_response over a strictly increasing angle grid."""
-    grid = np.asarray(angles_deg, dtype=np.float64)
-    if grid.size == 0:
-        raise ValueError("angle grid is empty")
-    if grid.size > 1 and not np.all(np.diff(grid) > 0.0):
-        raise ValueError("angle grid must be strictly increasing")
-    if grid[0] < -90.0 or grid[-1] > 90.0:
-        raise ValueError("angle grid must stay within [-90, 90] deg")
-    if reference_distance <= 0.0:
-        raise ValueError("reference_distance must be positive")
-    _require_valid(layout)
-    _check_wave(layout, wave)
-    values = _response_grid(layout, config, wave, grid, reference_distance, element_taper)
-    return FieldPattern(angles_deg=grid, values=values, reference_distance=reference_distance)
+    grid = _angle_grid(angles_deg)
+    values = response_matrix(
+        layout,
+        config,
+        wave.frequency,
+        wave.incidence_angle_deg,
+        grid,
+        wave.amplitude,
+        reference_distance,
+        element_taper,
+    )
+    return FieldPattern(angles_deg=grid, values=values[0], reference_distance=reference_distance)
 
 
 def _sinc(x):
@@ -276,13 +324,7 @@ def plate_baseline_pattern(
         raise ValueError(f"width must be positive, got {width}")
     if reference_distance <= 0.0:
         raise ValueError("reference_distance must be positive")
-    grid = np.asarray(angles_deg, dtype=np.float64)
-    if grid.size == 0:
-        raise ValueError("angle grid is empty")
-    if grid.size > 1 and not np.all(np.diff(grid) > 0.0):
-        raise ValueError("angle grid must be strictly increasing")
-    if grid[0] < -90.0 or grid[-1] > 90.0:
-        raise ValueError("angle grid must stay within [-90, 90] deg")
+    grid = _angle_grid(angles_deg)
     if norm is None:
         norm = width / wave.wavelength
     theta = np.radians(grid)

@@ -26,6 +26,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from .errors import ConstraintError
 
@@ -97,6 +100,25 @@ class ValidationReport:
         return "\n".join(lines)
 
 
+@dataclass(frozen=True, eq=False)
+class LayoutArrays:
+    """Read-only array view of a SurfaceLayout.
+
+    ids, x and y follow layout.elements.  The pair arrays follow ascending
+    pair id: a and b index the lower- and higher-id element of each pair,
+    and line_length and has_switch describe the pair's line.
+    """
+
+    ids: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    pair_ids: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    line_length: np.ndarray
+    has_switch: np.ndarray
+
+
 @dataclass(frozen=True)
 class SurfaceLayout:
     """Immutable description of one surface.
@@ -163,6 +185,38 @@ class SurfaceLayout:
             if ln.pair_id == pair_id:
                 return ln
         raise KeyError(f"no line for pair {pair_id}")
+
+    # Layouts are frozen, so each object builds its array view and its
+    # default-tolerance report once; dataclasses.replace makes a new object
+    # with empty caches.
+    @cached_property
+    def arrays(self) -> LayoutArrays:
+        """Array view of the layout, built on first use."""
+        elements = self.elements
+        ids = np.array([e.id for e in elements], dtype=np.int64)
+        pairs = np.array([e.pair_id for e in elements], dtype=np.int64)
+        # Every pair has exactly two elements, so sorting by (pair, id) puts
+        # each pair's members next to each other.
+        order = np.lexsort((ids, pairs))
+        lines = sorted(self.lines, key=lambda ln: ln.pair_id)
+        view = LayoutArrays(
+            ids=ids,
+            x=np.array([e.position[0] for e in elements], dtype=np.float64),
+            y=np.array([e.position[1] for e in elements], dtype=np.float64),
+            pair_ids=pairs[order[0::2]],
+            a=order[0::2],
+            b=order[1::2],
+            line_length=np.array([ln.base_electrical_length for ln in lines], dtype=np.float64),
+            has_switch=np.array([ln.has_switch for ln in lines], dtype=bool),
+        )
+        for array in vars(view).values():
+            array.flags.writeable = False
+        return view
+
+    @cached_property
+    def validation(self) -> ValidationReport:
+        """validate_layout at its default tolerance, run on first use."""
+        return validate_layout(self)
 
 
 def build_linear_array(
@@ -390,46 +444,30 @@ def validate_layout(layout: SurfaceLayout, tolerance: float = 1e-9) -> Validatio
     """
     if tolerance < 0.0:
         raise ValueError(f"tolerance must be non-negative, got {tolerance}")
+    view = layout.arrays
     lam = layout.wavelength
     cx, cy = layout.center
     violations: list[Violation] = []
 
-    for pid in layout.pair_ids():
-        a, b = layout.pair_elements(pid)
-        dev = math.hypot(
-            a.position[0] + b.position[0] - 2.0 * cx,
-            a.position[1] + b.position[1] - 2.0 * cy,
-        )
-        if dev > tolerance:
-            violations.append(Violation("centrosymmetry", (pid,), dev))
+    x, y, a, b = view.x, view.y, view.a, view.b
+    dev = np.hypot(x[a] + x[b] - 2.0 * cx, y[a] + y[b] - 2.0 * cy)
+    for i in np.flatnonzero(dev > tolerance):
+        violations.append(Violation("centrosymmetry", (int(view.pair_ids[i]),), float(dev[i])))
 
-    lines = sorted(layout.lines, key=lambda ln: ln.pair_id)
-    for i in range(len(lines)):
-        for j in range(i + 1, len(lines)):
-            diff = lines[i].base_electrical_length - lines[j].base_electrical_length
-            frac = abs(math.fmod(diff, lam))
-            dev = min(frac, lam - frac)
-            if dev > tolerance:
-                violations.append(
-                    Violation(
-                        "line_length_congruence",
-                        (lines[i].pair_id, lines[j].pair_id),
-                        dev,
-                    )
-                )
+    # Pairwise rules scan the upper triangle in row-major order, so findings
+    # come out in (i, j) loop order.
+    length = view.line_length
+    frac = np.abs(np.fmod(length[:, None] - length[None, :], lam))
+    dev = np.minimum(frac, lam - frac)
+    for i, j in zip(*np.nonzero(np.triu(dev > tolerance, k=1))):
+        ids = (int(view.pair_ids[i]), int(view.pair_ids[j]))
+        violations.append(Violation("line_length_congruence", ids, float(dev[i, j])))
 
-    elems = layout.elements
     floor = lam / 2.0
-    for i in range(len(elems)):
-        for j in range(i + 1, len(elems)):
-            d = math.hypot(
-                elems[i].position[0] - elems[j].position[0],
-                elems[i].position[1] - elems[j].position[1],
-            )
-            if d < floor - tolerance:
-                violations.append(
-                    Violation("min_spacing", (elems[i].id, elems[j].id), floor - d)
-                )
+    dist = np.hypot(x[:, None] - x[None, :], y[:, None] - y[None, :])
+    for i, j in zip(*np.nonzero(np.triu(dist < floor - tolerance, k=1))):
+        ids = (int(view.ids[i]), int(view.ids[j]))
+        violations.append(Violation("min_spacing", ids, float(floor - dist[i, j])))
 
     return ValidationReport(passed=not violations, violations=tuple(violations))
 

@@ -1,17 +1,19 @@
-"""Hot numeric kernels, compiled with numba when available.
+"""Hot numeric kernels.
 
 Two loops dominate every simulation here: summing round-trip path phasors
-over pair traversals for each observation angle, and accumulating beat-tone
-samples over chirps.  Both get an njit implementation and a pure-numpy
+over pair traversals, and accumulating beat-tone samples over chirps.  The
+phasor sum factorizes into one matrix product, which numpy hands to BLAS,
+so it has a single implementation.  Beat accumulation has an njit
+implementation, compiled with numba when available, and a pure-numpy
 fallback with identical semantics.
 
-Backend selection, checked once at import:
+Backend selection for beat accumulation, checked once at import:
 
     VANATTA_BACKEND=auto    njit if numba imports, else numpy (default)
     VANATTA_BACKEND=numba   require numba, raise if missing
     VANATTA_BACKEND=numpy   force the fallback
 
-``benchmarks/bench_kernels.py`` times the two paths against each other.
+``benchmarks/bench_kernels.py`` times the two beat paths against each other.
 """
 
 from __future__ import annotations
@@ -20,13 +22,6 @@ import math
 import os
 
 import numpy as np
-
-
-def _pair_path_response_numpy(x_in, x_out, path_extra, wavenumber, sin_incidence, sin_obs, out):
-    inbound = wavenumber * (x_in * sin_incidence + path_extra)
-    outbound = wavenumber * np.outer(x_out, sin_obs)
-    out[:] = np.exp(-1j * (inbound[:, None] + outbound)).sum(axis=0)
-    return out
 
 
 def _accumulate_beat_numpy(samples, amplitudes, beat_frequency, phase0, phase_step, dt):
@@ -58,17 +53,6 @@ else:
 if HAS_NUMBA:
 
     @njit(cache=True)
-    def _pair_path_response_numba(x_in, x_out, path_extra, wavenumber, sin_incidence, sin_obs, out):
-        for a in range(sin_obs.size):
-            acc = 0.0 + 0.0j
-            so = sin_obs[a]
-            for j in range(x_in.size):
-                ph = wavenumber * (x_in[j] * sin_incidence + path_extra[j] + x_out[j] * so)
-                acc += np.cos(ph) - 1j * np.sin(ph)
-            out[a] = acc
-        return out
-
-    @njit(cache=True)
     def _accumulate_beat_numba(samples, amplitudes, beat_frequency, phase0, phase_step, dt):
         n_chirps, n_samples = samples.shape
         w = 2.0 * math.pi * beat_frequency * dt
@@ -81,11 +65,9 @@ if HAS_NUMBA:
                 samples[c, n] += amp * np.cos(w * n + ph_c)
         return samples
 
-    _pair_path_response = _pair_path_response_numba
     _accumulate_beat = _accumulate_beat_numba
     BACKEND = "numba"
 else:
-    _pair_path_response = _pair_path_response_numpy
     _accumulate_beat = _accumulate_beat_numpy
     BACKEND = "numpy"
 
@@ -98,19 +80,15 @@ def active_backend() -> str:
 def pair_path_response(x_in, x_out, path_extra, wavenumber, sin_incidence, sin_obs):
     """Sum exp(-j k (x_in sin_inc + path + x_out sin_obs)) over traversals.
 
-    x_in, x_out and path_extra are float arrays with one entry per pair
-    traversal; sin_obs is the array of observation-angle sines.  Returns a
-    complex array over observation angles.
+    x_in, x_out and path_extra hold one entry per pair traversal;
+    sin_incidence and sin_obs are 1-D arrays of sines.  Each phasor splits
+    into an inbound and an outbound factor, so the sum is one (incidences x
+    traversals) @ (traversals x observations) matrix product.  Returns the
+    complex incidences x observations matrix.
     """
-    x_in = np.ascontiguousarray(x_in, dtype=np.float64)
-    x_out = np.ascontiguousarray(x_out, dtype=np.float64)
-    path_extra = np.ascontiguousarray(path_extra, dtype=np.float64)
-    sin_obs = np.ascontiguousarray(sin_obs, dtype=np.float64)
-    out = np.empty(sin_obs.size, dtype=np.complex128)
-    _pair_path_response(
-        x_in, x_out, path_extra, float(wavenumber), float(sin_incidence), sin_obs, out
-    )
-    return out
+    inbound = np.exp(-1j * (wavenumber * (np.outer(sin_incidence, x_in) + path_extra)))
+    outbound = np.exp(-1j * (wavenumber * np.outer(x_out, sin_obs)))
+    return inbound @ outbound
 
 
 def accumulate_beat(samples, amplitudes, beat_frequency, phase0, phase_step, dt):

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .emfield import PlaneWave, SwitchConfig, roundtrip_response
+from .emfield import PlaneWave, SwitchConfig, response_matrix
 from .errors import DecodingError, SchedulingError
 from .fmcw import ChirpParams, SurfaceReflector, Target, _profile_matrix, synthesize_beat
 from .geometry import SurfaceLayout
@@ -276,8 +276,12 @@ def cross_angle_isolation(
     observation_angle_deg.  Infinite when the off-axis response is an exact
     null.
     """
-    retro = abs(roundtrip_response(layout, config, wave, wave.incidence_angle_deg))
-    other = abs(roundtrip_response(layout, config, wave, observation_angle_deg))
+    theta = wave.incidence_angle_deg
+    retro, other = np.abs(
+        response_matrix(
+            layout, config, wave.frequency, theta, (theta, observation_angle_deg), wave.amplitude
+        )[0]
+    )
     if other == 0.0:
         return math.inf
     if retro == 0.0:

@@ -8,8 +8,5 @@ from vanatta import kernels
 
 @pytest.fixture(scope="session")
 def warm_kernels():
-    """Run both kernels once so timed tests measure steady state, not JIT."""
-    kernels.pair_path_response(
-        np.zeros(2), np.zeros(2), np.zeros(2), 1.0, 0.0, np.zeros(3)
-    )
+    """Run the beat kernel once so timed tests measure steady state, not JIT."""
     kernels.accumulate_beat(np.zeros((2, 8)), np.ones(2), 1.0, 0.0, 0.0, 1e-6)

@@ -241,6 +241,45 @@ def test_constraint_failures_exit_one(tmp_path):
     assert run_cli("pattern", "--config", cfg_path, "--out", str(out)) == 1
 
 
+def test_sweep_rejects_incidence_past_grazing(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, "sweep.stop = 95\n")
+    out = tmp_path / "out"
+    assert run_cli("sweep", "--config", cfg_path, "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("constraint error: incidence angle")
+    assert "got 90.0" in err
+    assert not (out / "sweep_incidence.csv").exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-5", "nan", "inf"])
+@pytest.mark.parametrize(
+    "command, key",
+    [
+        ("sweep", "sweep.step"),
+        ("pattern", "pattern.grid_step_deg"),
+        ("sweep", "--grid-step-deg"),
+        ("pattern", "--grid-step-deg"),
+    ],
+)
+def test_bad_steps_exit_one(tmp_path, capsys, command, key, value):
+    out = tmp_path / "out"
+    argv = [command, "--out", str(out)]
+    if key.startswith("--"):
+        argv += [key, value]
+    else:
+        argv += ["--config", write_config(tmp_path, f"{key} = {value}\n")]
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"constraint error: {key} must be positive and finite")
+    assert list(out.iterdir()) == []
+
+
+def test_pattern_rejects_infinite_amplitude(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, "amplitude = inf\n")
+    assert run_cli("pattern", "--config", cfg_path, "--out", str(tmp_path / "o")) == 1
+    assert "amplitude must be positive and finite" in capsys.readouterr().err
+
+
 def test_commands_are_deterministic(tmp_path):
     cfg_path = write_config(
         tmp_path,

@@ -1,12 +1,16 @@
 """Field patterns against brute-force and closed-form oracles."""
 
 import cmath
+import dataclasses
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import vanatta.geometry
 from vanatta import (
     ConfigurationError,
     ConstraintError,
@@ -14,6 +18,7 @@ from vanatta import (
     FieldPattern,
     PlaneWave,
     SwitchConfig,
+    build_concentric_surface,
     build_linear_array,
     constructive_config,
     destructive_config,
@@ -24,6 +29,7 @@ from vanatta import (
     plate_baseline_pattern,
     plate_monostatic_amplitude,
     range_extension,
+    response_matrix,
     roundtrip_response,
     scaling_sweep,
     wavelength_of,
@@ -180,8 +186,6 @@ def test_field_pattern_rejects_bad_grids():
 
 
 def test_roundtrip_requires_valid_layout():
-    import dataclasses
-
     layout = build_linear_array(2, LAM / 2.0, LAM)
     stretched = dataclasses.replace(
         layout.lines[0],
@@ -217,6 +221,13 @@ def test_plane_wave_validation():
         PlaneWave(24e9, 90.0)
     with pytest.raises(ValueError):
         PlaneWave(24e9, 10.0, amplitude=0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            PlaneWave(bad, 10.0)
+        with pytest.raises(ValueError):
+            PlaneWave(24e9, bad)
+        with pytest.raises(ValueError):
+            PlaneWave(24e9, 10.0, amplitude=bad)
 
 
 def test_plate_formula_values():
@@ -303,6 +314,8 @@ def test_field_pattern_type_checks():
         FieldPattern(np.array([0.0, 1.0]), np.array([1.0 + 0j]))
     with pytest.raises(ValueError):
         FieldPattern(np.array([1.0, 0.0]), np.array([1.0 + 0j, 2.0 + 0j]))
+    with pytest.raises(ValueError):
+        FieldPattern(np.array([0.0, 95.0]), np.array([1.0 + 0j, 2.0 + 0j]))
 
 
 def test_pattern_csv_format(tmp_path):
@@ -318,3 +331,88 @@ def test_pattern_csv_format(tmp_path):
     mag = math.hypot(float(row[1]), float(row[2]))
     assert math.isclose(mag, float(row[3]), rel_tol=1e-9)
     assert math.isclose(float(row[3]), 4.0 * SQRT_ETA, rel_tol=1e-9)
+
+
+def _switched(layout):
+    # Toggle every switched line; for an even pair count this is the
+    # destructive state.
+    return SwitchConfig(
+        frozenset(p for p in layout.pair_ids() if layout.line_for(p).has_switch)
+    )
+
+
+LAYOUTS = st.one_of(
+    st.builds(
+        lambda n, f: build_linear_array(n, f * LAM, LAM),
+        st.integers(1, 6),
+        st.floats(0.5, 1.0),
+    ),
+    st.builds(
+        lambda m, f: build_concentric_surface(m, f * LAM, LAM),
+        st.integers(1, 3),
+        st.floats(1.0, 2.0),
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    layout=LAYOUTS,
+    switched=st.booleans(),
+    thetas=st.lists(
+        st.floats(-85.0, 85.0, exclude_min=True, exclude_max=True), min_size=1, max_size=3
+    ),
+    phis=st.lists(st.floats(-90.0, 90.0), min_size=1, max_size=5),
+    amplitude=st.floats(0.1, 10.0),
+    distance=st.floats(0.5, 10.0),
+    taper=st.booleans(),
+)
+def test_response_matrix_matches_brute_force(
+    layout, switched, thetas, phis, amplitude, distance, taper
+):
+    config = _switched(layout) if switched else constructive_config()
+    got = response_matrix(layout, config, 24e9, thetas, phis, amplitude, distance, taper)
+    assert got.shape == (len(thetas), len(phis))
+    for i, theta in enumerate(thetas):
+        wave = PlaneWave(24e9, theta, amplitude)
+        for j, phi in enumerate(phis):
+            want = brute_force_response(layout, config, wave, phi) / distance
+            if taper:
+                want *= math.cos(math.radians(theta)) * math.cos(math.radians(phi))
+            assert cmath.isclose(got[i, j], want, rel_tol=1e-12, abs_tol=1e-12)
+
+
+def test_response_matrix_checks_every_angle():
+    layout = build_linear_array(2, LAM / 2.0, LAM)
+    config = constructive_config()
+    with pytest.raises(ValueError, match="incidence angle .* got 95.0"):
+        response_matrix(layout, config, 24e9, [10.0, 95.0], [0.0])
+    with pytest.raises(ValueError, match="incidence angle .* got nan"):
+        response_matrix(layout, config, 24e9, [10.0, math.nan], [0.0])
+    with pytest.raises(ValueError, match="observation angle .* got -90.5"):
+        response_matrix(layout, config, 24e9, [10.0], [0.0, -90.5])
+    with pytest.raises(ValueError, match="frequency"):
+        response_matrix(layout, config, math.inf, [10.0], [0.0])
+    with pytest.raises(ValueError, match="amplitude"):
+        response_matrix(layout, config, 24e9, [10.0], [0.0], amplitude=math.nan)
+
+
+def test_repeated_responses_validate_a_layout_once(monkeypatch):
+    calls = []
+    validate = vanatta.geometry.validate_layout
+
+    def counting(layout, *args, **kwargs):
+        calls.append(layout)
+        return validate(layout, *args, **kwargs)
+
+    monkeypatch.setattr(vanatta.geometry, "validate_layout", counting)
+    layout = build_linear_array(4, LAM / 2.0, LAM)
+    for theta in (-20.0, 0.0, 35.0):
+        wave = PlaneWave(24e9, theta)
+        roundtrip_response(layout, constructive_config(), wave, theta)
+        field_pattern(layout, destructive_config(layout), wave, [-10.0, 0.0, 10.0])
+    response_matrix(layout, constructive_config(), 24e9, [0.0, 10.0], [5.0])
+    assert len(calls) == 1
+    # a replaced layout is a new object and is validated afresh
+    roundtrip_response(dataclasses.replace(layout), constructive_config(), WAVE30, 0.0)
+    assert len(calls) == 2

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from vanatta import (
@@ -14,8 +15,95 @@ from vanatta import (
     validate_layout,
     wavelength_of,
 )
+from vanatta.geometry import Violation
 
 LAM = 0.012491352416666667  # wavelength at 24 GHz
+
+
+def reference_validate_layout(layout, tolerance=1e-9):
+    """Loop-by-loop validator: the oracle for the vectorized validate_layout."""
+    lam = layout.wavelength
+    cx, cy = layout.center
+    violations = []
+
+    for pid in layout.pair_ids():
+        a, b = layout.pair_elements(pid)
+        dev = math.hypot(
+            a.position[0] + b.position[0] - 2.0 * cx,
+            a.position[1] + b.position[1] - 2.0 * cy,
+        )
+        if dev > tolerance:
+            violations.append(Violation("centrosymmetry", (pid,), dev))
+
+    lines = sorted(layout.lines, key=lambda ln: ln.pair_id)
+    for i in range(len(lines)):
+        for j in range(i + 1, len(lines)):
+            diff = lines[i].base_electrical_length - lines[j].base_electrical_length
+            frac = abs(math.fmod(diff, lam))
+            dev = min(frac, lam - frac)
+            if dev > tolerance:
+                violations.append(
+                    Violation(
+                        "line_length_congruence",
+                        (lines[i].pair_id, lines[j].pair_id),
+                        dev,
+                    )
+                )
+
+    elems = layout.elements
+    floor = lam / 2.0
+    for i in range(len(elems)):
+        for j in range(i + 1, len(elems)):
+            d = math.hypot(
+                elems[i].position[0] - elems[j].position[0],
+                elems[i].position[1] - elems[j].position[1],
+            )
+            if d < floor - tolerance:
+                violations.append(
+                    Violation("min_spacing", (elems[i].id, elems[j].id), floor - d)
+                )
+    return violations
+
+
+def perturbed_layouts():
+    """Acceptance check 9's perturbations (same seed), then a squeezed array."""
+    layouts = [build_linear_array(n, LAM / 2.0, LAM) for n in (2, 3, 4, 5)] + [
+        build_concentric_surface(rings, LAM, LAM) for rings in (1, 2)
+    ]
+    rng = np.random.default_rng(424242)
+    for _ in range(100):
+        layout = layouts[int(rng.integers(len(layouts)))]
+        if rng.random() < 0.5:
+            idx = int(rng.integers(len(layout.elements)))
+            angle = rng.uniform(0.0, 2.0 * math.pi)
+            element = layout.elements[idx]
+            moved = dataclasses.replace(
+                element,
+                position=(
+                    element.position[0] + (LAM / 10.0) * math.cos(angle),
+                    element.position[1] + (LAM / 10.0) * math.sin(angle),
+                ),
+            )
+            elements = list(layout.elements)
+            elements[idx] = moved
+            yield dataclasses.replace(layout, elements=tuple(elements))
+        else:
+            idx = int(rng.integers(len(layout.lines)))
+            line = layout.lines[idx]
+            stretched = dataclasses.replace(
+                line, base_electrical_length=line.base_electrical_length + LAM / 4.0
+            )
+            lines = list(layout.lines)
+            lines[idx] = stretched
+            yield dataclasses.replace(layout, lines=tuple(lines))
+    squeezed = build_linear_array(3, 0.6 * LAM, LAM)
+    yield dataclasses.replace(
+        squeezed,
+        elements=tuple(
+            dataclasses.replace(e, position=(0.7 * e.position[0], 0.0))
+            for e in squeezed.elements
+        ),
+    )
 
 
 def test_wavelength_at_24ghz():
@@ -215,3 +303,29 @@ def test_save_load_round_trip(layout, tmp_path):
     assert loaded.absorption_efficiency == layout.absorption_efficiency
     assert loaded.elements == layout.elements
     assert loaded.lines == layout.lines
+
+
+def test_vectorized_validator_matches_reference_loops():
+    seen = set()
+    for layout in perturbed_layouts():
+        want = reference_validate_layout(layout)
+        got = validate_layout(layout).violations
+        assert [(v.rule, v.ids) for v in got] == [(v.rule, v.ids) for v in want]
+        for g, w in zip(got, want):
+            assert abs(g.deviation - w.deviation) <= 1e-15
+        seen.update(v.rule for v in want)
+    assert seen == {"centrosymmetry", "line_length_congruence", "min_spacing"}
+
+
+def test_array_view_is_read_only_and_follows_pair_order():
+    layout = build_concentric_surface(2, LAM, LAM)
+    view = layout.arrays
+    assert layout.arrays is view
+    assert not view.x.flags.writeable
+    assert view.pair_ids.tolist() == list(layout.pair_ids())
+    for i, pid in enumerate(layout.pair_ids()):
+        a, b = layout.pair_elements(pid)
+        assert (int(view.ids[view.a[i]]), int(view.ids[view.b[i]])) == (a.id, b.id)
+        line = layout.line_for(pid)
+        assert view.line_length[i] == line.base_electrical_length
+        assert view.has_switch[i] == line.has_switch
