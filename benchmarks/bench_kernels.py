@@ -1,12 +1,13 @@
-"""Time the numba beat kernel against the pure-numpy fallback.
+"""Time the closed-form beat kernel against the per-cell formula.
 
-Runs both implementations of beat-tone accumulation over a frame on
-representative sizes and prints per-call wall times plus the speedup.  The
-numba path is compiled once before timing so JIT cost never pollutes the
-numbers.
+``kernels.accumulate_beat`` builds one target's beat frame as a rank-2
+(chirps x 2) @ (2 x samples) product.  This script times it against the
+per-cell formula a_c cos(2 pi f t + phase0 + c phase_step), one cosine per
+sample, on a 64-chirp and a 2048-chirp frame of 1000 samples, and prints
+the best per-call wall times, the speedup and the largest deviation.
 
 Usage:
-    python3 benchmarks/bench_kernels.py [--repeats 20]
+    PYTHONPATH=src python3 benchmarks/bench_kernels.py [--repeats 20]
 """
 
 import argparse
@@ -16,33 +17,48 @@ import time
 import numpy as np
 
 from vanatta import kernels
+from vanatta.fmcw import ChirpParams
+from vanatta.geometry import C0
+
+
+def per_cell_beat(samples, amplitudes, beat_frequency, phase0, phase_step, dt):
+    """The formula the closed form replaces: one cosine per cell."""
+    n_chirps, n_samples = samples.shape
+    t = np.arange(n_samples) * dt
+    phases = phase0 + phase_step * np.arange(n_chirps)
+    samples += amplitudes[:, None] * np.cos(
+        2.0 * math.pi * beat_frequency * t[None, :] + phases[:, None]
+    )
+    return samples
 
 
 def best_of(fn, args, repeats):
-    """Best wall time over repeats, in seconds."""
+    """Best wall time over repeats, in seconds, each on a fresh frame."""
     best = math.inf
     for _ in range(repeats):
+        frame = np.zeros_like(args[0])
         start = time.perf_counter()
-        fn(*args)
+        fn(frame, *args[1:])
         best = min(best, time.perf_counter() - start)
     return best
 
 
-def accumulate_beat_cases():
+def beat_cases():
+    """Frames of the link's operating point: a 50 m target at 24 GHz."""
+    params = ChirpParams()
+    range_m = 50.0
     rng = np.random.default_rng(11)
-    for label, n_chirps, n_samples in (
-        ("64 chirps x 1000 samples", 64, 1000),
-        ("2048 chirps x 1000 samples", 2048, 1000),
-    ):
+    for n_chirps in (64, 2048):
+        n_samples = params.samples_per_chirp
         args = (
             np.zeros((n_chirps, n_samples)),
             rng.uniform(0.0, 1.0, n_chirps),
-            166782.0,
-            0.3,
+            params.beat_frequency(range_m),
+            2.0 * math.pi * params.start_frequency * 2.0 * range_m / C0,
             0.01,
-            5e-7,
+            1.0 / params.sample_rate,
         )
-        yield label, args
+        yield f"{n_chirps} chirps x {n_samples} samples", args
 
 
 def main(argv=None):
@@ -50,22 +66,19 @@ def main(argv=None):
     parser.add_argument("--repeats", type=int, default=20, help="timing repeats per case")
     args = parser.parse_args(argv)
 
-    if not kernels.HAS_NUMBA:
-        print("numba unavailable (or VANATTA_BACKEND=numpy); timing the fallback only")
+    print(f"{'case':<28} {'per-cell':>10} {'closed':>10} {'speedup':>8} {'max dev':>9}")
+    for label, call_args in beat_cases():
+        t_cell = best_of(per_cell_beat, call_args, args.repeats)
+        t_closed = best_of(kernels.accumulate_beat, call_args, args.repeats)
+        deviation = np.abs(
+            kernels.accumulate_beat(np.zeros_like(call_args[0]), *call_args[1:])
+            - per_cell_beat(np.zeros_like(call_args[0]), *call_args[1:])
+        ).max()
+        print(
+            f"{label:<28} {t_cell * 1e3:>8.3f}ms {t_closed * 1e3:>8.3f}ms "
+            f"{t_cell / t_closed:>7.1f}x {deviation:>9.1e}"
+        )
 
-    name = "accumulate_beat"
-    print(f"{'kernel':<20} {'case':<28} {'numpy':>10} {'numba':>10} {'speedup':>8}")
-    for label, call_args in accumulate_beat_cases():
-        t_numpy = best_of(kernels._accumulate_beat_numpy, call_args, args.repeats)
-        if kernels.HAS_NUMBA:
-            kernels._accumulate_beat_numba(*call_args)  # compile before timing
-            t_numba = best_of(kernels._accumulate_beat_numba, call_args, args.repeats)
-            print(
-                f"{name:<20} {label:<28} {t_numpy * 1e3:>8.3f}ms "
-                f"{t_numba * 1e3:>8.3f}ms {t_numpy / t_numba:>7.1f}x"
-            )
-        else:
-            print(f"{name:<20} {label:<28} {t_numpy * 1e3:>8.3f}ms {'-':>10} {'-':>8}")
 
 if __name__ == "__main__":
     main()

@@ -6,7 +6,7 @@ Modules:
     modulation  switch configurations and on-off-keyed schedules
     fmcw        beat synthesis, range/Doppler processing, detection
     link        end-to-end modulated frames and bit decoding
-    kernels     pair-path phasor sum, numba/numpy beat kernel
+    kernels     pair-path phasor sum, closed-form beat kernel
     cli         command-line front end
 """
 

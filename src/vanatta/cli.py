@@ -41,7 +41,7 @@ from .emfield import (
     scaling_sweep,
     write_pattern_csv,
 )
-from .errors import ConstraintError, SimulationError
+from .errors import SimulationError, check_finite
 from .fmcw import ChirpParams
 from .geometry import (
     build_concentric_surface,
@@ -257,8 +257,7 @@ def _chirp_params(cfg: dict) -> ChirpParams:
 
 def _step(name: str, value) -> float:
     step = float(value)
-    if not (math.isfinite(step) and step > 0.0):
-        raise ConstraintError(f"{name} must be positive and finite, got {step}")
+    check_finite(name, step, "positive")
     return step
 
 

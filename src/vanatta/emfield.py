@@ -47,7 +47,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels
-from .errors import ConfigurationError, ConstraintError, DesignMismatchWarning
+from .errors import ConfigurationError, ConstraintError, DesignMismatchWarning, check_finite
 from .geometry import C0, SurfaceLayout, build_linear_array, wavelength_of
 
 # All patterns and responses are quoted at this distance unless overridden.
@@ -70,9 +70,9 @@ class PlaneWave:
     amplitude: float = 1.0
 
     def __post_init__(self):
-        _check_positive("frequency", self.frequency)
+        check_finite("frequency", self.frequency, "positive")
         _angles(float(self.incidence_angle_deg), "incidence")
-        _check_positive("amplitude", self.amplitude)
+        check_finite("amplitude", self.amplitude, "positive")
 
     @property
     def wavelength(self) -> float:
@@ -102,8 +102,7 @@ class FieldPattern:
     reference_distance: float = REFERENCE_DISTANCE
 
     def __post_init__(self):
-        if self.reference_distance <= 0.0:
-            raise ValueError("reference_distance must be positive")
+        check_finite("reference_distance", self.reference_distance, "positive")
         if self.angles_deg.shape != self.values.shape:
             raise ValueError("angles and values must have matching shapes")
         _angle_grid(self.angles_deg)
@@ -128,11 +127,6 @@ class FieldPattern:
 class MonostaticGain(NamedTuple):
     gain_db: float
     plate_is_null: bool
-
-
-def _check_positive(name: str, value: float) -> None:
-    if not (math.isfinite(value) and value > 0.0):
-        raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 def _angles(angles_deg, kind: str) -> np.ndarray:
@@ -232,12 +226,11 @@ def response_matrix(
     Returns:
         Complex array of shape (len(incidence_deg), len(observation_deg)).
     """
-    _check_positive("frequency", frequency)
-    _check_positive("amplitude", amplitude)
+    check_finite("frequency", frequency, "positive")
+    check_finite("amplitude", amplitude, "positive")
     theta = np.radians(_angles(incidence_deg, "incidence"))
     phi = np.radians(_angles(observation_deg, "observation"))
-    if reference_distance <= 0.0:
-        raise ValueError("reference_distance must be positive")
+    check_finite("reference_distance", reference_distance, "positive")
     _require_valid(layout)
     wavelength = wavelength_of(frequency)
     _check_wavelength(layout, wavelength)
@@ -320,10 +313,8 @@ def plate_baseline_pattern(
     norm defaults to width/wavelength (aperture size in wavelengths); pass
     an explicit value to change the normalization convention.
     """
-    if width <= 0.0:
-        raise ValueError(f"width must be positive, got {width}")
-    if reference_distance <= 0.0:
-        raise ValueError("reference_distance must be positive")
+    check_finite("width", width, "positive")
+    check_finite("reference_distance", reference_distance, "positive")
     grid = _angle_grid(angles_deg)
     if norm is None:
         norm = width / wave.wavelength
@@ -357,10 +348,8 @@ def plate_monostatic_amplitude(
 
 def far_field_amplitude(amplitude_at_ref: float, reference_distance: float, distance: float) -> float:
     """1/r far-field scaling from the reference distance outward."""
-    if reference_distance <= 0.0:
-        raise ValueError("reference_distance must be positive")
-    if distance <= 0.0:
-        raise ValueError(f"distance must be positive, got {distance}")
+    check_finite("reference_distance", reference_distance, "positive")
+    check_finite("distance", distance, "positive")
     return amplitude_at_ref * reference_distance / distance
 
 

@@ -1,4 +1,7 @@
-"""Shared exception and warning types."""
+"""Shared exception and warning types, and the shared numeric input check."""
+
+import math
+import numbers
 
 
 class SimulationError(Exception):
@@ -23,3 +26,24 @@ class DecodingError(SimulationError, RuntimeError):
 
 class DesignMismatchWarning(UserWarning):
     """Operating point differs noticeably from the design point."""
+
+
+def check_finite(name: str, value, sign: str = "") -> None:
+    """Raise ConfigurationError unless value is a finite real number.
+
+    sign "positive" also requires value > 0, "non-negative" value >= 0.
+    """
+    ok = isinstance(value, numbers.Real) and math.isfinite(value)
+    if sign == "positive":
+        ok = ok and value > 0.0
+    elif sign == "non-negative":
+        ok = ok and value >= 0.0
+    if not ok:
+        must = f"{sign} and finite" if sign else "finite"
+        raise ConfigurationError(f"{name} must be {must}, got {value}")
+
+
+def check_count(name: str, value, minimum: int = 1) -> None:
+    """Raise ConfigurationError unless value is an integer >= minimum."""
+    if not (isinstance(value, numbers.Integral) and value >= minimum):
+        raise ConfigurationError(f"{name} must be an integer >= {minimum}, got {value}")

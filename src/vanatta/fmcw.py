@@ -35,7 +35,7 @@ from .emfield import (
     plate_monostatic_amplitude,
     roundtrip_response,
 )
-from .errors import ConfigurationError, DesignMismatchWarning
+from .errors import ConfigurationError, DesignMismatchWarning, check_count, check_finite
 from .geometry import C0, SurfaceLayout
 from .modulation import SwitchSchedule, config_at
 
@@ -64,16 +64,9 @@ class ChirpParams:
     nonstandard_band_ok: bool = False
 
     def __post_init__(self):
-        if self.start_frequency <= 0.0:
-            raise ConfigurationError("start_frequency must be positive")
-        if self.bandwidth <= 0.0:
-            raise ConfigurationError("bandwidth must be positive")
-        if self.chirp_duration <= 0.0:
-            raise ConfigurationError("chirp_duration must be positive")
-        if self.sample_rate <= 0.0:
-            raise ConfigurationError("sample_rate must be positive")
-        if self.chirps_per_frame < 1:
-            raise ConfigurationError("chirps_per_frame must be >= 1")
+        for name in ("start_frequency", "bandwidth", "chirp_duration", "sample_rate"):
+            check_finite(name, getattr(self, name), "positive")
+        check_count("chirps_per_frame", self.chirps_per_frame)
         n = self.chirp_duration * self.sample_rate
         if abs(n - round(n)) > 1e-6 or round(n) < 2:
             raise ConfigurationError(
@@ -135,8 +128,7 @@ class SurfaceReflector:
     def __post_init__(self):
         if self.schedule is not None and self.config is not None:
             raise ConfigurationError("give either a schedule or a static config")
-        if self.incident_amplitude <= 0.0:
-            raise ConfigurationError("incident_amplitude must be positive")
+        check_finite("incident_amplitude", self.incident_amplitude, "positive")
 
     def amplitudes(self, chirp_times: np.ndarray, frequency: float) -> np.ndarray:
         wave = PlaneWave(frequency, self.incidence_angle_deg, self.incident_amplitude)
@@ -168,10 +160,8 @@ class PlateReflector:
     incident_amplitude: float = 1.0
 
     def __post_init__(self):
-        if self.width <= 0.0:
-            raise ConfigurationError("width must be positive")
-        if self.incident_amplitude <= 0.0:
-            raise ConfigurationError("incident_amplitude must be positive")
+        check_finite("width", self.width, "positive")
+        check_finite("incident_amplitude", self.incident_amplitude, "positive")
 
     def amplitudes(self, chirp_times: np.ndarray, frequency: float) -> np.ndarray:
         wave = PlaneWave(frequency, self.incidence_angle_deg, self.incident_amplitude)
@@ -187,8 +177,8 @@ class Target:
     reflector: SurfaceReflector | PlateReflector
 
     def __post_init__(self):
-        if self.range_m <= 0.0:
-            raise ConfigurationError(f"range must be positive, got {self.range_m}")
+        check_finite("range_m", self.range_m, "positive")
+        check_finite("velocity_mps", self.velocity_mps)
 
 
 @dataclass(frozen=True)
@@ -267,8 +257,7 @@ def synthesize_beat(
         ConfigurationError: a target's beat tone would exceed Nyquist (the
             error names the target), or range_scaling is unknown.
     """
-    if noise_power < 0.0:
-        raise ConfigurationError("noise_power must be non-negative")
+    check_finite("noise_power", noise_power, "non-negative")
     nyquist = params.sample_rate / 2.0
     samples = np.zeros((params.chirps_per_frame, params.samples_per_chirp))
     times = params.chirp_times()
@@ -465,10 +454,8 @@ def max_detection_range(
     spectral image overlaps the peak and corrupts the amplitude estimate)
     and returns that cap when the target is still detectable there.
     """
-    if noise_power <= 0.0:
-        raise ConfigurationError("noise_power must be positive for a finite answer")
-    if min_range <= 0.0:
-        raise ConfigurationError("min_range must be positive")
+    check_finite("noise_power", noise_power, "positive")
+    check_finite("min_range", min_range, "positive")
     sigma = bin_noise_sigma(params, noise_power)
     probe_params = replace(params, chirps_per_frame=1)
 

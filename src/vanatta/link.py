@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .emfield import PlaneWave, SwitchConfig, response_matrix
-from .errors import DecodingError, SchedulingError
+from .errors import DecodingError, SchedulingError, check_finite
 from .fmcw import ChirpParams, SurfaceReflector, Target, _profile_matrix, synthesize_beat
 from .geometry import SurfaceLayout
 from .modulation import BitFrame, SwitchSchedule
@@ -48,10 +48,9 @@ class LinkScenario:
     range_scaling: str = "one_way"
 
     def __post_init__(self):
-        if self.range_m <= 0.0:
-            raise ValueError(f"range must be positive, got {self.range_m}")
-        if self.noise_power < 0.0:
-            raise ValueError("noise_power must be non-negative")
+        check_finite("range_m", self.range_m, "positive")
+        check_finite("velocity_mps", self.velocity_mps)
+        check_finite("noise_power", self.noise_power, "non-negative")
         ratio = self.schedule.switch_interval / self.params.chirp_duration
         if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
             raise SchedulingError(

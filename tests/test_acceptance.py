@@ -55,7 +55,7 @@ def _report(number: int, ok: bool, detail: str) -> None:
     assert ok, line
 
 
-def test_01_retrodirectivity(warm_kernels):
+def test_01_retrodirectivity():
     t0 = time.perf_counter()
     grid = np.arange(-90.0, 90.0 + 0.125, 0.25)
     worst = 0.0
@@ -113,7 +113,7 @@ def test_03_linear_scaling():
     )
 
 
-def test_04_range_extension(warm_kernels):
+def test_04_range_extension():
     t0 = time.perf_counter()
     factor = range_extension(11.2)
     arithmetic_ok = abs(factor - 3.63) <= 0.005
@@ -172,7 +172,7 @@ def test_05_dirichlet_oracle():
     )
 
 
-def test_06_fmcw_correctness(warm_kernels):
+def test_06_fmcw_correctness():
     params = ChirpParams()
     layout = build_linear_array(2, LAM / 2.0, LAM)
     target = Target(
@@ -218,7 +218,7 @@ def test_07_doppler_drift_bound():
     )
 
 
-def test_08_link_round_trip(warm_kernels):
+def test_08_link_round_trip():
     t0 = time.perf_counter()
     params = ChirpParams()
     layout = build_linear_array(2, LAM / 2.0, LAM)

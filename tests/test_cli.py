@@ -280,6 +280,26 @@ def test_pattern_rejects_infinite_amplitude(tmp_path, capsys):
     assert "amplitude must be positive and finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key, value, field",
+    [
+        ("target.range_m", "nan", "range_m"),
+        ("target.range_m", "inf", "range_m"),
+        ("target.velocity_mps", "nan", "velocity_mps"),
+        ("noise.power", "inf", "noise_power"),
+        ("noise.power", "nan", "noise_power"),
+    ],
+)
+def test_link_rejects_non_finite_inputs(tmp_path, capsys, key, value, field):
+    cfg_path = write_config(tmp_path, f"{key} = {value}\n")
+    out = tmp_path / "out"
+    assert run_cli("link", "--config", cfg_path, "--out", str(out)) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"constraint error: {field} must be")
+    assert "ber=" not in captured.out
+    assert list(out.iterdir()) == []
+
+
 def test_commands_are_deterministic(tmp_path):
     cfg_path = write_config(
         tmp_path,

@@ -70,6 +70,47 @@ def test_chirp_params_validation():
         default_params(chirp_duration=0.33333e-3)  # non-integer sample count
 
 
+PLATE = PlateReflector(0.025)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: default_params(bandwidth=math.nan),
+        lambda: default_params(start_frequency=math.nan),
+        lambda: default_params(chirp_duration=math.inf),
+        lambda: default_params(sample_rate=-2e6),
+        lambda: default_params(chirps_per_frame=2.5),
+        lambda: Target(math.nan, 0.0, PLATE),
+        lambda: Target(math.inf, 0.0, PLATE),
+        lambda: Target(50.0, math.nan, PLATE),
+        lambda: PlateReflector(math.nan),
+        lambda: PlateReflector(0.025, incident_amplitude=math.inf),
+        lambda: SurfaceReflector(LAYOUT, incident_amplitude=math.nan),
+        lambda: synthesize_beat(default_params(), [], noise_power=math.inf),
+        lambda: synthesize_beat(default_params(), [], noise_power=math.nan),
+    ],
+    ids=[
+        "bandwidth-nan",
+        "start-frequency-nan",
+        "chirp-duration-inf",
+        "sample-rate-negative",
+        "chirps-per-frame-fractional",
+        "target-range-nan",
+        "target-range-inf",
+        "target-velocity-nan",
+        "plate-width-nan",
+        "plate-amplitude-inf",
+        "surface-amplitude-nan",
+        "noise-power-inf",
+        "noise-power-nan",
+    ],
+)
+def test_non_finite_or_non_integral_inputs_rejected(build):
+    with pytest.raises(ConfigurationError, match="must be"):
+        build()
+
+
 def test_chirp_params_band_warning():
     with pytest.warns(DesignMismatchWarning):
         default_params(start_frequency=50e9)
@@ -314,7 +355,7 @@ def test_bin_noise_sigma_matches_monte_carlo():
     assert math.isclose(measured, predicted, rel_tol=0.02)
 
 
-def test_max_detection_range_gain_ratios(warm_kernels):
+def test_max_detection_range_gain_ratios():
     # weak plate echo so the base range sits well inside the unambiguous cap
     params = default_params(chirps_per_frame=1)
     base = Target(10.0, 0.0, PlateReflector(0.025, incidence_angle_deg=30.0))
@@ -335,7 +376,7 @@ def test_max_detection_range_gain_ratios(warm_kernels):
         assert math.isclose(r / r0, expected, rel_tol=0.01)
 
 
-def test_max_detection_range_saturates_at_cap(warm_kernels):
+def test_max_detection_range_saturates_at_cap():
     params = default_params(chirps_per_frame=1)
     strong = surface_target(10.0, config=constructive_config())
     r = max_detection_range(params, strong, noise_power=2e-8)

@@ -1,13 +1,15 @@
-"""Backend selection and numba/numpy kernel equivalence."""
+"""Closed-form kernels against their direct per-cell formulas."""
 
-import os
-import subprocess
-import sys
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vanatta import kernels
+from vanatta.fmcw import ChirpParams
+from vanatta.geometry import C0
 
 
 def _random_traversals(rng, n):
@@ -17,9 +19,12 @@ def _random_traversals(rng, n):
     return x_in, x_out, path
 
 
-def test_active_backend_reports_a_known_name():
-    assert kernels.active_backend() in ("numba", "numpy")
-    assert kernels.active_backend() == kernels.BACKEND
+def _direct_beat(amps, n_samples, f, phase0, step, dt):
+    """a_c cos(2 pi f n dt + phase0 + c step), one chirp row at a time."""
+    t = np.arange(n_samples) * dt
+    return np.array(
+        [a * np.cos(2.0 * np.pi * f * t + phase0 + step * c) for c, a in enumerate(amps)]
+    )
 
 
 def test_pair_path_response_matches_direct_formula():
@@ -55,16 +60,48 @@ def test_accumulate_beat_matches_direct_formula():
         np.testing.assert_allclose(samples[c], expected, rtol=0, atol=1e-12)
 
 
-def test_accumulate_beat_backends_agree():
-    if not kernels.HAS_NUMBA:
-        return
-    rng = np.random.default_rng(5)
-    amps = rng.uniform(0.0, 2.0, 16)
-    a = np.zeros((16, 500))
-    b = np.zeros((16, 500))
-    kernels._accumulate_beat_numba(a, amps, 2.5e5, 0.1, 0.02, 5e-7)
-    kernels._accumulate_beat_numpy(b, amps, 2.5e5, 0.1, 0.02, 5e-7)
-    np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+@settings(max_examples=80, deadline=None)
+@given(
+    data=st.data(),
+    n_chirps=st.integers(1, 40),
+    n_samples=st.integers(1, 300),
+    dt=st.floats(1e-8, 1e-5),
+    nyquist_fraction=st.floats(0.0, 1.0),
+    phase0=st.floats(-2.0 * math.pi, 2.0 * math.pi),
+    step=st.floats(-2.0 * math.pi, 2.0 * math.pi),
+)
+def test_accumulate_beat_matches_per_cell_formula(
+    data, n_chirps, n_samples, dt, nyquist_fraction, phase0, step
+):
+    amps = np.array(
+        data.draw(
+            st.lists(
+                st.one_of(st.just(0.0), st.floats(-10.0, 10.0)),
+                min_size=n_chirps,
+                max_size=n_chirps,
+            )
+        )
+    )
+    f = nyquist_fraction / (2.0 * dt)
+    samples = kernels.accumulate_beat(np.zeros((n_chirps, n_samples)), amps, f, phase0, step, dt)
+    expected = _direct_beat(amps, n_samples, f, phase0, step, dt)
+    np.testing.assert_allclose(samples, expected, rtol=0, atol=1e-12 * np.abs(amps).max())
+
+
+def test_accumulate_beat_at_the_link_carrier_phase():
+    # At 50 m the carrier phase 2 pi f0 (2 r / c) is about 5e4 rad, so the
+    # per-cell reference rounds its argument to ~1e-11 rad itself.
+    params = ChirpParams()
+    range_m, velocity = 50.0, 12.0
+    phase0 = 2.0 * math.pi * params.start_frequency * 2.0 * range_m / C0
+    assert phase0 > 5e4
+    step = 2.0 * math.pi * (2.0 * velocity / params.wavelength) * params.chirp_duration
+    f, dt = params.beat_frequency(range_m), 1.0 / params.sample_rate
+    amps = np.random.default_rng(4).uniform(0.0, 3e-3, params.chirps_per_frame)
+    shape = (params.chirps_per_frame, params.samples_per_chirp)
+    samples = kernels.accumulate_beat(np.zeros(shape), amps, f, phase0, step, dt)
+    expected = _direct_beat(amps, shape[1], f, phase0, step, dt)
+    np.testing.assert_allclose(samples, expected, rtol=0, atol=1e-10 * amps.max())
 
 
 def test_accumulate_beat_is_additive():
@@ -81,40 +118,3 @@ def test_accumulate_beat_rejects_wrong_amplitude_count():
     samples = np.zeros((4, 10))
     with pytest.raises(ValueError):
         kernels.accumulate_beat(samples, np.ones(3), 1.0, 0.0, 0.0, 1e-6)
-
-
-def _run_with_backend(value):
-    env = dict(os.environ, VANATTA_BACKEND=value)
-    return subprocess.run(
-        [sys.executable, "-c", "import vanatta.kernels as k; print(k.active_backend())"],
-        env=env,
-        capture_output=True,
-        text=True,
-    )
-
-
-def test_backend_env_numpy_forces_fallback():
-    proc = _run_with_backend("numpy")
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "numpy"
-
-
-def test_backend_env_auto_prefers_numba():
-    # auto means numba if `from numba import njit` succeeds, else numpy.
-    # Numba is optional, so the expectation comes from the same import,
-    # tried in a fresh interpreter with the same environment.
-    probe = subprocess.run(
-        [sys.executable, "-c", "from numba import njit"],
-        capture_output=True,
-        text=True,
-    )
-    expected = "numba" if probe.returncode == 0 else "numpy"
-    proc = _run_with_backend("auto")
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == expected, probe.stderr
-
-
-def test_backend_env_invalid_rejected_at_import():
-    proc = _run_with_backend("cuda")
-    assert proc.returncode != 0
-    assert "VANATTA_BACKEND" in proc.stderr

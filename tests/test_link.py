@@ -1,12 +1,14 @@
 """End-to-end OOK link: decoding, BER behavior, Doppler and isolation."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from vanatta import (
     ChirpParams,
+    ConfigurationError,
     DecodingError,
     LinkScenario,
     PlaneWave,
@@ -63,6 +65,20 @@ def test_link_timing_two_chirps_per_bit():
             params=ChirpParams(),
             range_m=25.0,
         )
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("range_m", math.nan),
+        ("range_m", math.inf),
+        ("velocity_mps", math.nan),
+        ("noise_power", math.inf),
+    ],
+)
+def test_scenario_rejects_non_finite_inputs(field, value):
+    with pytest.raises(ConfigurationError, match=f"{field} must be"):
+        replace(scenario_for((1, 0)), **{field: value})
 
 
 def test_round_trip_across_incidence_angles():
