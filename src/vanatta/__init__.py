@@ -17,6 +17,7 @@ from .emfield import (
     SwitchConfig,
     far_field_amplitude,
     field_pattern,
+    gain_over_plate,
     magnitude_db,
     monostatic_gain_db,
     plate_baseline_pattern,

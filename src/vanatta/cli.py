@@ -29,19 +29,18 @@ import sys
 import numpy as np
 
 from .emfield import (
+    FieldPattern,
     PlaneWave,
-    field_pattern,
-    monostatic_gain_db,
+    gain_over_plate,
     plate_baseline_pattern,
     plate_monostatic_amplitude,
     far_field_amplitude,
     range_extension,
     response_matrix,
-    roundtrip_response,
     scaling_sweep,
     write_pattern_csv,
 )
-from .errors import SimulationError, check_finite
+from .errors import ConfigurationError, SimulationError, check_finite
 from .fmcw import ChirpParams
 from .geometry import (
     build_concentric_surface,
@@ -186,14 +185,35 @@ def load_config(path: str | None) -> dict[str, object]:
     return merged
 
 
+def _coerce(cfg: dict) -> dict:
+    """Each numeric value converted to the type of its key's default.
+
+    Int keys take only integral numbers, float keys only numbers.
+    """
+    out = dict(cfg)
+    for key, default in DEFAULTS.items():
+        if isinstance(default, (int, float)):
+            value = cfg[key]
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ConfigurationError(f"{key} must be a number, got {value!r}")
+            if isinstance(default, int) and isinstance(value, float) and not value.is_integer():
+                raise ConfigurationError(f"{key} must be an integer, got {value!r}")
+            out[key] = type(default)(value)
+    return out
+
+
 def _floats(value) -> list[float]:
     if isinstance(value, (int, float)):
         return [float(value)]
     return [float(part) for part in str(value).split(",") if part.strip()]
 
 
-def _ints(value) -> list[int]:
-    return [int(round(f)) for f in _floats(value)]
+def _ints(name: str, value) -> list[int]:
+    values = _floats(value)
+    for f in values:
+        if not f.is_integer():
+            raise ConfigurationError(f"{name} must list integers, got {f!r}")
+    return [int(f) for f in values]
 
 
 def _bits_of(value) -> tuple[int, ...]:
@@ -285,22 +305,32 @@ def cmd_validate(cfg: dict, out_dir: str, config_dir: str) -> int:
     return 0 if report.passed else 1
 
 
+def _both_states(layout, wave: PlaneWave, angles) -> np.ndarray:
+    """Constructive and destructive fields (2 x angles) of the wave, from one
+    batched call: the switch state leaves the outbound factor unchanged."""
+    configs = (constructive_config(), destructive_config(layout))
+    theta = wave.incidence_angle_deg
+    return response_matrix(layout, configs, wave.frequency, theta, angles, wave.amplitude)[:, 0]
+
+
 def cmd_pattern(cfg: dict, out_dir: str, config_dir: str, grid_step: float | None) -> int:
     layout = _resolve_layout(cfg, config_dir)
     wave = _wave(cfg)
     grid = _angle_grid(cfg, grid_step)
-    constructive = field_pattern(layout, constructive_config(), wave, grid)
-    destructive = field_pattern(layout, destructive_config(layout), wave, grid)
-    plate = plate_baseline_pattern(float(cfg["plate.width_m"]), wave, grid)
+    theta = wave.incidence_angle_deg
+    plate_width = float(cfg["plate.width_m"])
+    # Both states observed over the grid followed by the incidence itself:
+    # the grid columns give the two patterns, the last one the retro returns.
+    values = _both_states(layout, wave, np.append(grid, theta))
+    constructive, destructive = (FieldPattern(grid, v) for v in values[:, :-1])
+    plate = plate_baseline_pattern(plate_width, wave, grid)
     write_pattern_csv(constructive, os.path.join(out_dir, "pattern_constructive.csv"))
     write_pattern_csv(destructive, os.path.join(out_dir, "pattern_destructive.csv"))
     write_pattern_csv(plate, os.path.join(out_dir, "pattern_plate.csv"))
 
-    theta = wave.incidence_angle_deg
-    retro_on = abs(roundtrip_response(layout, constructive_config(), wave, theta))
-    retro_off = abs(roundtrip_response(layout, destructive_config(layout), wave, theta))
+    retro_on, retro_off = np.abs(values[:, -1]).tolist()
     depth = math.inf if retro_off == 0.0 else 20.0 * math.log10(retro_on / retro_off)
-    gain = monostatic_gain_db(layout, constructive_config(), wave, float(cfg["plate.width_m"]))
+    gain = gain_over_plate(retro_on, plate_monostatic_amplitude(plate_width, wave))
     summary = (
         f"retro_peak_deg={constructive.peak_angle():.6g} "
         f"null_depth_db={depth:.6g} "
@@ -316,8 +346,7 @@ def cmd_range(cfg: dict, out_dir: str, config_dir: str) -> int:
     wave = _wave(cfg)
     theta = wave.incidence_angle_deg
     plate_width = float(cfg["plate.width_m"])
-    amp_on = abs(roundtrip_response(layout, constructive_config(), wave, theta))
-    amp_off = abs(roundtrip_response(layout, destructive_config(layout), wave, theta))
+    amp_on, amp_off = np.abs(_both_states(layout, wave, theta)[:, 0]).tolist()
     amp_plate = plate_monostatic_amplitude(plate_width, wave)
 
     distances = _floats(cfg["range.distances_m"])
@@ -334,7 +363,7 @@ def cmd_range(cfg: dict, out_dir: str, config_dir: str) -> int:
     if override is not None:
         gain_db = float(override)
     else:
-        gain_db = monostatic_gain_db(layout, constructive_config(), wave, plate_width).gain_db
+        gain_db = gain_over_plate(amp_on, amp_plate).gain_db
     factor = range_extension(gain_db)
     summary = f"gain_db={gain_db:.6g} range_extension={factor:.6g}"
     _emit(out_dir, "range_summary.txt", summary + "\n")
@@ -347,7 +376,7 @@ def cmd_scale(cfg: dict, out_dir: str, config_dir: str) -> int:
     lam = wave.wavelength
     spacing = cfg["layout.spacing_m"]
     spacing = float(spacing) if spacing is not None else lam / 2.0
-    ns = _ints(cfg["scale.n_elements"])
+    ns = _ints("scale.n_elements", cfg["scale.n_elements"])
     rows = scaling_sweep(ns, spacing, wave)
     plate_mag = plate_monostatic_amplitude(float(cfg["plate.width_m"]), wave)
     lines = ["n_elements,gain_ratio,plate_mag"]
@@ -397,7 +426,7 @@ def cmd_sweep(cfg: dict, out_dir: str, config_dir: str, seed: int, grid_step: fl
         inc = _step("sweep.step", cfg["sweep.step"])
         thetas = np.arange(start, stop + inc / 2.0, inc)
         frequency, amplitude = float(cfg["frequency_hz"]), float(cfg["amplitude"])
-        config = constructive_config()
+        configs = (constructive_config(),)
         lines = ["theta_deg,retro_mag,peak_deg"]
         # One batched call per block of incidences, observed over the grid
         # followed by the block itself: the grid columns give each pattern
@@ -405,7 +434,7 @@ def cmd_sweep(cfg: dict, out_dir: str, config_dir: str, seed: int, grid_step: fl
         for lo in range(0, thetas.size, SWEEP_BLOCK):
             block = thetas[lo : lo + SWEEP_BLOCK]
             angles = np.concatenate((grid, block))
-            mags = np.abs(response_matrix(layout, config, frequency, block, angles, amplitude))
+            mags = np.abs(response_matrix(layout, configs, frequency, block, angles, amplitude)[0])
             peaks = grid[np.argmax(mags[:, : grid.size], axis=1)]
             retros = np.diagonal(mags[:, grid.size :])
             for theta, retro, peak in zip(block, retros, peaks):
@@ -464,8 +493,9 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     config_dir = os.path.dirname(os.path.abspath(args.config)) if args.config else os.getcwd()
-    seed = args.seed if args.seed is not None else int(cfg["seed"])
     try:
+        cfg = _coerce(cfg)
+        seed = args.seed if args.seed is not None else cfg["seed"]
         os.makedirs(args.out, exist_ok=True)
         if args.command == "validate":
             return cmd_validate(cfg, args.out, config_dir)

@@ -16,12 +16,13 @@ phi = theta, so the retro direction adds coherently regardless of theta; a
 half-wavelength switch on half of the pairs turns that sum into a null.
 
 Every response goes through ``response_matrix``, which evaluates a whole
-incidence x observation grid through the factorization
+switch-state x incidence x observation grid through the factorization
 
     S(theta, phi) = sum_j exp(-j k (x_in,j sin(theta) + l_j)) * exp(-j k x_out,j sin(phi))
 
 as one (incidences x traversals) @ (traversals x observations) matrix
-product (``kernels.pair_path_response``), so no incidence x traversal x
+product per switch state, all sharing one outbound matrix
+(``kernels.pair_path_response``), so no incidence x traversal x
 observation array is ever built.  A layout is validated once per object:
 the report is cached on the frozen layout (``SurfaceLayout.validation``)
 and reused by every later call.
@@ -107,10 +108,6 @@ class FieldPattern:
             raise ValueError("angles and values must have matching shapes")
         _angle_grid(self.angles_deg)
 
-    @property
-    def samples(self) -> list[tuple[float, complex]]:
-        return list(zip(self.angles_deg.tolist(), self.values.tolist()))
-
     def magnitudes(self) -> np.ndarray:
         return np.abs(self.values)
 
@@ -169,28 +166,29 @@ def _check_wavelength(layout: SurfaceLayout, wavelength: float) -> None:
         )
 
 
-def _traversal_arrays(layout: SurfaceLayout, config: SwitchConfig):
-    """Absorber x, re-radiator x and line length of every pair traversal.
+def _traversal_arrays(layout: SurfaceLayout, configs):
+    """Absorber x and re-radiator x of every pair traversal, and its line
+    length under each config (configs x traversals).
 
     Each pair is traversed in both directions: the first half of the arrays
     runs from each pair's lower-id element to its higher-id one, the second
     half back.
     """
     view = layout.arrays
-    toggled = np.array(sorted(config.toggled), dtype=np.int64)
-    known = np.isin(toggled, view.pair_ids)
-    if not known.all():
-        raise ConfigurationError(f"toggled pair {toggled[~known][0]} does not exist")
-    index = np.searchsorted(view.pair_ids, toggled)
-    fixed = ~view.has_switch[index]
-    if fixed.any():
-        raise ConfigurationError(f"pair {toggled[fixed][0]} has no switch")
-
-    length = view.line_length.copy()
-    length[index] += layout.wavelength / 2.0
+    lengths = np.tile(view.line_length, (len(configs), 1))
+    for row, config in zip(lengths, configs):
+        toggled = np.array(sorted(config.toggled), dtype=np.int64)
+        known = np.isin(toggled, view.pair_ids)
+        if not known.all():
+            raise ConfigurationError(f"toggled pair {toggled[~known][0]} does not exist")
+        index = np.searchsorted(view.pair_ids, toggled)
+        fixed = ~view.has_switch[index]
+        if fixed.any():
+            raise ConfigurationError(f"pair {toggled[fixed][0]} has no switch")
+        row[index] += layout.wavelength / 2.0
     x = view.x - layout.center[0]
     x_a, x_b = x[view.a], x[view.b]
-    return np.concatenate((x_a, x_b)), np.concatenate((x_b, x_a)), np.tile(length, 2)
+    return np.concatenate((x_a, x_b)), np.concatenate((x_b, x_a)), np.tile(lengths, 2)
 
 
 def _require_valid(layout: SurfaceLayout) -> None:
@@ -201,7 +199,7 @@ def _require_valid(layout: SurfaceLayout) -> None:
 
 def response_matrix(
     layout: SurfaceLayout,
-    config: SwitchConfig,
+    configs,
     frequency: float,
     incidence_deg,
     observation_deg,
@@ -209,11 +207,14 @@ def response_matrix(
     reference_distance: float = REFERENCE_DISTANCE,
     element_taper: bool = False,
 ) -> np.ndarray:
-    """Complex round-trip field for every (incidence, observation) pair.
+    """Complex round-trip field for every (config, incidence, observation).
+
+    The outbound factor does not depend on the switch state, so evaluating
+    several configs in one call computes it once.
 
     Args:
         layout: surface geometry; must pass validate_layout.
-        config: switch state applied to the lines.
+        configs: non-empty sequence of switch states applied to the lines.
         frequency: incident wave frequency in Hz.
         incidence_deg: incidence angles in degrees, each in (-90, 90).
         observation_deg: observation angles in degrees, each in [-90, 90],
@@ -224,7 +225,8 @@ def response_matrix(
             isotropic elements.
 
     Returns:
-        Complex array of shape (len(incidence_deg), len(observation_deg)).
+        Complex array of shape (len(configs), len(incidence_deg),
+        len(observation_deg)).
     """
     check_finite("frequency", frequency, "positive")
     check_finite("amplitude", amplitude, "positive")
@@ -234,8 +236,10 @@ def response_matrix(
     _require_valid(layout)
     wavelength = wavelength_of(frequency)
     _check_wavelength(layout, wavelength)
+    if not configs:
+        raise ValueError("need at least one switch config")
 
-    x_in, x_out, path = _traversal_arrays(layout, config)
+    x_in, x_out, path = _traversal_arrays(layout, configs)
     out = kernels.pair_path_response(
         x_in, x_out, path, 2.0 * math.pi / wavelength, np.sin(theta), np.sin(phi)
     )
@@ -285,7 +289,7 @@ def field_pattern(
     grid = _angle_grid(angles_deg)
     values = response_matrix(
         layout,
-        config,
+        (config,),
         wave.frequency,
         wave.incidence_angle_deg,
         grid,
@@ -293,7 +297,7 @@ def field_pattern(
         reference_distance,
         element_taper,
     )
-    return FieldPattern(angles_deg=grid, values=values[0], reference_distance=reference_distance)
+    return FieldPattern(angles_deg=grid, values=values[0, 0], reference_distance=reference_distance)
 
 
 def _sinc(x):
@@ -362,13 +366,18 @@ def monostatic_gain_db(
 ) -> MonostaticGain:
     """Surface retro-return over plate return, in dB, at the wave's angle.
 
-    Returns (gain_db, plate_is_null); gain_db is +inf when the plate sits
-    exactly on a pattern null.
+    Returns (gain_db, plate_is_null); see gain_over_plate.
     """
-    surface = abs(
-        roundtrip_response(layout, config, wave, wave.incidence_angle_deg)
-    )
-    plate = plate_monostatic_amplitude(plate_width, wave, norm=plate_norm)
+    surface = abs(roundtrip_response(layout, config, wave, wave.incidence_angle_deg))
+    return gain_over_plate(surface, plate_monostatic_amplitude(plate_width, wave, norm=plate_norm))
+
+
+def gain_over_plate(surface: float, plate: float) -> MonostaticGain:
+    """20 log10(surface / plate) for two return magnitudes.
+
+    gain_db is +inf (and plate_is_null true) when the plate sits exactly on
+    a pattern null, -inf when the surface does.
+    """
     if plate == 0.0:
         return MonostaticGain(math.inf, True)
     if surface == 0.0:
@@ -416,13 +425,24 @@ def magnitude_db(values, floor_db: float = DB_FLOOR) -> np.ndarray:
     return np.maximum(out, floor_db)
 
 
+def write_csv(path, header: str, row_format: str, *columns) -> None:
+    """Header line, then row_format % row for each row of the columns, in
+    one write.  Values are formatted as Python numbers (``.tolist()``), which
+    print the same digits as numpy scalars under the same format."""
+    rows = zip(*(np.asarray(column).tolist() for column in columns))
+    with open(path, "w") as fh:
+        fh.write(header + "\n" + "".join([row_format % row for row in rows]))
+
+
 def write_pattern_csv(pattern: FieldPattern, path) -> None:
     """CSV with columns angle_deg, re_v_per_m, im_v_per_m, mag_v_per_m, mag_db."""
-    mags = pattern.magnitudes()
-    dbs = magnitude_db(pattern.values)
-    with open(path, "w") as fh:
-        fh.write("angle_deg,re_v_per_m,im_v_per_m,mag_v_per_m,mag_db\n")
-        for ang, val, mag, db in zip(pattern.angles_deg, pattern.values, mags, dbs):
-            fh.write(
-                f"{ang:.12g},{val.real:.12g},{val.imag:.12g},{mag:.12g},{db:.12g}\n"
-            )
+    write_csv(
+        path,
+        "angle_deg,re_v_per_m,im_v_per_m,mag_v_per_m,mag_db",
+        "%.12g,%.12g,%.12g,%.12g,%.12g\n",
+        pattern.angles_deg,
+        pattern.values.real,
+        pattern.values.imag,
+        pattern.magnitudes(),
+        magnitude_db(pattern.values),
+    )

@@ -33,7 +33,8 @@ from .emfield import (
     SwitchConfig,
     magnitude_db,
     plate_monostatic_amplitude,
-    roundtrip_response,
+    response_matrix,
+    write_csv,
 )
 from .errors import ConfigurationError, DesignMismatchWarning, check_count, check_finite
 from .geometry import C0, SurfaceLayout
@@ -131,24 +132,18 @@ class SurfaceReflector:
         check_finite("incident_amplitude", self.incident_amplitude, "positive")
 
     def amplitudes(self, chirp_times: np.ndarray, frequency: float) -> np.ndarray:
-        wave = PlaneWave(frequency, self.incidence_angle_deg, self.incident_amplitude)
+        """Retro magnitude at each chirp, from one batched response over the
+        distinct switch states."""
         if self.schedule is None:
-            static = self.config if self.config is not None else SwitchConfig()
-            value = abs(
-                roundtrip_response(self.layout, static, wave, self.incidence_angle_deg)
-            )
-            return np.full(len(chirp_times), value)
-        out = np.empty(len(chirp_times))
-        cache: dict[frozenset, float] = {}
-        end = self.schedule.duration
-        for i, t in enumerate(chirp_times):
-            cfg = config_at(self.schedule, min(t, math.nextafter(end, 0.0)))
-            if cfg.toggled not in cache:
-                cache[cfg.toggled] = abs(
-                    roundtrip_response(self.layout, cfg, wave, self.incidence_angle_deg)
-                )
-            out[i] = cache[cfg.toggled]
-        return out
+            keys = [(self.config or SwitchConfig()).toggled] * len(chirp_times)
+        else:
+            end = math.nextafter(self.schedule.duration, 0.0)
+            keys = [config_at(self.schedule, min(t, end)).toggled for t in chirp_times]
+        index = {key: i for i, key in enumerate(dict.fromkeys(keys))}
+        configs = [SwitchConfig(key) for key in index]
+        amplitude, theta = self.incident_amplitude, self.incidence_angle_deg
+        retro = response_matrix(self.layout, configs, frequency, theta, theta, amplitude)
+        return np.abs(retro[:, 0, 0])[[index[key] for key in keys]]
 
 
 @dataclass(frozen=True)
@@ -345,65 +340,35 @@ def detect(profile, threshold_db: float = DEFAULT_THRESHOLD_DB) -> list[Detectio
     """Local maxima rising threshold_db above the median magnitude floor.
 
     Accepts a RangeProfile (1-D, detections carry velocity NaN) or a
-    RangeDopplerMap (2-D, detections carry the peak's velocity bin).  Peak
-    ranges are refined by parabolic interpolation of the dB magnitudes.
-    Returns detections in increasing range order.
+    RangeDopplerMap (2-D strict local maxima, detections carry the peak's
+    velocity bin).  A profile is handled as a map with one velocity column.
+    Peak ranges are refined by parabolic interpolation of the dB magnitudes
+    along range.  Returns detections in increasing range order (range-major
+    for a map).
     """
-    if isinstance(profile, RangeDopplerMap):
-        return _detect_map(profile, threshold_db)
-    mags = profile.magnitudes()
-    if mags.size < 3:
+    is_map = isinstance(profile, RangeDopplerMap)
+    values = profile.values if is_map else profile.values[:, None]
+    velocities = profile.velocities_mps if is_map else [math.nan]
+    mags = np.abs(values)
+    if mags.shape[0] < 3 or (is_map and mags.shape[1] < 3):
         return []
     floor = float(np.median(mags))
-    db = magnitude_db(profile.values)
-    spacing = profile.bin_spacing_m
+    inner = mags[1:-1]
+    is_peak = (inner > mags[:-2]) & (inner > mags[2:]) & (inner > 0.0)
+    if is_map:
+        is_peak[:, 1:-1] &= (inner[:, 1:-1] > inner[:, :-2]) & (inner[:, 1:-1] > inner[:, 2:])
+        is_peak[:, [0, -1]] = False
+    spacing = float(profile.ranges_m[1] - profile.ranges_m[0])
     detections = []
-    for i in range(1, mags.size - 1):
-        if not (mags[i] > mags[i - 1] and mags[i] > mags[i + 1]):
-            continue
-        if mags[i] <= 0.0:
-            continue
-        snr = math.inf if floor == 0.0 else 20.0 * math.log10(mags[i] / floor)
-        if snr < threshold_db:
-            continue
-        delta, peak_db = _parabolic_peak(db, i)
-        detections.append(
-            Detection(
-                range_m=float(profile.ranges_m[i] + delta * spacing),
-                velocity_mps=math.nan,
-                amplitude=10.0 ** (peak_db / 20.0),
-                snr_db=snr,
-            )
-        )
-    return detections
-
-
-def _detect_map(rd: RangeDopplerMap, threshold_db: float) -> list[Detection]:
-    """2-D strict local maxima of a range-Doppler map over the median floor."""
-    mags = rd.magnitudes()
-    if mags.shape[0] < 3 or mags.shape[1] < 3:
-        return []
-    floor = float(np.median(mags))
-    inner = mags[1:-1, 1:-1]
-    is_peak = (
-        (inner > mags[:-2, 1:-1])
-        & (inner > mags[2:, 1:-1])
-        & (inner > mags[1:-1, :-2])
-        & (inner > mags[1:-1, 2:])
-        & (inner > 0.0)
-    )
-    spacing = float(rd.ranges_m[1] - rd.ranges_m[0])
-    detections = []
-    for i, j in np.argwhere(is_peak) + 1:
+    for i, j in np.argwhere(is_peak) + (1, 0):
         snr = math.inf if floor == 0.0 else 20.0 * math.log10(mags[i, j] / floor)
         if snr < threshold_db:
             continue
-        db = magnitude_db(rd.values[:, j])
-        delta, peak_db = _parabolic_peak(db, i)
+        delta, peak_db = _parabolic_peak(magnitude_db(values[:, j]), i)
         detections.append(
             Detection(
-                range_m=float(rd.ranges_m[i] + delta * spacing),
-                velocity_mps=float(rd.velocities_mps[j]),
+                range_m=float(profile.ranges_m[i] + delta * spacing),
+                velocity_mps=float(velocities[j]),
                 amplitude=10.0 ** (peak_db / 20.0),
                 snr_db=snr,
             )
@@ -487,19 +452,24 @@ def max_detection_range(
 
 def write_range_profile_csv(profile: RangeProfile, path) -> None:
     """CSV with columns range_m, mag, mag_db."""
-    mags = profile.magnitudes()
-    dbs = magnitude_db(profile.values)
-    with open(path, "w") as fh:
-        fh.write("range_m,mag,mag_db\n")
-        for r, m, db in zip(profile.ranges_m, mags, dbs):
-            fh.write(f"{r:.12g},{m:.12g},{db:.12g}\n")
+    write_csv(
+        path,
+        "range_m,mag,mag_db",
+        "%.12g,%.12g,%.12g\n",
+        profile.ranges_m,
+        profile.magnitudes(),
+        magnitude_db(profile.values),
+    )
 
 
 def write_range_doppler_csv(rdmap: RangeDopplerMap, path) -> None:
     """CSV with columns range_m, velocity_mps, mag_db (range-major order)."""
-    dbs = magnitude_db(rdmap.values)
-    with open(path, "w") as fh:
-        fh.write("range_m,velocity_mps,mag_db\n")
-        for i, r in enumerate(rdmap.ranges_m):
-            for j, v in enumerate(rdmap.velocities_mps):
-                fh.write(f"{r:.12g},{v:.12g},{dbs[i, j]:.12g}\n")
+    n_ranges, n_velocities = len(rdmap.ranges_m), len(rdmap.velocities_mps)
+    write_csv(
+        path,
+        "range_m,velocity_mps,mag_db",
+        "%.12g,%.12g,%.12g\n",
+        np.repeat(rdmap.ranges_m, n_velocities),
+        np.tile(rdmap.velocities_mps, n_ranges),
+        magnitude_db(rdmap.values).ravel(),
+    )

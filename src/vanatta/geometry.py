@@ -30,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConstraintError
+from .errors import ConstraintError, check_count, check_finite
 
 # Vacuum speed of light, m/s.
 C0 = 299_792_458.0
@@ -43,8 +43,7 @@ DEFAULT_BASE_LENGTH_WAVELENGTHS = 10.0
 
 def wavelength_of(frequency: float) -> float:
     """Free-space wavelength in meters for a frequency in Hz."""
-    if frequency <= 0.0:
-        raise ValueError(f"frequency must be positive, got {frequency}")
+    check_finite("frequency", frequency, "positive")
     return C0 / frequency
 
 
@@ -135,8 +134,7 @@ class SurfaceLayout:
     absorption_efficiency: float = 0.82
 
     def __post_init__(self):
-        if self.wavelength <= 0.0:
-            raise ConstraintError(f"wavelength must be positive, got {self.wavelength}")
+        check_finite("wavelength", self.wavelength, "positive")
         if not 0.0 < self.absorption_efficiency <= 1.0:
             raise ConstraintError(
                 f"absorption_efficiency must be in (0, 1], got {self.absorption_efficiency}"
@@ -244,10 +242,9 @@ def build_linear_array(
     Returns:
         A SurfaceLayout that passes validate_layout.
     """
-    if n_pairs < 1:
-        raise ConstraintError(f"n_pairs must be >= 1, got {n_pairs}")
-    if wavelength <= 0.0:
-        raise ConstraintError(f"wavelength must be positive, got {wavelength}")
+    check_count("n_pairs", n_pairs)
+    check_finite("wavelength", wavelength, "positive")
+    check_finite("spacing", spacing)
     if spacing < wavelength / 2.0:
         raise ConstraintError(
             f"spacing {spacing} m is below the half-wavelength minimum "
@@ -255,8 +252,7 @@ def build_linear_array(
         )
     if base_length is None:
         base_length = DEFAULT_BASE_LENGTH_WAVELENGTHS * wavelength
-    if base_length <= 0.0:
-        raise ConstraintError(f"base_length must be positive, got {base_length}")
+    check_finite("base_length", base_length, "positive")
 
     n = 2 * n_pairs
     elements = []
@@ -364,10 +360,9 @@ def build_concentric_surface(
     Returns:
         A SurfaceLayout that passes validate_layout.
     """
-    if n_rings < 1:
-        raise ConstraintError(f"n_rings must be >= 1, got {n_rings}")
-    if wavelength <= 0.0:
-        raise ConstraintError(f"wavelength must be positive, got {wavelength}")
+    check_count("n_rings", n_rings)
+    check_finite("wavelength", wavelength, "positive")
+    check_finite("base_radius", base_radius)
     if base_radius < wavelength / 4.0:
         raise ConstraintError(
             f"base_radius {base_radius} m gives a diametric pair closer than "
@@ -375,44 +370,20 @@ def build_concentric_surface(
         )
 
     count = _uniform_ring_count(base_radius, n_rings, wavelength)
+    half = count // 2
     elements: list[AntennaElement] = []
     lines: list[TransmissionLine] = []
-    next_element = 0
-    next_pair = 1
-
     for m in range(n_rings):
         radius = base_radius + m * wavelength / math.pi
-        phase = (math.pi / count) * (m % 2)
-        pos = _ring_positions(radius, count, phase)
-
-        ring_pairs = []
-        for j in range(count // 2):
-            pid = next_pair
-            next_pair += 1
-            ring_pairs.append(pid)
-            elements.append(
-                AntennaElement(id=next_element, position=pos[j], pair_id=pid)
-            )
-            next_element += 1
-        for j in range(count // 2):
-            elements.append(
-                AntennaElement(
-                    id=next_element,
-                    position=pos[count // 2 + j],
-                    pair_id=ring_pairs[j],
-                )
-            )
-            next_element += 1
-        for pid in ring_pairs:
+        # Element j of the ring's first half pairs with element j of its
+        # second half, diametrically opposite.
+        pair_ids = range(m * half + 1, (m + 1) * half + 1)
+        for j, pos in enumerate(_ring_positions(radius, count, (math.pi / count) * (m % 2))):
+            elements.append(AntennaElement(len(elements), pos, pair_ids[j % half]))
+        for pid in pair_ids:
             switched = pid % 2 == 0
-            lines.append(
-                TransmissionLine(
-                    pair_id=pid,
-                    base_electrical_length=math.pi * radius,
-                    has_switch=switched,
-                    switched_extra_length=wavelength / 2.0 if switched else 0.0,
-                )
-            )
+            extra = wavelength / 2.0 if switched else 0.0
+            lines.append(TransmissionLine(pid, math.pi * radius, switched, extra))
 
     return SurfaceLayout(
         elements=tuple(elements),
@@ -442,8 +413,7 @@ def validate_layout(layout: SurfaceLayout, tolerance: float = 1e-9) -> Validatio
     Returns:
         ValidationReport; passed is true iff no rule exceeds tolerance.
     """
-    if tolerance < 0.0:
-        raise ValueError(f"tolerance must be non-negative, got {tolerance}")
+    check_finite("tolerance", tolerance, "non-negative")
     view = layout.arrays
     lam = layout.wavelength
     cx, cy = layout.center

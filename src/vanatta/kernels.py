@@ -3,8 +3,8 @@
 Two loops dominate every simulation here: summing round-trip path phasors
 over pair traversals, and accumulating beat-tone samples over chirps.  Both
 factorize into one matrix product, which numpy hands to BLAS.
-``benchmarks/bench_kernels.py`` times the beat kernel against the per-cell
-formula it replaces.
+``benchmarks/bench_kernels.py`` times both against what they replace: the
+per-cell beat formula, and one pair-path call per switch state.
 """
 
 from __future__ import annotations
@@ -17,13 +17,17 @@ import numpy as np
 def pair_path_response(x_in, x_out, path_extra, wavenumber, sin_incidence, sin_obs):
     """Sum exp(-j k (x_in sin_inc + path + x_out sin_obs)) over traversals.
 
-    x_in, x_out and path_extra hold one entry per pair traversal;
-    sin_incidence and sin_obs are 1-D arrays of sines.  Each phasor splits
-    into an inbound and an outbound factor, so the sum is one (incidences x
-    traversals) @ (traversals x observations) matrix product.  Returns the
-    complex incidences x observations matrix.
+    x_in and x_out hold one entry per pair traversal, path_extra one row of
+    line lengths per switch config (configs x traversals); sin_incidence and
+    sin_obs are 1-D arrays of sines.  Each phasor splits into an inbound
+    factor, which carries the config, and an outbound one, built once; the
+    sum is one (incidences x traversals) @ (traversals x observations)
+    product per config.  The products are stacked rather than merged into
+    one (configs * incidences)-row product, which keeps each config's result
+    bit-identical to a call with that config alone.  Returns the complex
+    configs x incidences x observations array.
     """
-    inbound = np.exp(-1j * (wavenumber * (np.outer(sin_incidence, x_in) + path_extra)))
+    inbound = np.exp(-1j * (wavenumber * (np.outer(sin_incidence, x_in) + path_extra[:, None, :])))
     outbound = np.exp(-1j * (wavenumber * np.outer(x_out, sin_obs)))
     return inbound @ outbound
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .emfield import PlaneWave, SwitchConfig, response_matrix
+from .emfield import PlaneWave, SwitchConfig, response_matrix, write_csv
 from .errors import DecodingError, SchedulingError, check_finite
 from .fmcw import ChirpParams, SurfaceReflector, Target, _profile_matrix, synthesize_beat
 from .geometry import SurfaceLayout
@@ -278,8 +278,8 @@ def cross_angle_isolation(
     theta = wave.incidence_angle_deg
     retro, other = np.abs(
         response_matrix(
-            layout, config, wave.frequency, theta, (theta, observation_angle_deg), wave.amplitude
-        )[0]
+            layout, (config,), wave.frequency, theta, (theta, observation_angle_deg), wave.amplitude
+        )[0, 0]
     )
     if other == 0.0:
         return math.inf
@@ -303,7 +303,13 @@ def write_link_report(result: LinkResult, path) -> None:
 
 def write_per_chirp_csv(result: LinkResult, path) -> None:
     """CSV with columns chirp_index, time_s, amplitude, bit_index."""
-    with open(path, "w") as fh:
-        fh.write("chirp_index,time_s,amplitude,bit_index\n")
-        for i, (t, a) in enumerate(zip(result.chirp_times, result.per_chirp_amplitudes)):
-            fh.write(f"{i},{t:.12g},{a:.12g},{i // result.chirps_per_bit}\n")
+    index = np.arange(len(result.per_chirp_amplitudes))
+    write_csv(
+        path,
+        "chirp_index,time_s,amplitude,bit_index",
+        "%d,%.12g,%.12g,%d\n",
+        index,
+        result.chirp_times,
+        result.per_chirp_amplitudes,
+        index // result.chirps_per_bit,
+    )

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .emfield import SwitchConfig
-from .errors import ConfigurationError, ConstraintError, SchedulingError
+from .errors import ConfigurationError, ConstraintError, SchedulingError, check_finite
 from .geometry import SurfaceLayout
 
 # Defaults matching the radar timing used throughout: the state is held for
@@ -54,8 +54,7 @@ class SwitchSchedule:
     bits: tuple[int, ...]
 
     def __post_init__(self):
-        if self.switch_interval <= 0.0:
-            raise ValueError("switch_interval must be positive")
+        check_finite("switch_interval", self.switch_interval, "positive")
         if len(self.states) != len(self.bits):
             raise ValueError("states and bits must have the same length")
         if not self.states:
@@ -122,10 +121,8 @@ def encode_bits(
         SwitchSchedule covering the bits in order.
     """
     frame = bits if isinstance(bits, BitFrame) else BitFrame(tuple(bits))
-    if switch_interval <= 0.0:
-        raise ValueError("switch_interval must be positive")
-    if chirp_duration <= 0.0:
-        raise ValueError("chirp_duration must be positive")
+    check_finite("switch_interval", switch_interval, "positive")
+    check_finite("chirp_duration", chirp_duration, "positive")
     if switch_interval < chirp_duration:
         raise SchedulingError(
             f"switch interval {switch_interval} s is shorter than one chirp "

@@ -5,7 +5,20 @@ import math
 
 import pytest
 
-from vanatta import build_linear_array, save_layout, wavelength_of
+import numpy as np
+
+from vanatta import (
+    PlaneWave,
+    build_concentric_surface,
+    build_linear_array,
+    constructive_config,
+    destructive_config,
+    field_pattern,
+    monostatic_gain_db,
+    roundtrip_response,
+    save_layout,
+    wavelength_of,
+)
 from vanatta.cli import (
     DEFAULTS,
     load_config,
@@ -111,6 +124,50 @@ def test_pattern_outputs(tmp_path, capsys):
     assert "null_depth_db=" in summary
     depth = float(summary.split("null_depth_db=")[1].split()[0])
     assert depth > 100.0 or math.isinf(depth)
+
+
+def test_pattern_batched_states_agree_with_separate_responses(tmp_path, monkeypatch):
+    import vanatta.cli as cli
+
+    seen = {}
+
+    def spy(name):
+        original = getattr(cli, name)
+
+        def recorded(*args, **kwargs):
+            seen[name] = original(*args, **kwargs)
+            return seen[name]
+
+        monkeypatch.setattr(cli, name, recorded)
+
+    spy("response_matrix")
+    spy("gain_over_plate")
+    theta = -23.5
+    cfg_path = write_config(
+        tmp_path,
+        f"layout.builder = concentric\nlayout.n_rings = 2\nincidence_angle_deg = {theta}\n",
+    )
+    out = tmp_path / "out"
+    assert run_cli("pattern", "--config", cfg_path, "--out", str(out), "--grid-step-deg", "0.5") == 0
+
+    layout = build_concentric_surface(2, LAM, LAM)
+    wave = PlaneWave(24e9, theta)
+    values = seen["response_matrix"]
+    assert values.shape == (2, 1, 362)  # two states x one incidence x (grid + incidence)
+    retro_on, retro_off = np.abs(values[:, 0, -1])
+    want_on = abs(roundtrip_response(layout, constructive_config(), wave, theta))
+    want_off = abs(roundtrip_response(layout, destructive_config(layout), wave, theta))
+    assert math.isclose(retro_on, want_on, rel_tol=1e-12)
+    assert retro_off <= 1e-10 * retro_on
+    assert want_off <= 1e-10 * want_on
+    want_gain = monostatic_gain_db(layout, constructive_config(), wave, DEFAULTS["plate.width_m"])
+    assert seen["gain_over_plate"].plate_is_null == want_gain.plate_is_null
+    assert math.isclose(seen["gain_over_plate"].gain_db, want_gain.gain_db, rel_tol=1e-12)
+    # The grid columns are the two patterns.
+    grid = np.arange(-90.0, 90.25, 0.5)
+    for row, config in zip(values[:, 0, :-1], (constructive_config(), destructive_config(layout))):
+        want = field_pattern(layout, config, wave, grid).values
+        np.testing.assert_allclose(row, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
 def test_pattern_normal_incidence_peaks_align(tmp_path):
@@ -239,6 +296,45 @@ def test_constraint_failures_exit_one(tmp_path):
     out = tmp_path / "out"
     # 3 pairs cannot form the half-toggled destructive state
     assert run_cli("pattern", "--config", cfg_path, "--out", str(out)) == 1
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("layout.n_pairs", "2.7"),
+        ("layout.n_rings", "1.5"),
+        ("radar.chirps_per_frame", "64.5"),
+        ("link.random_bits", "nan"),
+        ("sweep.bits_per_point", "inf"),
+        ("seed", "0.5"),
+    ],
+)
+def test_int_keys_reject_non_integral_values(tmp_path, capsys, key, value):
+    cfg_path = write_config(tmp_path, f"{key} = {value}\n")
+    out = tmp_path / "out"
+    assert run_cli("validate", "--config", cfg_path, "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err == f"constraint error: {key} must be an integer, got {float(value)!r}\n"
+    assert not out.exists()
+
+
+def test_config_values_take_the_type_of_their_default(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, "layout.n_pairs = 4.0\n")
+    assert run_cli("validate", "--config", cfg_path, "--out", str(tmp_path / "o")) == 0
+    assert "layout valid" in capsys.readouterr().out
+    for text in ("frequency_hz = abc\n", "layout.n_pairs = true\n", "seed = none\n"):
+        cfg_path = write_config(tmp_path, text)
+        assert run_cli("validate", "--config", cfg_path, "--out", str(tmp_path / "o")) == 1
+        assert "must be a number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ['"2,4.5"', "6.5", '"2,nan"'])
+def test_scale_rejects_non_integral_element_counts(tmp_path, capsys, value):
+    cfg_path = write_config(tmp_path, f"scale.n_elements = {value}\n")
+    out = tmp_path / "out"
+    assert run_cli("scale", "--config", cfg_path, "--out", str(out)) == 1
+    assert "scale.n_elements must list integers" in capsys.readouterr().err
+    assert not (out / "scale.csv").exists()
 
 
 def test_sweep_rejects_incidence_past_grazing(tmp_path, capsys):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vanatta.emfield
 import vanatta.geometry
 from vanatta import (
     ConfigurationError,
@@ -24,6 +25,7 @@ from vanatta import (
     destructive_config,
     far_field_amplitude,
     field_pattern,
+    gain_over_plate,
     magnitude_db,
     monostatic_gain_db,
     plate_baseline_pattern,
@@ -275,6 +277,23 @@ def test_monostatic_gain_against_po_oracle():
     assert math.isclose(gain.gain_db, 69.6024473010221, rel_tol=1e-12)
 
 
+def test_gain_over_plate_keeps_the_null_cases(monkeypatch):
+    assert gain_over_plate(1.0, 0.0) == (math.inf, True)
+    assert gain_over_plate(0.0, 0.0) == (math.inf, True)
+    assert gain_over_plate(0.0, 1.0) == (-math.inf, False)
+    assert gain_over_plate(10.0, 1.0) == (20.0, False)
+    # monostatic_gain_db reaches both null cases through the shared logic.
+    layout = build_linear_array(2, LAM / 2.0, LAM)
+    monkeypatch.setattr(vanatta.emfield, "plate_monostatic_amplitude", lambda *a, **k: 0.0)
+    assert monostatic_gain_db(layout, constructive_config(), WAVE30, 0.025) == (math.inf, True)
+    monkeypatch.setattr(vanatta.emfield, "plate_monostatic_amplitude", lambda *a, **k: 1.0)
+    monkeypatch.setattr(vanatta.emfield, "roundtrip_response", lambda *a, **k: 0j)
+    assert monostatic_gain_db(layout, constructive_config(), WAVE30, 0.025) == (
+        -math.inf,
+        False,
+    )
+
+
 def test_modulation_depth_exceeds_twelve_db():
     layout = build_linear_array(2, LAM / 2.0, LAM)
     on = abs(roundtrip_response(layout, constructive_config(), WAVE30, 30.0))
@@ -358,7 +377,7 @@ LAYOUTS = st.one_of(
 @settings(max_examples=60, deadline=None)
 @given(
     layout=LAYOUTS,
-    switched=st.booleans(),
+    switched=st.lists(st.booleans(), min_size=1, max_size=2),
     thetas=st.lists(
         st.floats(-85.0, 85.0, exclude_min=True, exclude_max=True), min_size=1, max_size=3
     ),
@@ -370,21 +389,24 @@ LAYOUTS = st.one_of(
 def test_response_matrix_matches_brute_force(
     layout, switched, thetas, phis, amplitude, distance, taper
 ):
-    config = _switched(layout) if switched else constructive_config()
-    got = response_matrix(layout, config, 24e9, thetas, phis, amplitude, distance, taper)
-    assert got.shape == (len(thetas), len(phis))
-    for i, theta in enumerate(thetas):
-        wave = PlaneWave(24e9, theta, amplitude)
-        for j, phi in enumerate(phis):
-            want = brute_force_response(layout, config, wave, phi) / distance
-            if taper:
-                want *= math.cos(math.radians(theta)) * math.cos(math.radians(phi))
-            assert cmath.isclose(got[i, j], want, rel_tol=1e-12, abs_tol=1e-12)
+    configs = [_switched(layout) if s else constructive_config() for s in switched]
+    got = response_matrix(layout, configs, 24e9, thetas, phis, amplitude, distance, taper)
+    assert got.shape == (len(configs), len(thetas), len(phis))
+    for c, config in enumerate(configs):
+        for i, theta in enumerate(thetas):
+            wave = PlaneWave(24e9, theta, amplitude)
+            for j, phi in enumerate(phis):
+                want = brute_force_response(layout, config, wave, phi) / distance
+                if taper:
+                    want *= math.cos(math.radians(theta)) * math.cos(math.radians(phi))
+                assert cmath.isclose(got[c, i, j], want, rel_tol=1e-12, abs_tol=1e-12)
 
 
 def test_response_matrix_checks_every_angle():
     layout = build_linear_array(2, LAM / 2.0, LAM)
-    config = constructive_config()
+    config = (constructive_config(),)
+    with pytest.raises(ValueError, match="at least one switch config"):
+        response_matrix(layout, (), 24e9, [10.0], [0.0])
     with pytest.raises(ValueError, match="incidence angle .* got 95.0"):
         response_matrix(layout, config, 24e9, [10.0, 95.0], [0.0])
     with pytest.raises(ValueError, match="incidence angle .* got nan"):
@@ -411,8 +433,33 @@ def test_repeated_responses_validate_a_layout_once(monkeypatch):
         wave = PlaneWave(24e9, theta)
         roundtrip_response(layout, constructive_config(), wave, theta)
         field_pattern(layout, destructive_config(layout), wave, [-10.0, 0.0, 10.0])
-    response_matrix(layout, constructive_config(), 24e9, [0.0, 10.0], [5.0])
+    response_matrix(layout, (constructive_config(),), 24e9, [0.0, 10.0], [5.0])
     assert len(calls) == 1
     # a replaced layout is a new object and is validated afresh
     roundtrip_response(dataclasses.replace(layout), constructive_config(), WAVE30, 0.0)
     assert len(calls) == 2
+
+
+def _per_row_pattern_csv(pattern):
+    """The per-row f-string formatting over numpy scalars that the bulk
+    writer replaces."""
+    text = "angle_deg,re_v_per_m,im_v_per_m,mag_v_per_m,mag_db\n"
+    dbs = magnitude_db(pattern.values)
+    for ang, val, mag, db in zip(pattern.angles_deg, pattern.values, pattern.magnitudes(), dbs):
+        text += f"{ang:.12g},{val.real:.12g},{val.imag:.12g},{mag:.12g},{db:.12g}\n"
+    return text
+
+
+def test_pattern_csv_matches_per_row_formatting(tmp_path):
+    layout = build_concentric_surface(2, LAM, LAM)
+    grid = np.arange(-90.0, 90.125, 0.25)
+    grid[grid == 0.0] = -0.0
+    values = field_pattern(layout, destructive_config(layout), WAVE30, grid).values
+    # Exact zeros (the -400 dB floor), negative zeros and a subnormal.
+    values[:4] = [0.0, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -5e-324)]
+    pattern = FieldPattern(grid, values)
+    path = tmp_path / "pattern.csv"
+    write_pattern_csv(pattern, path)
+    text = path.read_text()
+    assert text == _per_row_pattern_csv(pattern)
+    assert "-0," in text and ",-400\n" in text

@@ -11,6 +11,8 @@ from vanatta import (
     ConfigurationError,
     DesignMismatchWarning,
     PlateReflector,
+    RangeDopplerMap,
+    RangeProfile,
     SurfaceReflector,
     Target,
     bin_noise_sigma,
@@ -19,6 +21,7 @@ from vanatta import (
     destructive_config,
     detect,
     encode_bits,
+    magnitude_db,
     max_detection_range,
     range_doppler,
     range_profile,
@@ -392,18 +395,96 @@ def test_max_detection_range_undetectable_sentinel():
 
 def test_range_profile_csv(tmp_path):
     signal = synthesize_beat(default_params(chirps_per_frame=1), [surface_target(50.0)])
+    profile = range_profile(signal)
     path = tmp_path / "profile.csv"
-    write_range_profile_csv(range_profile(signal), path)
-    lines = path.read_text().splitlines()
+    write_range_profile_csv(profile, path)
+    text = path.read_text()
+    lines = text.splitlines()
     assert lines[0] == "range_m,mag,mag_db"
     assert len(lines) == 502  # 501 rfft bins for 1000 samples
+    # Byte for byte what per-row f-strings over numpy scalars give.
+    oracle = "range_m,mag,mag_db\n" + "".join(
+        f"{r:.12g},{m:.12g},{db:.12g}\n"
+        for r, m, db in zip(profile.ranges_m, profile.magnitudes(), magnitude_db(profile.values))
+    )
+    assert text == oracle
 
 
 def test_range_doppler_csv(tmp_path):
     params = default_params(chirps_per_frame=4)
     signal = synthesize_beat(params, [surface_target(50.0)])
+    rdmap = range_doppler(signal)
     path = tmp_path / "rd.csv"
-    write_range_doppler_csv(range_doppler(signal), path)
-    lines = path.read_text().splitlines()
+    write_range_doppler_csv(rdmap, path)
+    text = path.read_text()
+    lines = text.splitlines()
     assert lines[0] == "range_m,velocity_mps,mag_db"
     assert len(lines) == 1 + 501 * 4
+    dbs = magnitude_db(rdmap.values)
+    oracle = "range_m,velocity_mps,mag_db\n" + "".join(
+        f"{r:.12g},{v:.12g},{dbs[i, j]:.12g}\n"
+        for i, r in enumerate(rdmap.ranges_m)
+        for j, v in enumerate(rdmap.velocities_mps)
+    )
+    assert text == oracle
+
+
+def _reference_detect(ranges, velocities, values, threshold_db):
+    """Per-cell loops over strict local maxima: the oracle for detect.
+
+    velocities is None for a 1-D profile (two range neighbours, velocity
+    NaN); otherwise values is ranges x velocities and a peak must also beat
+    its two velocity neighbours.
+    """
+    from vanatta.fmcw import _parabolic_peak
+
+    grid = values[:, None] if velocities is None else values
+    mags = np.abs(grid)
+    n, m = mags.shape
+    if n < 3 or (velocities is not None and m < 3):
+        return []
+    floor = float(np.median(mags))
+    columns = [0] if velocities is None else range(1, m - 1)
+    found = []
+    for i in range(1, n - 1):
+        for j in columns:
+            around = [mags[i - 1, j], mags[i + 1, j]]
+            if velocities is not None:
+                around += [mags[i, j - 1], mags[i, j + 1]]
+            if not (mags[i, j] > 0.0 and all(mags[i, j] > a for a in around)):
+                continue
+            snr = math.inf if floor == 0.0 else 20.0 * math.log10(mags[i, j] / floor)
+            if snr < threshold_db:
+                continue
+            delta, peak_db = _parabolic_peak(magnitude_db(grid[:, j]), i)
+            velocity = math.nan if velocities is None else float(velocities[j])
+            found.append(
+                (float(ranges[i] + delta * (ranges[1] - ranges[0])), velocity,
+                 10.0 ** (peak_db / 20.0), snr)
+            )
+    return found
+
+
+@pytest.mark.parametrize("trial", range(40))
+def test_detect_matches_per_cell_reference(trial):
+    rng = np.random.default_rng(trial)
+    n, m = int(rng.integers(1, 40)), int(rng.integers(1, 7))
+    values = rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m))
+    if trial % 4 == 0:
+        values[rng.random((n, m)) < 0.3] = 0.0
+    if trial % 5 == 0:
+        values = np.round(values)  # equal neighbours are not peaks
+    ranges, velocities = np.arange(n) * 0.6, np.linspace(-3.0, 3.0, m)
+    threshold = float(rng.uniform(-5.0, 10.0))
+
+    def as_tuples(hits):
+        return [(h.range_m, h.velocity_mps, h.amplitude, h.snr_db) for h in hits]
+
+    got = as_tuples(detect(RangeDopplerMap(ranges, velocities, values), threshold))
+    assert got == _reference_detect(ranges, velocities, values, threshold)
+    profile = values[:, 0].copy()
+    got = as_tuples(detect(RangeProfile(ranges, profile), threshold))
+    want = _reference_detect(ranges, None, profile, threshold)
+    # NaN != NaN: compare the velocity column separately.
+    assert [g[:1] + g[2:] for g in got] == [w[:1] + w[2:] for w in want]
+    assert all(math.isnan(g[1]) for g in got)

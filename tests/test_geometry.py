@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from vanatta import (
+    ConfigurationError,
     ConstraintError,
     build_concentric_surface,
     build_linear_array,
@@ -125,6 +126,35 @@ def test_wavelength_rejects_nonpositive_frequency():
         wavelength_of(0.0)
     with pytest.raises(ValueError):
         wavelength_of(-24e9)
+
+
+BAD = (math.nan, math.inf, -math.inf)
+
+
+@pytest.mark.parametrize("value", BAD)
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (lambda v: build_linear_array(2, LAM / 2.0, v), "wavelength"),
+        (lambda v: build_linear_array(2, v, LAM), "spacing"),
+        (lambda v: build_linear_array(2, LAM / 2.0, LAM, v), "base_length"),
+        (lambda v: build_concentric_surface(1, LAM, v), "wavelength"),
+        (lambda v: build_concentric_surface(1, v, LAM), "base_radius"),
+        (lambda v: validate_layout(build_linear_array(1, LAM, LAM), v), "tolerance"),
+        (wavelength_of, "frequency"),
+    ],
+)
+def test_non_finite_inputs_rejected_up_front(build, name, value):
+    with pytest.raises(ConfigurationError, match=f"^{name} must be .*finite, got"):
+        build(value)
+
+
+@pytest.mark.parametrize("count", [0, 2.7, 2.0, math.nan])
+def test_builders_take_integral_counts(count):
+    with pytest.raises(ConfigurationError, match="n_pairs must be an integer >= 1"):
+        build_linear_array(count, LAM / 2.0, LAM)
+    with pytest.raises(ConfigurationError, match="n_rings must be an integer >= 1"):
+        build_concentric_surface(count, LAM, LAM)
 
 
 def test_linear_two_pair_positions():

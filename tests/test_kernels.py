@@ -30,23 +30,43 @@ def _direct_beat(amps, n_samples, f, phase0, step, dt):
 def test_pair_path_response_matches_direct_formula():
     rng = np.random.default_rng(3)
     x_in, x_out, path = _random_traversals(rng, 12)
+    # A second switch config: half a wavelength more on every other traversal.
+    paths = np.stack((path, path + 0.00625 * (np.arange(12) % 2)))
     k = 2.0 * np.pi / 0.0125
     sin_inc = np.array([-0.8, 0.0, 0.5])
     sin_obs = np.linspace(-1.0, 1.0, 101)
-    got = kernels.pair_path_response(x_in, x_out, path, k, sin_inc, sin_obs)
+    got = kernels.pair_path_response(x_in, x_out, paths, k, sin_inc, sin_obs)
     expected = np.array(
         [
             [
-                sum(
-                    np.exp(-1j * k * (xi * si + p + xo * so))
-                    for xi, xo, p in zip(x_in, x_out, path)
-                )
-                for so in sin_obs
+                [
+                    sum(
+                        np.exp(-1j * k * (xi * si + p + xo * so))
+                        for xi, xo, p in zip(x_in, x_out, row)
+                    )
+                    for so in sin_obs
+                ]
+                for si in sin_inc
             ]
-            for si in sin_inc
+            for row in paths
         ]
     )
+    assert got.shape == (2, 3, 101)
     np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
+
+
+def test_pair_path_response_configs_match_single_config_calls():
+    # The outbound factor is shared, but each config's result is the same
+    # bits as a call with that config alone.
+    rng = np.random.default_rng(4)
+    x_in, x_out, path = _random_traversals(rng, 128)
+    paths = np.stack((path, path + 0.00625 * (np.arange(128) % 2)))
+    sin_inc, sin_obs = np.array([0.3]), np.linspace(-1.0, 1.0, 3602)
+    k = 2.0 * np.pi / 0.0125
+    both = kernels.pair_path_response(x_in, x_out, paths, k, sin_inc, sin_obs)
+    for c in range(2):
+        alone = kernels.pair_path_response(x_in, x_out, paths[c : c + 1], k, sin_inc, sin_obs)
+        assert np.array_equal(both[c], alone[0])
 
 
 def test_accumulate_beat_matches_direct_formula():

@@ -207,8 +207,15 @@ def test_link_report_and_csv(tmp_path):
 
     csv_path = tmp_path / "chirps.csv"
     write_per_chirp_csv(result, csv_path)
-    lines = csv_path.read_text().splitlines()
+    text = csv_path.read_text()
+    lines = text.splitlines()
     assert lines[0] == "chirp_index,time_s,amplitude,bit_index"
     assert len(lines) == 9
+    # Byte for byte what per-row f-strings over numpy scalars give.
+    oracle = "chirp_index,time_s,amplitude,bit_index\n" + "".join(
+        f"{i},{t:.12g},{a:.12g},{i // result.chirps_per_bit}\n"
+        for i, (t, a) in enumerate(zip(result.chirp_times, result.per_chirp_amplitudes))
+    )
+    assert text == oracle
     first = lines[1].split(",")
     assert first[0] == "0" and first[3] == "0"

@@ -82,6 +82,16 @@ def test_encode_accepts_bit_frames():
     assert all(s.toggled == frozenset() for s in schedule.states)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1e-3])
+def test_non_finite_or_non_positive_timing_rejected(value):
+    with pytest.raises(ConfigurationError, match="switch_interval must be positive and finite"):
+        encode_bits((1, 0), LAYOUT2, value)
+    with pytest.raises(ConfigurationError, match="chirp_duration must be positive and finite"):
+        encode_bits((1, 0), LAYOUT2, 1e-3, chirp_duration=value)
+    with pytest.raises(ConfigurationError, match="switch_interval must be positive and finite"):
+        SwitchSchedule(value, (constructive_config(),), (1,))
+
+
 def test_encode_rejects_interval_below_chirp():
     with pytest.raises(SchedulingError):
         encode_bits((1, 0), LAYOUT2, 0.4e-3, chirp_duration=0.5e-3)
