@@ -224,14 +224,14 @@ def _bits_of(value) -> tuple[int, ...]:
 
 
 def _resolve_layout(cfg: dict, config_dir: str):
-    lam = wavelength_of(float(cfg["frequency_hz"]))
+    lam = wavelength_of(cfg["frequency_hz"])
     builder = str(cfg["layout.builder"])
-    absorption = float(cfg["absorption_efficiency"])
+    absorption = cfg["absorption_efficiency"]
     if builder == "linear":
         spacing = cfg["layout.spacing_m"]
         base = cfg["layout.base_length_m"]
         return build_linear_array(
-            int(cfg["layout.n_pairs"]),
+            cfg["layout.n_pairs"],
             float(spacing) if spacing is not None else lam / 2.0,
             lam,
             float(base) if base is not None else None,
@@ -240,7 +240,7 @@ def _resolve_layout(cfg: dict, config_dir: str):
     if builder == "concentric":
         radius = cfg["layout.base_radius_m"]
         return build_concentric_surface(
-            int(cfg["layout.n_rings"]),
+            cfg["layout.n_rings"],
             float(radius) if radius is not None else lam,
             lam,
             absorption,
@@ -259,26 +259,25 @@ def _resolve_layout(cfg: dict, config_dir: str):
 
 def _wave(cfg: dict) -> PlaneWave:
     return PlaneWave(
-        frequency=float(cfg["frequency_hz"]),
-        incidence_angle_deg=float(cfg["incidence_angle_deg"]),
-        amplitude=float(cfg["amplitude"]),
+        frequency=cfg["frequency_hz"],
+        incidence_angle_deg=cfg["incidence_angle_deg"],
+        amplitude=cfg["amplitude"],
     )
 
 
 def _chirp_params(cfg: dict) -> ChirpParams:
     return ChirpParams(
-        start_frequency=float(cfg["frequency_hz"]),
-        bandwidth=float(cfg["radar.bandwidth_hz"]),
-        chirp_duration=float(cfg["radar.chirp_s"]),
-        sample_rate=float(cfg["radar.sample_rate_hz"]),
-        chirps_per_frame=int(cfg["radar.chirps_per_frame"]),
+        start_frequency=cfg["frequency_hz"],
+        bandwidth=cfg["radar.bandwidth_hz"],
+        chirp_duration=cfg["radar.chirp_s"],
+        sample_rate=cfg["radar.sample_rate_hz"],
+        chirps_per_frame=cfg["radar.chirps_per_frame"],
     )
 
 
-def _step(name: str, value) -> float:
-    step = float(value)
-    check_finite(name, step, "positive")
-    return step
+def _step(name: str, value: float) -> float:
+    check_finite(name, value, "positive")
+    return value
 
 
 def _angle_grid(cfg: dict, grid_step: float | None) -> np.ndarray:
@@ -298,7 +297,7 @@ def _emit(out_dir: str, name: str, text: str) -> None:
 
 def cmd_validate(cfg: dict, out_dir: str, config_dir: str) -> int:
     layout = _resolve_layout(cfg, config_dir)
-    report = validate_layout(layout, float(cfg["validate.tolerance_m"]))
+    report = validate_layout(layout, cfg["validate.tolerance_m"])
     summary = report.summary()
     _emit(out_dir, "validation.txt", summary + "\n")
     print(summary)
@@ -318,7 +317,7 @@ def cmd_pattern(cfg: dict, out_dir: str, config_dir: str, grid_step: float | Non
     wave = _wave(cfg)
     grid = _angle_grid(cfg, grid_step)
     theta = wave.incidence_angle_deg
-    plate_width = float(cfg["plate.width_m"])
+    plate_width = cfg["plate.width_m"]
     # Both states observed over the grid followed by the incidence itself:
     # the grid columns give the two patterns, the last one the retro returns.
     values = _both_states(layout, wave, np.append(grid, theta))
@@ -345,7 +344,7 @@ def cmd_range(cfg: dict, out_dir: str, config_dir: str) -> int:
     layout = _resolve_layout(cfg, config_dir)
     wave = _wave(cfg)
     theta = wave.incidence_angle_deg
-    plate_width = float(cfg["plate.width_m"])
+    plate_width = cfg["plate.width_m"]
     amp_on, amp_off = np.abs(_both_states(layout, wave, theta)[:, 0]).tolist()
     amp_plate = plate_monostatic_amplitude(plate_width, wave)
 
@@ -378,7 +377,7 @@ def cmd_scale(cfg: dict, out_dir: str, config_dir: str) -> int:
     spacing = float(spacing) if spacing is not None else lam / 2.0
     ns = _ints("scale.n_elements", cfg["scale.n_elements"])
     rows = scaling_sweep(ns, spacing, wave)
-    plate_mag = plate_monostatic_amplitude(float(cfg["plate.width_m"]), wave)
+    plate_mag = plate_monostatic_amplitude(cfg["plate.width_m"], wave)
     lines = ["n_elements,gain_ratio,plate_mag"]
     for n, ratio in rows:
         lines.append(f"{n},{ratio:.12g},{plate_mag:.12g}")
@@ -390,25 +389,23 @@ def cmd_scale(cfg: dict, out_dir: str, config_dir: str) -> int:
 def cmd_link(cfg: dict, out_dir: str, config_dir: str, seed: int) -> int:
     layout = _resolve_layout(cfg, config_dir)
     params = _chirp_params(cfg)
-    n_random = int(cfg["link.random_bits"])
+    n_random = cfg["link.random_bits"]
     if n_random > 0:
         rng = np.random.default_rng(seed)
         bits = tuple(int(b) for b in rng.integers(0, 2, n_random))
     else:
         bits = _bits_of(cfg["link.bits"])
-    schedule = encode_bits(
-        bits, layout, float(cfg["link.switch_interval_s"]), params.chirp_duration
-    )
+    schedule = encode_bits(bits, layout, cfg["link.switch_interval_s"], params.chirp_duration)
     scenario = LinkScenario(
         layout=layout,
         schedule=schedule,
         params=params,
-        range_m=float(cfg["target.range_m"]),
-        incidence_angle_deg=float(cfg["incidence_angle_deg"]),
-        velocity_mps=float(cfg["target.velocity_mps"]),
-        noise_power=float(cfg["noise.power"]),
+        range_m=cfg["target.range_m"],
+        incidence_angle_deg=cfg["incidence_angle_deg"],
+        velocity_mps=cfg["target.velocity_mps"],
+        noise_power=cfg["noise.power"],
         seed=seed,
-        incident_amplitude=float(cfg["amplitude"]),
+        incident_amplitude=cfg["amplitude"],
     )
     result = run_link(scenario)
     write_link_report(result, os.path.join(out_dir, "link_report.txt"))
@@ -422,10 +419,10 @@ def cmd_sweep(cfg: dict, out_dir: str, config_dir: str, seed: int, grid_step: fl
     if parameter == "incidence_angle":
         layout = _resolve_layout(cfg, config_dir)
         grid = _angle_grid(cfg, grid_step)
-        start, stop = float(cfg["sweep.start"]), float(cfg["sweep.stop"])
+        start, stop = cfg["sweep.start"], cfg["sweep.stop"]
         inc = _step("sweep.step", cfg["sweep.step"])
         thetas = np.arange(start, stop + inc / 2.0, inc)
-        frequency, amplitude = float(cfg["frequency_hz"]), float(cfg["amplitude"])
+        frequency, amplitude = cfg["frequency_hz"], cfg["amplitude"]
         configs = (constructive_config(),)
         lines = ["theta_deg,retro_mag,peak_deg"]
         # One batched call per block of incidences, observed over the grid
@@ -444,10 +441,10 @@ def cmd_sweep(cfg: dict, out_dir: str, config_dir: str, seed: int, grid_step: fl
         return 0
     if parameter == "snr":
         params = _chirp_params(cfg)
-        cpb = int(round(float(cfg["link.switch_interval_s"]) / params.chirp_duration))
+        cpb = round(cfg["link.switch_interval_s"] / params.chirp_duration)
         snrs = _floats(cfg["sweep.snr_db"])
-        n_bits = int(cfg["sweep.bits_per_point"])
-        depth = float(cfg["sweep.depth_db"])
+        n_bits = cfg["sweep.bits_per_point"]
+        depth = cfg["sweep.depth_db"]
         lines = ["snr_db,ber"]
         for i, snr in enumerate(snrs):
             ber = ook_ber_trial(params, snr, depth, n_bits, cpb, seed + i)

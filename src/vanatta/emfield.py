@@ -108,6 +108,10 @@ class FieldPattern:
             raise ValueError("angles and values must have matching shapes")
         _angle_grid(self.angles_deg)
 
+    @property
+    def samples(self) -> list[tuple[float, complex]]:
+        return list(zip(self.angles_deg.tolist(), self.values.tolist()))
+
     def magnitudes(self) -> np.ndarray:
         return np.abs(self.values)
 
@@ -236,8 +240,8 @@ def response_matrix(
     _require_valid(layout)
     wavelength = wavelength_of(frequency)
     _check_wavelength(layout, wavelength)
-    if not configs:
-        raise ValueError("need at least one switch config")
+    if isinstance(configs, SwitchConfig) or not configs:
+        raise ValueError("configs must be a non-empty sequence of SwitchConfig")
 
     x_in, x_out, path = _traversal_arrays(layout, configs)
     out = kernels.pair_path_response(

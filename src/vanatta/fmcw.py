@@ -33,7 +33,7 @@ from .emfield import (
     SwitchConfig,
     magnitude_db,
     plate_monostatic_amplitude,
-    response_matrix,
+    roundtrip_response,
     write_csv,
 )
 from .errors import ConfigurationError, DesignMismatchWarning, check_count, check_finite
@@ -132,18 +132,24 @@ class SurfaceReflector:
         check_finite("incident_amplitude", self.incident_amplitude, "positive")
 
     def amplitudes(self, chirp_times: np.ndarray, frequency: float) -> np.ndarray:
-        """Retro magnitude at each chirp, from one batched response over the
-        distinct switch states."""
+        wave = PlaneWave(frequency, self.incidence_angle_deg, self.incident_amplitude)
         if self.schedule is None:
-            keys = [(self.config or SwitchConfig()).toggled] * len(chirp_times)
-        else:
-            end = math.nextafter(self.schedule.duration, 0.0)
-            keys = [config_at(self.schedule, min(t, end)).toggled for t in chirp_times]
-        index = {key: i for i, key in enumerate(dict.fromkeys(keys))}
-        configs = [SwitchConfig(key) for key in index]
-        amplitude, theta = self.incident_amplitude, self.incidence_angle_deg
-        retro = response_matrix(self.layout, configs, frequency, theta, theta, amplitude)
-        return np.abs(retro[:, 0, 0])[[index[key] for key in keys]]
+            static = self.config if self.config is not None else SwitchConfig()
+            value = abs(
+                roundtrip_response(self.layout, static, wave, self.incidence_angle_deg)
+            )
+            return np.full(len(chirp_times), value)
+        out = np.empty(len(chirp_times))
+        cache: dict[frozenset, float] = {}
+        end = self.schedule.duration
+        for i, t in enumerate(chirp_times):
+            cfg = config_at(self.schedule, min(t, math.nextafter(end, 0.0)))
+            if cfg.toggled not in cache:
+                cache[cfg.toggled] = abs(
+                    roundtrip_response(self.layout, cfg, wave, self.incidence_angle_deg)
+                )
+            out[i] = cache[cfg.toggled]
+        return out
 
 
 @dataclass(frozen=True)

@@ -370,20 +370,44 @@ def build_concentric_surface(
         )
 
     count = _uniform_ring_count(base_radius, n_rings, wavelength)
-    half = count // 2
     elements: list[AntennaElement] = []
     lines: list[TransmissionLine] = []
+    next_element = 0
+    next_pair = 1
+
     for m in range(n_rings):
         radius = base_radius + m * wavelength / math.pi
-        # Element j of the ring's first half pairs with element j of its
-        # second half, diametrically opposite.
-        pair_ids = range(m * half + 1, (m + 1) * half + 1)
-        for j, pos in enumerate(_ring_positions(radius, count, (math.pi / count) * (m % 2))):
-            elements.append(AntennaElement(len(elements), pos, pair_ids[j % half]))
-        for pid in pair_ids:
+        phase = (math.pi / count) * (m % 2)
+        pos = _ring_positions(radius, count, phase)
+
+        ring_pairs = []
+        for j in range(count // 2):
+            pid = next_pair
+            next_pair += 1
+            ring_pairs.append(pid)
+            elements.append(
+                AntennaElement(id=next_element, position=pos[j], pair_id=pid)
+            )
+            next_element += 1
+        for j in range(count // 2):
+            elements.append(
+                AntennaElement(
+                    id=next_element,
+                    position=pos[count // 2 + j],
+                    pair_id=ring_pairs[j],
+                )
+            )
+            next_element += 1
+        for pid in ring_pairs:
             switched = pid % 2 == 0
-            extra = wavelength / 2.0 if switched else 0.0
-            lines.append(TransmissionLine(pid, math.pi * radius, switched, extra))
+            lines.append(
+                TransmissionLine(
+                    pair_id=pid,
+                    base_electrical_length=math.pi * radius,
+                    has_switch=switched,
+                    switched_extra_length=wavelength / 2.0 if switched else 0.0,
+                )
+            )
 
     return SurfaceLayout(
         elements=tuple(elements),

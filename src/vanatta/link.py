@@ -255,10 +255,9 @@ def doppler_phase_drift(velocity_delta: float, wavelength: float, interval: floa
     A residual radial velocity dv shifts the echo by 2*dv/wavelength Hz, so
     the returned drift is 360 * (2*dv/wavelength) * interval degrees.
     """
-    if wavelength <= 0.0:
-        raise ValueError("wavelength must be positive")
-    if interval < 0.0:
-        raise ValueError("interval must be non-negative")
+    check_finite("velocity_delta", velocity_delta)
+    check_finite("wavelength", wavelength, "positive")
+    check_finite("interval", interval, "non-negative")
     return 360.0 * (2.0 * velocity_delta / wavelength) * interval
 
 

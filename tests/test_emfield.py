@@ -405,8 +405,9 @@ def test_response_matrix_matches_brute_force(
 def test_response_matrix_checks_every_angle():
     layout = build_linear_array(2, LAM / 2.0, LAM)
     config = (constructive_config(),)
-    with pytest.raises(ValueError, match="at least one switch config"):
-        response_matrix(layout, (), 24e9, [10.0], [0.0])
+    for bad in ((), constructive_config()):
+        with pytest.raises(ValueError, match="configs must be a non-empty sequence of SwitchConfig"):
+            response_matrix(layout, bad, 24e9, [10.0], [0.0])
     with pytest.raises(ValueError, match="incidence angle .* got 95.0"):
         response_matrix(layout, config, 24e9, [10.0, 95.0], [0.0])
     with pytest.raises(ValueError, match="incidence angle .* got nan"):

@@ -135,6 +135,16 @@ def test_doppler_phase_drift_values():
     )
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_doppler_phase_drift_rejects_non_finite_inputs(value):
+    with pytest.raises(ConfigurationError, match="velocity_delta must be finite"):
+        doppler_phase_drift(value, LAM, 1e-3)
+    with pytest.raises(ConfigurationError, match="wavelength must be positive and finite"):
+        doppler_phase_drift(0.006, value, 1e-3)
+    with pytest.raises(ConfigurationError, match="interval must be non-negative and finite"):
+        doppler_phase_drift(0.006, LAM, value)
+
+
 def dirichlet_magnitude(n, spacing, theta_deg, phi_deg, lam):
     psi = (2.0 * math.pi / lam) * spacing * (
         math.sin(math.radians(phi_deg)) - math.sin(math.radians(theta_deg))
