@@ -19,7 +19,6 @@ from .emfield import (
     field_pattern,
     gain_over_plate,
     magnitude_db,
-    monostatic_gain_db,
     plate_baseline_pattern,
     plate_monostatic_amplitude,
     range_extension,
@@ -85,8 +84,6 @@ from .modulation import (
     constructive_config,
     destructive_config,
     encode_bits,
-    load_schedule,
-    save_schedule,
 )
 
 __version__ = "0.1.0"

@@ -110,7 +110,11 @@ DEFAULTS: dict[str, object] = {
 
 
 def parse_config_text(text: str) -> dict[str, object]:
-    """Parse flat ``key = value`` lines; # starts a comment line."""
+    """Parse flat ``key = value`` lines; # starts a comment line.
+
+    A key whose default is text keeps its value as written, so
+    ``link.bits = 0101`` stays the string "0101".
+    """
     values: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -123,13 +127,15 @@ def parse_config_text(text: str) -> dict[str, object]:
         value = value.strip()
         if not key or " " in key:
             raise ConfigFileError(f"line {lineno}: bad key {key!r}")
-        values[key] = _parse_value(value)
+        values[key] = _parse_value(value, isinstance(DEFAULTS.get(key), str))
     return values
 
 
-def _parse_value(value: str) -> object:
+def _parse_value(value: str, text: bool = False) -> object:
     if len(value) >= 2 and value[0] == value[-1] and value[0] in "'\"":
         return value[1:-1]
+    if text:
+        return value
     low = value.lower()
     if low == "true":
         return True
@@ -347,22 +353,23 @@ def cmd_range(cfg: dict, out_dir: str, config_dir: str) -> int:
     plate_width = cfg["plate.width_m"]
     amp_on, amp_off = np.abs(_both_states(layout, wave, theta)[:, 0]).tolist()
     amp_plate = plate_monostatic_amplitude(plate_width, wave)
+    override = cfg["range.gain_db"]
+    if override is not None:
+        gain_db = float(override)
+        check_finite("range.gain_db", gain_db)
+    else:
+        gain_db = gain_over_plate(amp_on, amp_plate).gain_db
 
     distances = _floats(cfg["range.distances_m"])
     lines = ["distance_m,mag_plate,mag_constructive,mag_destructive"]
     for d in distances:
         lines.append(
-            f"{d:.12g},{far_field_amplitude(amp_plate, 1.0, d):.12g},"
-            f"{far_field_amplitude(amp_on, 1.0, d):.12g},"
-            f"{far_field_amplitude(amp_off, 1.0, d):.12g}"
+            f"{d:.12g},{far_field_amplitude(amp_plate, d):.12g},"
+            f"{far_field_amplitude(amp_on, d):.12g},"
+            f"{far_field_amplitude(amp_off, d):.12g}"
         )
     _emit(out_dir, "range_amplitudes.csv", "\n".join(lines) + "\n")
 
-    override = cfg["range.gain_db"]
-    if override is not None:
-        gain_db = float(override)
-    else:
-        gain_db = gain_over_plate(amp_on, amp_plate).gain_db
     factor = range_extension(gain_db)
     summary = f"gain_db={gain_db:.6g} range_extension={factor:.6g}"
     _emit(out_dir, "range_summary.txt", summary + "\n")

@@ -10,8 +10,8 @@ elements contributes N phasors
     exp(-j k (x_in sin(theta) + l_line + x_out sin(phi)))
 
 scaled by the incident amplitude, by sqrt(absorption_efficiency) once per
-round trip, and by the 1/r far-field convention at the reference distance
-(1 m unless stated).  Centrosymmetry makes x_in + x_out vanish pairwise at
+round trip, and by the 1/r far-field convention at the 1 m reference
+distance.  Centrosymmetry makes x_in + x_out vanish pairwise at
 phi = theta, so the retro direction adds coherently regardless of theta; a
 half-wavelength switch on half of the pairs turns that sum into a null.
 
@@ -35,7 +35,8 @@ return of a flat plate of the same aperture:
 
     |E(theta)| = amplitude * cos(theta) * |sinc(k w sin(theta))| * w / lambda
 
-with sinc(x) = sin(x)/x and the trailing factor exposed as ``norm``.
+with sinc(x) = sin(x)/x; the trailing factor is the aperture size in
+wavelengths.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from . import kernels
 from .errors import ConfigurationError, ConstraintError, DesignMismatchWarning, check_finite
 from .geometry import C0, SurfaceLayout, build_linear_array, wavelength_of
 
-# All patterns and responses are quoted at this distance unless overridden.
+# All patterns and responses are quoted at this distance, in meters.
 REFERENCE_DISTANCE = 1.0
 
 # Fraction of the design wavelength beyond which a wave is flagged as
@@ -96,14 +97,12 @@ class SwitchConfig:
 
 @dataclass(frozen=True)
 class FieldPattern:
-    """Complex field over observation angles at a reference distance."""
+    """Complex field over observation angles at the reference distance."""
 
     angles_deg: np.ndarray
     values: np.ndarray
-    reference_distance: float = REFERENCE_DISTANCE
 
     def __post_init__(self):
-        check_finite("reference_distance", self.reference_distance, "positive")
         if self.angles_deg.shape != self.values.shape:
             raise ValueError("angles and values must have matching shapes")
         _angle_grid(self.angles_deg)
@@ -208,8 +207,6 @@ def response_matrix(
     incidence_deg,
     observation_deg,
     amplitude: float = 1.0,
-    reference_distance: float = REFERENCE_DISTANCE,
-    element_taper: bool = False,
 ) -> np.ndarray:
     """Complex round-trip field for every (config, incidence, observation).
 
@@ -224,9 +221,6 @@ def response_matrix(
         observation_deg: observation angles in degrees, each in [-90, 90],
             in any order.
         amplitude: incident wave amplitude.
-        reference_distance: distance in meters the field is quoted at.
-        element_taper: apply a cos(theta)*cos(phi) element factor instead of
-            isotropic elements.
 
     Returns:
         Complex array of shape (len(configs), len(incidence_deg),
@@ -236,7 +230,6 @@ def response_matrix(
     check_finite("amplitude", amplitude, "positive")
     theta = np.radians(_angles(incidence_deg, "incidence"))
     phi = np.radians(_angles(observation_deg, "observation"))
-    check_finite("reference_distance", reference_distance, "positive")
     _require_valid(layout)
     wavelength = wavelength_of(frequency)
     _check_wavelength(layout, wavelength)
@@ -247,9 +240,7 @@ def response_matrix(
     out = kernels.pair_path_response(
         x_in, x_out, path, 2.0 * math.pi / wavelength, np.sin(theta), np.sin(phi)
     )
-    if element_taper:
-        out *= np.outer(np.cos(theta), np.cos(phi))
-    return out * (amplitude * math.sqrt(layout.absorption_efficiency) / reference_distance)
+    return out * (amplitude * math.sqrt(layout.absorption_efficiency) / REFERENCE_DISTANCE)
 
 
 def roundtrip_response(
@@ -257,8 +248,6 @@ def roundtrip_response(
     config: SwitchConfig,
     wave: PlaneWave,
     observation_angle_deg: float,
-    reference_distance: float = REFERENCE_DISTANCE,
-    element_taper: bool = False,
 ) -> complex:
     """Complex field re-radiated toward one observation angle.
 
@@ -268,16 +257,11 @@ def roundtrip_response(
         wave: incident plane wave.
         observation_angle_deg: angle of the observer, degrees from normal,
             in [-90, 90].
-        reference_distance: distance in meters the field is quoted at.
-        element_taper: apply a cos(theta)*cos(phi) element factor instead of
-            isotropic elements.
 
     Returns:
         Complex field amplitude at the reference distance.
     """
-    pattern = field_pattern(
-        layout, config, wave, [observation_angle_deg], reference_distance, element_taper
-    )
+    pattern = field_pattern(layout, config, wave, [observation_angle_deg])
     return complex(pattern.values[0])
 
 
@@ -286,8 +270,6 @@ def field_pattern(
     config: SwitchConfig,
     wave: PlaneWave,
     angles_deg,
-    reference_distance: float = REFERENCE_DISTANCE,
-    element_taper: bool = False,
 ) -> FieldPattern:
     """Evaluate roundtrip_response over a strictly increasing angle grid."""
     grid = _angle_grid(angles_deg)
@@ -298,10 +280,8 @@ def field_pattern(
         wave.incidence_angle_deg,
         grid,
         wave.amplitude,
-        reference_distance,
-        element_taper,
     )
-    return FieldPattern(angles_deg=grid, values=values[0, 0], reference_distance=reference_distance)
+    return FieldPattern(angles_deg=grid, values=values[0, 0])
 
 
 def _sinc(x):
@@ -309,71 +289,32 @@ def _sinc(x):
     return np.sinc(np.asarray(x) / math.pi)
 
 
-def plate_baseline_pattern(
-    width: float,
-    wave: PlaneWave,
-    angles_deg,
-    reference_distance: float = REFERENCE_DISTANCE,
-    norm: float | None = None,
-) -> FieldPattern:
-    """Monostatic physical-optics return of a flat plate of given width.
-
-    norm defaults to width/wavelength (aperture size in wavelengths); pass
-    an explicit value to change the normalization convention.
-    """
+def plate_baseline_pattern(width: float, wave: PlaneWave, angles_deg) -> FieldPattern:
+    """Monostatic physical-optics return of a flat plate of given width."""
     check_finite("width", width, "positive")
-    check_finite("reference_distance", reference_distance, "positive")
     grid = _angle_grid(angles_deg)
-    if norm is None:
-        norm = width / wave.wavelength
+    norm = width / wave.wavelength
     theta = np.radians(grid)
     mags = (
         wave.amplitude
         * np.cos(theta)
         * np.abs(_sinc(wave.wavenumber * width * np.sin(theta)))
         * norm
-        / reference_distance
+        / REFERENCE_DISTANCE
     )
-    return FieldPattern(
-        angles_deg=grid,
-        values=mags.astype(np.complex128),
-        reference_distance=reference_distance,
-    )
+    return FieldPattern(angles_deg=grid, values=mags.astype(np.complex128))
 
 
-def plate_monostatic_amplitude(
-    width: float,
-    wave: PlaneWave,
-    reference_distance: float = REFERENCE_DISTANCE,
-    norm: float | None = None,
-) -> float:
+def plate_monostatic_amplitude(width: float, wave: PlaneWave) -> float:
     """Plate return magnitude at the wave's own incidence angle."""
-    pattern = plate_baseline_pattern(
-        width, wave, np.array([wave.incidence_angle_deg]), reference_distance, norm
-    )
+    pattern = plate_baseline_pattern(width, wave, np.array([wave.incidence_angle_deg]))
     return float(np.abs(pattern.values[0]))
 
 
-def far_field_amplitude(amplitude_at_ref: float, reference_distance: float, distance: float) -> float:
+def far_field_amplitude(amplitude_at_ref: float, distance: float) -> float:
     """1/r far-field scaling from the reference distance outward."""
-    check_finite("reference_distance", reference_distance, "positive")
     check_finite("distance", distance, "positive")
-    return amplitude_at_ref * reference_distance / distance
-
-
-def monostatic_gain_db(
-    layout: SurfaceLayout,
-    config: SwitchConfig,
-    wave: PlaneWave,
-    plate_width: float,
-    plate_norm: float | None = None,
-) -> MonostaticGain:
-    """Surface retro-return over plate return, in dB, at the wave's angle.
-
-    Returns (gain_db, plate_is_null); see gain_over_plate.
-    """
-    surface = abs(roundtrip_response(layout, config, wave, wave.incidence_angle_deg))
-    return gain_over_plate(surface, plate_monostatic_amplitude(plate_width, wave, norm=plate_norm))
+    return amplitude_at_ref * REFERENCE_DISTANCE / distance
 
 
 def gain_over_plate(surface: float, plate: float) -> MonostaticGain:

@@ -9,8 +9,7 @@ sampled at sample_rate for each of chirps_per_frame chirps.  The tone's
 phase advances chirp to chirp by 2 pi * (2 v / lambda) * T (stop-and-hop:
 range migration inside a frame is ignored).  Echo amplitudes come from a
 reflector model evaluated at the 1 m reference distance and are scaled to
-the target range with the one-way 1/r far-field convention by default; a
-two-way 1/r^2 mode is available for conventional radar budgets.
+the target range with the one-way 1/r far-field convention.
 
 Range processing is a Hann-windowed DFT per chirp, scaled so a bin-centered
 tone of amplitude A reads magnitude A; bin i of an unpadded profile maps to
@@ -39,8 +38,6 @@ from .emfield import (
 from .errors import ConfigurationError, DesignMismatchWarning, check_count, check_finite
 from .geometry import C0, SurfaceLayout
 from .modulation import SwitchSchedule, config_at
-
-RANGE_SCALINGS = ("one_way", "two_way")
 
 # Default detection margin over the median noise floor, in dB.
 DEFAULT_THRESHOLD_DB = 13.0
@@ -226,21 +223,11 @@ class Detection:
     snr_db: float
 
 
-def _range_scale(range_m: float, range_scaling: str) -> float:
-    if range_scaling not in RANGE_SCALINGS:
-        raise ConfigurationError(
-            f"range_scaling must be one of {RANGE_SCALINGS}, got {range_scaling!r}"
-        )
-    ratio = REFERENCE_DISTANCE / range_m
-    return ratio if range_scaling == "one_way" else ratio * ratio
-
-
 def synthesize_beat(
     params: ChirpParams,
     targets,
     noise_power: float = 0.0,
     seed: int | None = None,
-    range_scaling: str = "one_way",
 ) -> BeatSignal:
     """Dechirped frame for the given targets plus white Gaussian noise.
 
@@ -249,14 +236,13 @@ def synthesize_beat(
         targets: iterable of Target.
         noise_power: per-sample variance of the added real noise.
         seed: RNG seed; identical seeds give identical frames.
-        range_scaling: "one_way" (1/r, default) or "two_way" (1/r^2).
 
     Returns:
         BeatSignal with shape (chirps_per_frame, samples_per_chirp).
 
     Raises:
         ConfigurationError: a target's beat tone would exceed Nyquist (the
-            error names the target), or range_scaling is unknown.
+            error names the target).
     """
     check_finite("noise_power", noise_power, "non-negative")
     nyquist = params.sample_rate / 2.0
@@ -269,7 +255,7 @@ def synthesize_beat(
                 f"target {index} at {target.range_m} m: beat frequency "
                 f"{f_beat:.6g} Hz exceeds Nyquist {nyquist:.6g} Hz"
             )
-        scale = _range_scale(target.range_m, range_scaling)
+        scale = REFERENCE_DISTANCE / target.range_m
         amps = target.reflector.amplitudes(times, params.start_frequency) * scale
         tau = 2.0 * target.range_m / C0
         phase0 = 2.0 * math.pi * params.start_frequency * tau
@@ -286,17 +272,13 @@ def synthesize_beat(
     return BeatSignal(params=params, samples=samples)
 
 
-def _window(n: int) -> np.ndarray:
-    return np.hanning(n)
-
-
 def _profile_matrix(signal: BeatSignal, zero_pad: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Scaled range DFT of every chirp: (ranges, complex matrix C x bins)."""
     if zero_pad < 1:
         raise ValueError("zero_pad must be >= 1")
     params = signal.params
     n = params.samples_per_chirp
-    w = _window(n)
+    w = np.hanning(n)
     nfft = n * zero_pad
     spectra = np.fft.rfft(signal.samples * w[None, :], nfft, axis=1) * (2.0 / w.sum())
     freqs = np.fft.rfftfreq(nfft, d=1.0 / params.sample_rate)
@@ -398,7 +380,7 @@ def bin_noise_sigma(params: ChirpParams, noise_power: float) -> float:
     Follows the 2/sum(w) profile scaling: E|bin|^2 = (2/sum(w))^2 *
     noise_power * sum(w^2).
     """
-    w = _window(params.samples_per_chirp)
+    w = np.hanning(params.samples_per_chirp)
     return 2.0 / w.sum() * math.sqrt(noise_power * float(np.square(w).sum()))
 
 
@@ -407,7 +389,6 @@ def max_detection_range(
     target: Target,
     threshold_db: float = DEFAULT_THRESHOLD_DB,
     noise_power: float = 1e-6,
-    range_scaling: str = "one_way",
     min_range: float = 1.0,
     rel_tol: float = 1e-6,
 ) -> float:
@@ -416,8 +397,8 @@ def max_detection_range(
     The probe places the target at a candidate range, synthesizes one
     noiseless chirp, and compares the interpolated peak of its range profile
     against the analytic bin-noise floor for noise_power; bisection then
-    finds where that SNR crosses threshold_db.  Under one-way 1/r scaling
-    the result is proportional to the echo amplitude, so an amplitude gain
+    finds where that SNR crosses threshold_db.  Under the 1/r scaling the
+    result is proportional to the echo amplitude, so an amplitude gain
     of g dB extends the result by 10**(g/20).
 
     Returns NaN when the target is undetectable at min_range.  The search
@@ -432,7 +413,7 @@ def max_detection_range(
 
     def clears(range_m: float) -> bool:
         probe = replace(target, range_m=range_m)
-        signal = synthesize_beat(probe_params, [probe], 0.0, None, range_scaling)
+        signal = synthesize_beat(probe_params, [probe], 0.0, None)
         profile = range_profile(signal, 0, zero_pad=8)
         amp = _interpolated_peak_amplitude(profile)
         if amp == 0.0:

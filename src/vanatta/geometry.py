@@ -171,19 +171,6 @@ class SurfaceLayout:
     def pair_ids(self) -> tuple[int, ...]:
         return tuple(sorted(ln.pair_id for ln in self.lines))
 
-    def pair_elements(self, pair_id: int) -> tuple[AntennaElement, AntennaElement]:
-        both = [e for e in self.elements if e.pair_id == pair_id]
-        if len(both) != 2:
-            raise KeyError(f"no pair {pair_id}")
-        both.sort(key=lambda e: e.id)
-        return both[0], both[1]
-
-    def line_for(self, pair_id: int) -> TransmissionLine:
-        for ln in self.lines:
-            if ln.pair_id == pair_id:
-                return ln
-        raise KeyError(f"no line for pair {pair_id}")
-
     # Layouts are frozen, so each object builds its array view and its
     # default-tolerance report once; dataclasses.replace makes a new object
     # with empty caches.

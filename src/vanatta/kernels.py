@@ -3,7 +3,7 @@
 Two loops dominate every simulation here: summing round-trip path phasors
 over pair traversals, and accumulating beat-tone samples over chirps.  Both
 factorize into one matrix product, which numpy hands to BLAS.
-``benchmarks/bench_kernels.py`` times both against what they replace: the
+``tests/test_kernels.py`` checks both against what they replace: the
 per-cell beat formula, and one pair-path call per switch state.
 """
 

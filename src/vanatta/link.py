@@ -45,7 +45,6 @@ class LinkScenario:
     noise_power: float = 0.0
     seed: int | None = None
     incident_amplitude: float = 1.0
-    range_scaling: str = "one_way"
 
     def __post_init__(self):
         check_finite("range_m", self.range_m, "positive")
@@ -165,9 +164,7 @@ def run_link(scenario: LinkScenario) -> LinkResult:
         incident_amplitude=scenario.incident_amplitude,
     )
     target = Target(scenario.range_m, scenario.velocity_mps, reflector)
-    beat = synthesize_beat(
-        params, [target], scenario.noise_power, scenario.seed, scenario.range_scaling
-    )
+    beat = synthesize_beat(params, [target], scenario.noise_power, scenario.seed)
     amps, _ = _extract_bin_amplitudes(beat)
     c_lo, c_hi = two_cluster_centers(amps)
     threshold = 0.5 * (c_lo + c_hi)

@@ -10,7 +10,6 @@ switch interval each.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -89,17 +88,17 @@ def destructive_config(layout: SurfaceLayout) -> SwitchConfig:
     order) is toggled; those are the lines that carry switches.  Needs an
     even pair count, otherwise no half-and-half split exists.
     """
-    pair_ids = layout.pair_ids()
-    if len(pair_ids) % 2 != 0:
+    view = layout.arrays
+    if len(view.pair_ids) % 2 != 0:
         raise ConfigurationError(
             f"destructive state needs an even pair count to toggle exactly "
-            f"half, got {len(pair_ids)} pairs"
+            f"half, got {len(view.pair_ids)} pairs"
         )
-    toggled = pair_ids[1::2]
-    for pid in toggled:
-        if not layout.line_for(pid).has_switch:
-            raise ConfigurationError(f"pair {pid} has no switch")
-    return SwitchConfig(frozenset(toggled))
+    toggled = view.pair_ids[1::2]
+    fixed = ~view.has_switch[1::2]
+    if fixed.any():
+        raise ConfigurationError(f"pair {toggled[fixed][0]} has no switch")
+    return SwitchConfig(frozenset(toggled.tolist()))
 
 
 def encode_bits(
@@ -150,25 +149,3 @@ def config_at(schedule: SwitchSchedule, t: float) -> SwitchConfig:
         raise ValueError(f"t={t} s is past the schedule end {schedule.duration} s")
     return schedule.states[idx]
 
-
-def save_schedule(schedule: SwitchSchedule, path) -> None:
-    """Write a schedule as JSON."""
-    doc = {
-        "switch_interval_s": schedule.switch_interval,
-        "bits": "".join(str(b) for b in schedule.bits),
-        "states": [sorted(s.toggled) for s in schedule.states],
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
-
-
-def load_schedule(path) -> SwitchSchedule:
-    """Read a schedule written by save_schedule."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    bits = tuple(int(ch) for ch in doc["bits"])
-    states = tuple(SwitchConfig(frozenset(int(p) for p in s)) for s in doc["states"])
-    return SwitchSchedule(
-        switch_interval=float(doc["switch_interval_s"]), states=states, bits=bits
-    )

@@ -14,7 +14,8 @@ from vanatta import (
     constructive_config,
     destructive_config,
     field_pattern,
-    monostatic_gain_db,
+    gain_over_plate,
+    plate_monostatic_amplitude,
     roundtrip_response,
     save_layout,
     wavelength_of,
@@ -160,7 +161,7 @@ def test_pattern_batched_states_agree_with_separate_responses(tmp_path, monkeypa
     assert math.isclose(retro_on, want_on, rel_tol=1e-12)
     assert retro_off <= 1e-10 * retro_on
     assert want_off <= 1e-10 * want_on
-    want_gain = monostatic_gain_db(layout, constructive_config(), wave, DEFAULTS["plate.width_m"])
+    want_gain = gain_over_plate(want_on, plate_monostatic_amplitude(DEFAULTS["plate.width_m"], wave))
     assert seen["gain_over_plate"].plate_is_null == want_gain.plate_is_null
     assert math.isclose(seen["gain_over_plate"].gain_db, want_gain.gain_db, rel_tol=1e-12)
     # The grid columns are the two patterns.
@@ -207,6 +208,17 @@ def test_range_gain_override(tmp_path):
     assert math.isclose(factor, 3.63, abs_tol=0.005)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_range_gain_override_must_be_finite(tmp_path, capsys, value):
+    cfg_path = write_config(tmp_path, f"range.gain_db = {value}\n")
+    out = tmp_path / "out"
+    assert run_cli("range", "--config", cfg_path, "--out", str(out)) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("constraint error: range.gain_db must be finite")
+    assert "range_extension" not in captured.out
+    assert list(out.iterdir()) == []
+
+
 def test_scale_outputs(tmp_path):
     out = tmp_path / "out"
     assert run_cli("scale", "--out", str(out)) == 0
@@ -228,6 +240,18 @@ def test_link_noiseless_payload(tmp_path, capsys):
     assert "ber = 0" in report
     assert (out / "per_chirp.csv").exists()
     assert "ber=0" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("bits", ["0101", "0011"])
+def test_link_bits_keep_leading_zeros(tmp_path, bits):
+    cfg_path = write_config(tmp_path, f"link.bits = {bits}\n")
+    assert load_config(cfg_path)["link.bits"] == bits
+    out = tmp_path / "out"
+    assert run_cli("link", "--config", cfg_path, "--out", str(out)) == 0
+    report = (out / "link_report.txt").read_text()
+    assert f"transmitted_bits = {bits}" in report
+    assert f"decoded_bits = {bits}" in report
+    assert "n_bits = 4" in report
 
 
 def test_link_random_bits_round_trip(tmp_path):

@@ -4,13 +4,13 @@ import cmath
 import dataclasses
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import vanatta.emfield
 import vanatta.geometry
 from vanatta import (
     ConfigurationError,
@@ -27,7 +27,6 @@ from vanatta import (
     field_pattern,
     gain_over_plate,
     magnitude_db,
-    monostatic_gain_db,
     plate_baseline_pattern,
     plate_monostatic_amplitude,
     range_extension,
@@ -43,15 +42,23 @@ SQRT_ETA = math.sqrt(0.82)
 WAVE30 = PlaneWave(frequency=24e9, incidence_angle_deg=30.0)
 
 
+def pair_members(layout):
+    """Each pair's two elements, lower id first, keyed by pair id."""
+    members = {}
+    for e in sorted(layout.elements, key=lambda e: e.id):
+        members.setdefault(e.pair_id, []).append(e)
+    return members
+
+
 def brute_force_response(layout, config, wave, obs_deg):
     """Independent path enumeration: explicit loop over pairs and directions."""
     k = 2.0 * math.pi / wave.wavelength
     st = math.sin(math.radians(wave.incidence_angle_deg))
     so = math.sin(math.radians(obs_deg))
+    lines = {ln.pair_id: ln for ln in layout.lines}
     total = 0.0 + 0.0j
-    for pid in layout.pair_ids():
-        a, b = layout.pair_elements(pid)
-        line = layout.line_for(pid)
+    for pid, (a, b) in sorted(pair_members(layout).items()):
+        line = lines[pid]
         length = line.base_electrical_length
         if pid in config.toggled:
             length += line.switched_extra_length
@@ -128,10 +135,10 @@ def test_reciprocity_under_direction_swap():
         k = 2.0 * math.pi / WAVE30.wavelength
         st = math.sin(math.radians(WAVE30.incidence_angle_deg))
         so = math.sin(math.radians(obs))
+        lines = {ln.pair_id: ln for ln in layout.lines}
         swapped = 0.0 + 0.0j
-        for pid in layout.pair_ids():
-            a, b = layout.pair_elements(pid)
-            length = layout.line_for(pid).base_electrical_length
+        for pid, (a, b) in sorted(pair_members(layout).items()):
+            length = lines[pid].base_electrical_length
             for p_in, p_out in ((b, a), (a, b)):
                 swapped += cmath.exp(
                     -1j * k * (p_in.position[0] * st + length + p_out.position[0] * so)
@@ -256,42 +263,33 @@ def test_plate_suppressed_near_sinc_null():
 
 
 def test_far_field_amplitude_scaling():
-    assert far_field_amplitude(1.0, 1.0, 10.0) == 0.1
-    assert far_field_amplitude(1.0, 1.0, 1.0) == 1.0
-    assert math.isclose(far_field_amplitude(0.5, 2.0, 100.0), 0.01, rel_tol=1e-15)
+    assert far_field_amplitude(1.0, 10.0) == 0.1
+    assert far_field_amplitude(1.0, 1.0) == 1.0
+    assert math.isclose(far_field_amplitude(0.5, 50.0), 0.01, rel_tol=1e-15)
     with pytest.raises(ValueError):
-        far_field_amplitude(1.0, 1.0, 0.0)
+        far_field_amplitude(1.0, 0.0)
 
 
 def test_far_field_product_constant_in_distance():
     for r in (1.0, 3.7, 120.0, 4e3):
-        assert math.isclose(far_field_amplitude(2.2, 1.0, r) * r, 2.2, rel_tol=1e-15)
+        assert math.isclose(far_field_amplitude(2.2, r) * r, 2.2, rel_tol=1e-15)
 
 
 def test_monostatic_gain_against_po_oracle():
     layout = build_linear_array(2, LAM / 2.0, LAM)
-    gain = monostatic_gain_db(layout, constructive_config(), WAVE30, 0.025)
+    surface = abs(roundtrip_response(layout, constructive_config(), WAVE30, 30.0))
+    gain = gain_over_plate(surface, plate_monostatic_amplitude(0.025, WAVE30))
     assert not gain.plate_is_null
     oracle = 20.0 * math.log10(4.0 * SQRT_ETA / 0.0011990700417900484)
     assert math.isclose(gain.gain_db, oracle, rel_tol=1e-12)
     assert math.isclose(gain.gain_db, 69.6024473010221, rel_tol=1e-12)
 
 
-def test_gain_over_plate_keeps_the_null_cases(monkeypatch):
+def test_gain_over_plate_keeps_the_null_cases():
     assert gain_over_plate(1.0, 0.0) == (math.inf, True)
     assert gain_over_plate(0.0, 0.0) == (math.inf, True)
     assert gain_over_plate(0.0, 1.0) == (-math.inf, False)
     assert gain_over_plate(10.0, 1.0) == (20.0, False)
-    # monostatic_gain_db reaches both null cases through the shared logic.
-    layout = build_linear_array(2, LAM / 2.0, LAM)
-    monkeypatch.setattr(vanatta.emfield, "plate_monostatic_amplitude", lambda *a, **k: 0.0)
-    assert monostatic_gain_db(layout, constructive_config(), WAVE30, 0.025) == (math.inf, True)
-    monkeypatch.setattr(vanatta.emfield, "plate_monostatic_amplitude", lambda *a, **k: 1.0)
-    monkeypatch.setattr(vanatta.emfield, "roundtrip_response", lambda *a, **k: 0j)
-    assert monostatic_gain_db(layout, constructive_config(), WAVE30, 0.025) == (
-        -math.inf,
-        False,
-    )
 
 
 def test_modulation_depth_exceeds_twelve_db():
@@ -355,9 +353,7 @@ def test_pattern_csv_format(tmp_path):
 def _switched(layout):
     # Toggle every switched line; for an even pair count this is the
     # destructive state.
-    return SwitchConfig(
-        frozenset(p for p in layout.pair_ids() if layout.line_for(p).has_switch)
-    )
+    return SwitchConfig(frozenset(ln.pair_id for ln in layout.lines if ln.has_switch))
 
 
 LAYOUTS = st.one_of(
@@ -383,22 +379,16 @@ LAYOUTS = st.one_of(
     ),
     phis=st.lists(st.floats(-90.0, 90.0), min_size=1, max_size=5),
     amplitude=st.floats(0.1, 10.0),
-    distance=st.floats(0.5, 10.0),
-    taper=st.booleans(),
 )
-def test_response_matrix_matches_brute_force(
-    layout, switched, thetas, phis, amplitude, distance, taper
-):
+def test_response_matrix_matches_brute_force(layout, switched, thetas, phis, amplitude):
     configs = [_switched(layout) if s else constructive_config() for s in switched]
-    got = response_matrix(layout, configs, 24e9, thetas, phis, amplitude, distance, taper)
+    got = response_matrix(layout, configs, 24e9, thetas, phis, amplitude)
     assert got.shape == (len(configs), len(thetas), len(phis))
     for c, config in enumerate(configs):
         for i, theta in enumerate(thetas):
             wave = PlaneWave(24e9, theta, amplitude)
             for j, phi in enumerate(phis):
-                want = brute_force_response(layout, config, wave, phi) / distance
-                if taper:
-                    want *= math.cos(math.radians(theta)) * math.cos(math.radians(phi))
+                want = brute_force_response(layout, config, wave, phi)
                 assert cmath.isclose(got[c, i, j], want, rel_tol=1e-12, abs_tol=1e-12)
 
 
@@ -464,3 +454,13 @@ def test_pattern_csv_matches_per_row_formatting(tmp_path):
     text = path.read_text()
     assert text == _per_row_pattern_csv(pattern)
     assert "-0," in text and ",-400\n" in text
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library example", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    peak, ratio = capsys.readouterr().out.split()
+    assert peak == "30.0"
+    assert float(ratio) < 1e-12

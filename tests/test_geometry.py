@@ -21,14 +21,21 @@ from vanatta.geometry import Violation
 LAM = 0.012491352416666667  # wavelength at 24 GHz
 
 
+def pair_members(layout):
+    """Each pair's two elements, lower id first, keyed by pair id."""
+    members = {}
+    for e in sorted(layout.elements, key=lambda e: e.id):
+        members.setdefault(e.pair_id, []).append(e)
+    return members
+
+
 def reference_validate_layout(layout, tolerance=1e-9):
     """Loop-by-loop validator: the oracle for the vectorized validate_layout."""
     lam = layout.wavelength
     cx, cy = layout.center
     violations = []
 
-    for pid in layout.pair_ids():
-        a, b = layout.pair_elements(pid)
+    for pid, (a, b) in sorted(pair_members(layout).items()):
         dev = math.hypot(
             a.position[0] + b.position[0] - 2.0 * cx,
             a.position[1] + b.position[1] - 2.0 * cy,
@@ -167,21 +174,21 @@ def test_linear_two_pair_positions():
 
 def test_linear_line_lengths_differ_by_one_wavelength():
     layout = build_linear_array(2, LAM / 2.0, LAM)
-    l1 = layout.line_for(1).base_electrical_length
-    l2 = layout.line_for(2).base_electrical_length
+    lengths = {ln.pair_id: ln.base_electrical_length for ln in layout.lines}
+    l1, l2 = lengths[1], lengths[2]
     assert math.isclose(abs(l1 - l2), LAM, rel_tol=1e-15)
 
 
 def test_linear_outermost_elements_pair_together():
     layout = build_linear_array(3, LAM / 2.0, LAM)
     spans = {}
-    for pid in layout.pair_ids():
-        a, b = layout.pair_elements(pid)
+    for pid, (a, b) in pair_members(layout).items():
         assert a.position[0] == -b.position[0], "pairs must mirror about center"
         spans[pid] = abs(a.position[0])
     # pair 1 is the outermost pair and carries the longest line
     assert spans[1] == max(spans.values())
-    lengths = [layout.line_for(pid).base_electrical_length for pid in (1, 2, 3)]
+    by_pair = {ln.pair_id: ln.base_electrical_length for ln in layout.lines}
+    lengths = [by_pair[pid] for pid in (1, 2, 3)]
     assert lengths[0] > lengths[1] > lengths[2]
 
 
@@ -353,9 +360,11 @@ def test_array_view_is_read_only_and_follows_pair_order():
     assert layout.arrays is view
     assert not view.x.flags.writeable
     assert view.pair_ids.tolist() == list(layout.pair_ids())
+    members = pair_members(layout)
+    lines = {ln.pair_id: ln for ln in layout.lines}
     for i, pid in enumerate(layout.pair_ids()):
-        a, b = layout.pair_elements(pid)
+        a, b = members[pid]
         assert (int(view.ids[view.a[i]]), int(view.ids[view.b[i]])) == (a.id, b.id)
-        line = layout.line_for(pid)
+        line = lines[pid]
         assert view.line_length[i] == line.base_electrical_length
         assert view.has_switch[i] == line.has_switch

@@ -1,5 +1,6 @@
 """Bit encoding, switch schedules, and schedule timing lookups."""
 
+import dataclasses
 import math
 
 import pytest
@@ -16,9 +17,7 @@ from vanatta import (
     constructive_config,
     destructive_config,
     encode_bits,
-    load_schedule,
     roundtrip_response,
-    save_schedule,
     validate_layout,
     wavelength_of,
 )
@@ -49,8 +48,21 @@ def test_destructive_config_toggles_even_pairs():
 
 def test_destructive_config_needs_even_pair_count():
     layout3 = build_linear_array(3, LAM / 2.0, LAM)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="even pair count .* got 3 pairs"):
         destructive_config(layout3)
+
+
+@pytest.mark.parametrize("bare", [2, 4])
+def test_destructive_config_needs_a_switch_on_every_toggled_pair(bare):
+    lines = tuple(
+        dataclasses.replace(ln, has_switch=False, switched_extra_length=0.0)
+        if ln.pair_id == bare
+        else ln
+        for ln in LAYOUT4.lines
+    )
+    layout = dataclasses.replace(LAYOUT4, lines=lines)
+    with pytest.raises(ConfigurationError, match=f"pair {bare} has no switch"):
+        destructive_config(layout)
 
 
 def test_destructive_retro_response_is_null():
@@ -133,12 +145,3 @@ def test_encode_config_at_left_inverse():
         config = config_at(schedule, (i + 0.5) * 1e-3)
         assert (len(config.toggled) == 0) == (bit == 1)
 
-
-def test_schedule_round_trip(tmp_path):
-    schedule = encode_bits((1, 0, 1, 1, 0), LAYOUT4, 2e-3)
-    path = tmp_path / "schedule.json"
-    save_schedule(schedule, path)
-    loaded = load_schedule(path)
-    assert loaded.switch_interval == schedule.switch_interval
-    assert loaded.bits == schedule.bits
-    assert [s.toggled for s in loaded.states] == [s.toggled for s in schedule.states]
