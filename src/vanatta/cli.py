@@ -108,6 +108,11 @@ DEFAULTS: dict[str, object] = {
     "sweep.depth_db": 12.2,
 }
 
+# Optional keys that take a number when set.
+_OPTIONAL_NUMBERS = frozenset(
+    ("layout.spacing_m", "layout.base_length_m", "layout.base_radius_m", "range.gain_db")
+)
+
 
 def parse_config_text(text: str) -> dict[str, object]:
     """Parse flat ``key = value`` lines; # starts a comment line.
@@ -194,12 +199,15 @@ def load_config(path: str | None) -> dict[str, object]:
 def _coerce(cfg: dict) -> dict:
     """Each numeric value converted to the type of its key's default.
 
-    Int keys take only integral numbers, float keys only numbers.
+    Int keys take only integral numbers, float keys only numbers; a set
+    optional number is a float key.
     """
     out = dict(cfg)
     for key, default in DEFAULTS.items():
+        value = cfg[key]
+        if key in _OPTIONAL_NUMBERS and value is not None:
+            default = 0.0
         if isinstance(default, (int, float)):
-            value = cfg[key]
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ConfigurationError(f"{key} must be a number, got {value!r}")
             if isinstance(default, int) and isinstance(value, float) and not value.is_integer():
@@ -235,19 +243,18 @@ def _resolve_layout(cfg: dict, config_dir: str):
     absorption = cfg["absorption_efficiency"]
     if builder == "linear":
         spacing = cfg["layout.spacing_m"]
-        base = cfg["layout.base_length_m"]
         return build_linear_array(
             cfg["layout.n_pairs"],
-            float(spacing) if spacing is not None else lam / 2.0,
+            spacing if spacing is not None else lam / 2.0,
             lam,
-            float(base) if base is not None else None,
+            cfg["layout.base_length_m"],
             absorption,
         )
     if builder == "concentric":
         radius = cfg["layout.base_radius_m"]
         return build_concentric_surface(
             cfg["layout.n_rings"],
-            float(radius) if radius is not None else lam,
+            radius if radius is not None else lam,
             lam,
             absorption,
         )
@@ -353,9 +360,8 @@ def cmd_range(cfg: dict, out_dir: str, config_dir: str) -> int:
     plate_width = cfg["plate.width_m"]
     amp_on, amp_off = np.abs(_both_states(layout, wave, theta)[:, 0]).tolist()
     amp_plate = plate_monostatic_amplitude(plate_width, wave)
-    override = cfg["range.gain_db"]
-    if override is not None:
-        gain_db = float(override)
+    gain_db = cfg["range.gain_db"]
+    if gain_db is not None:
         check_finite("range.gain_db", gain_db)
     else:
         gain_db = gain_over_plate(amp_on, amp_plate).gain_db
@@ -381,7 +387,7 @@ def cmd_scale(cfg: dict, out_dir: str, config_dir: str) -> int:
     wave = _wave(cfg)
     lam = wave.wavelength
     spacing = cfg["layout.spacing_m"]
-    spacing = float(spacing) if spacing is not None else lam / 2.0
+    spacing = spacing if spacing is not None else lam / 2.0
     ns = _ints("scale.n_elements", cfg["scale.n_elements"])
     rows = scaling_sweep(ns, spacing, wave)
     plate_mag = plate_monostatic_amplitude(cfg["plate.width_m"], wave)

@@ -44,6 +44,10 @@ DEFAULT_THRESHOLD_DB = 13.0
 
 _AUTOMOTIVE_BANDS = ((23e9, 25e9), (76e9, 81e9))
 
+# Chirps per range-FFT block: the windowed copy and the raw spectrum exist
+# for one block at a time, not for the whole frame.
+_FFT_BLOCK = 128
+
 
 @dataclass(frozen=True)
 class ChirpParams:
@@ -280,7 +284,12 @@ def _profile_matrix(signal: BeatSignal, zero_pad: int = 1) -> tuple[np.ndarray, 
     n = params.samples_per_chirp
     w = np.hanning(n)
     nfft = n * zero_pad
-    spectra = np.fft.rfft(signal.samples * w[None, :], nfft, axis=1) * (2.0 / w.sum())
+    scale = 2.0 / w.sum()
+    samples = signal.samples
+    spectra = np.empty((len(samples), nfft // 2 + 1), dtype=np.complex128)
+    for lo in range(0, len(samples), _FFT_BLOCK):
+        block = np.fft.rfft(samples[lo : lo + _FFT_BLOCK] * w, nfft, axis=1)
+        np.multiply(block, scale, out=spectra[lo : lo + _FFT_BLOCK])
     freqs = np.fft.rfftfreq(nfft, d=1.0 / params.sample_rate)
     ranges = freqs * C0 * params.chirp_duration / (2.0 * params.bandwidth)
     return ranges, spectra

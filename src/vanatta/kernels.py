@@ -4,7 +4,8 @@ Two loops dominate every simulation here: summing round-trip path phasors
 over pair traversals, and accumulating beat-tone samples over chirps.  Both
 factorize into one matrix product, which numpy hands to BLAS.
 ``tests/test_kernels.py`` checks both against what they replace: the
-per-cell beat formula, and one pair-path call per switch state.
+per-cell beat formula, one pair-path call per switch state, and every
+outbound phasor computed with ``np.exp``.
 """
 
 from __future__ import annotations
@@ -26,9 +27,24 @@ def pair_path_response(x_in, x_out, path_extra, wavenumber, sin_incidence, sin_o
     one (configs * incidences)-row product, which keeps each config's result
     bit-identical to a call with that config alone.  Returns the complex
     configs x incidences x observations array.
+
+    When the second half of x_out is exactly the first half negated, as the
+    layout builders make it (each pair sits at +-x and is traversed both
+    ways), only the first half's phasors are computed: the rest are their
+    complex conjugates, bit for bit, since cos is even and sin odd.  Any
+    other x_out, such as a hand-built layout off by one ulp, takes every
+    row through cos and sin.
     """
     inbound = np.exp(-1j * (wavenumber * (np.outer(sin_incidence, x_in) + path_extra[:, None, :])))
-    outbound = np.exp(-1j * (wavenumber * np.outer(x_out, sin_obs)))
+    n = len(x_out)
+    m = n // 2 if np.array_equal(x_out[n // 2 :], -x_out[: n // 2]) else n
+    outbound = np.empty((n, len(sin_obs)), dtype=np.complex128)
+    phase = np.outer(x_out[:m], sin_obs)
+    phase *= -wavenumber
+    np.cos(phase, out=outbound.real[:m])
+    np.sin(phase, out=outbound.imag[:m])
+    if m < n:
+        np.conjugate(outbound[:m], out=outbound[m:])
     return inbound @ outbound
 
 

@@ -352,6 +352,26 @@ def test_config_values_take_the_type_of_their_default(tmp_path, capsys):
         assert "must be a number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["true", "abc"])
+@pytest.mark.parametrize(
+    "command, key",
+    [
+        ("validate", "layout.spacing_m"),
+        ("validate", "layout.base_length_m"),
+        ("validate", "layout.base_radius_m"),
+        ("range", "range.gain_db"),
+    ],
+)
+def test_optional_number_keys_reject_non_numbers(tmp_path, capsys, command, key, value):
+    # Checked before use: the concentric builder never reads the linear keys.
+    cfg_path = write_config(tmp_path, f"layout.builder = concentric\n{key} = {value}\n")
+    out = tmp_path / "out"
+    assert run_cli(command, "--config", cfg_path, "--out", str(out)) == 1
+    expected = repr(True) if value == "true" else repr(value)
+    assert capsys.readouterr().err == f"constraint error: {key} must be a number, got {expected}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ['"2,4.5"', "6.5", '"2,nan"'])
 def test_scale_rejects_non_integral_element_counts(tmp_path, capsys, value):
     cfg_path = write_config(tmp_path, f"scale.n_elements = {value}\n")

@@ -1,15 +1,20 @@
 """Closed-form kernels against their direct per-cell formulas."""
 
+import cmath
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_emfield import brute_force_response
 
-from vanatta import kernels
+from vanatta import PlaneWave, constructive_config, kernels, roundtrip_response, wavelength_of
 from vanatta.fmcw import ChirpParams
-from vanatta.geometry import C0
+from vanatta.geometry import C0, build_concentric_surface, build_linear_array
+
+LAM = wavelength_of(24e9)
 
 
 def _random_traversals(rng, n):
@@ -67,6 +72,112 @@ def test_pair_path_response_configs_match_single_config_calls():
     for c in range(2):
         alone = kernels.pair_path_response(x_in, x_out, paths[c : c + 1], k, sin_inc, sin_obs)
         assert np.array_equal(both[c], alone[0])
+
+
+def _full_exp_response(x_in, x_out, path_extra, wavenumber, sin_incidence, sin_obs):
+    """Every outbound phasor through np.exp: the kernel before its
+    conjugate-half path."""
+    inbound = np.exp(-1j * (wavenumber * (np.outer(sin_incidence, x_in) + path_extra[:, None, :])))
+    outbound = np.exp(-1j * (wavenumber * np.outer(x_out, sin_obs)))
+    return inbound @ outbound
+
+
+def _layout_traversals(layout, toggles):
+    """Kernel inputs for a layout: each pair lower id -> higher id, then
+    back; toggles holds one row of toggled-pair flags per config."""
+    view = layout.arrays
+    x = view.x - layout.center[0]
+    lengths = view.line_length + (layout.wavelength / 2.0) * (toggles & view.has_switch)
+    x_in = np.concatenate((x[view.a], x[view.b]))
+    x_out = np.concatenate((x[view.b], x[view.a]))
+    return x_in, x_out, np.tile(lengths, 2)
+
+
+_layouts = st.one_of(
+    st.builds(
+        build_linear_array,
+        n_pairs=st.integers(1, 256),
+        spacing=st.floats(0.5, 2.0).map(lambda f: f * LAM),
+        wavelength=st.just(LAM),
+        base_length=st.floats(1.0, 20.0).map(lambda f: f * LAM),
+    ),
+    st.builds(
+        build_concentric_surface,
+        n_rings=st.integers(1, 4),
+        base_radius=st.floats(0.25, 3.0).map(lambda f: f * LAM),
+        wavelength=st.just(LAM),
+    ),
+)
+@settings(max_examples=40, deadline=None)
+@given(
+    data=st.data(),
+    layout=_layouts,
+    incidence=st.lists(st.floats(-89.0, 89.0), min_size=1, max_size=4),
+    observation=st.lists(st.floats(-90.0, 90.0), min_size=1, max_size=40),
+    frequency_ratio=st.floats(0.9, 1.1),
+)
+def test_pair_path_response_on_built_layouts_matches_full_exp(
+    data, layout, incidence, observation, frequency_ratio
+):
+    # The builders place every pair at exactly +-x, so the kernel computes
+    # half the outbound phasors and conjugates the rest; that must give the
+    # same bits as computing all of them.
+    n_configs = data.draw(st.integers(1, 3))
+    toggles = np.array(
+        data.draw(
+            st.lists(
+                st.lists(st.booleans(), min_size=layout.n_pairs, max_size=layout.n_pairs),
+                min_size=n_configs,
+                max_size=n_configs,
+            )
+        ),
+        dtype=bool,
+    )
+    x_in, x_out, paths = _layout_traversals(layout, toggles)
+    n = len(x_out)
+    assert np.array_equal(x_out[n // 2 :], -x_out[: n // 2])
+    args = (
+        x_in,
+        x_out,
+        paths,
+        frequency_ratio * 2.0 * math.pi / LAM,
+        np.sin(np.radians(incidence)),
+        np.sin(np.radians(observation)),
+    )
+    got = kernels.pair_path_response(*args)
+    assert got.shape == (n_configs, len(incidence), len(observation))
+    assert np.array_equal(got, _full_exp_response(*args))
+
+
+def test_asymmetric_layout_takes_the_full_path():
+    # One element one ulp off its mirror image still passes validation, but
+    # the outbound half is no longer an exact negation of the other.
+    layout = build_linear_array(3, 0.71 * LAM, LAM)
+    first = layout.elements[0]
+    nudged = dataclasses.replace(
+        first, position=(float(np.nextafter(first.position[0], 1.0)), first.position[1])
+    )
+    layout = dataclasses.replace(layout, elements=(nudged, *layout.elements[1:]))
+    assert layout.validation.passed
+    x_in, x_out, paths = _layout_traversals(layout, np.zeros((1, 3), dtype=bool))
+    n = len(x_out)
+    assert not np.array_equal(x_out[n // 2 :], -x_out[: n // 2])
+
+    k = 2.0 * math.pi / LAM
+    sin_inc, sin_obs = np.array([0.5]), np.sin(np.radians(np.linspace(-90.0, 90.0, 721)))
+    full = _full_exp_response(x_in, x_out, paths, k, sin_inc, sin_obs)
+    half = np.exp(-1j * (k * np.outer(x_out[: n // 2], sin_obs)))
+    conjugated = np.exp(-1j * (k * (np.outer(sin_inc, x_in) + paths))) @ np.concatenate(
+        (half, half.conj())
+    )
+    assert not np.array_equal(conjugated[None], full)  # the input tells the paths apart
+    assert np.array_equal(kernels.pair_path_response(x_in, x_out, paths, k, sin_inc, sin_obs), full)
+
+    wave = PlaneWave(24e9, 30.0, amplitude=1.3)
+    for obs in (-61.0, 0.0, 30.0, 77.0):
+        got = roundtrip_response(layout, constructive_config(), wave, obs)
+        want = brute_force_response(layout, constructive_config(), wave, obs)
+        assert cmath.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12)
 
 
 def test_accumulate_beat_matches_direct_formula():
