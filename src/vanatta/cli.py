@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands:
+Commands:
     validate   build or load a layout and run the geometry validator
     pattern    constructive/destructive/plate patterns over an angle grid
     range      amplitude vs distance and the range-extension factor
@@ -433,6 +433,10 @@ def cmd_sweep(cfg: dict, out_dir: str, config_dir: str, seed: int, grid_step: fl
         layout = _resolve_layout(cfg, config_dir)
         grid = _angle_grid(cfg, grid_step)
         start, stop = cfg["sweep.start"], cfg["sweep.stop"]
+        check_finite("sweep.start", start)
+        check_finite("sweep.stop", stop)
+        if stop < start:
+            raise ConfigurationError(f"sweep.stop must be >= sweep.start, got {stop} < {start}")
         inc = _step("sweep.step", cfg["sweep.step"])
         thetas = np.arange(start, stop + inc / 2.0, inc)
         frequency, amplitude = cfg["frequency_hz"], cfg["amplitude"]
@@ -468,30 +472,35 @@ def cmd_sweep(cfg: dict, out_dir: str, config_dir: str, seed: int, grid_step: fl
     raise ConfigFileError(f"unknown sweep.parameter {parameter!r}")
 
 
+_COMMANDS = {
+    "validate": "check layout constraints",
+    "pattern": "angle patterns for both states and the plate",
+    "range": "amplitude vs distance and range extension",
+    "scale": "retro gain vs element count",
+    "link": "run one modulated frame",
+    "sweep": "incidence-angle or SNR sweep",
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    """One flat parser: the command is a positional choice and the four
+    options are shared, so they may come before or after it."""
     parser = argparse.ArgumentParser(
         prog="vanatta",
         description="Retrodirective reflective surface simulator",
+        epilog="commands:\n" + "".join(f"  {n:<10}{doc}\n" for n, doc in _COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, doc in (
-        ("validate", "check layout constraints"),
-        ("pattern", "angle patterns for both states and the plate"),
-        ("range", "amplitude vs distance and range extension"),
-        ("scale", "retro gain vs element count"),
-        ("link", "run one modulated frame"),
-        ("sweep", "incidence-angle or SNR sweep"),
-    ):
-        p = sub.add_parser(name, help=doc)
-        p.add_argument("--config", default=None, help="config file path")
-        p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override config seed")
-        p.add_argument(
-            "--grid-step-deg",
-            type=float,
-            default=None,
-            help="override pattern grid step",
-        )
+    parser.add_argument("command", choices=_COMMANDS, help="what to run (see below)")
+    parser.add_argument("--config", default=None, help="config file path")
+    parser.add_argument("--out", default="out", help="output directory")
+    parser.add_argument("--seed", type=int, default=None, help="override config seed")
+    parser.add_argument(
+        "--grid-step-deg",
+        type=float,
+        default=None,
+        help="override pattern grid step",
+    )
     return parser
 
 

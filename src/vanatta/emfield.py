@@ -44,6 +44,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -373,10 +374,14 @@ def magnitude_db(values, floor_db: float = DB_FLOOR) -> np.ndarray:
 def write_csv(path, header: str, row_format: str, *columns) -> None:
     """Header line, then row_format % row for each row of the columns, in
     one write.  Values are formatted as Python numbers (``.tolist()``), which
-    print the same digits as numpy scalars under the same format."""
-    rows = zip(*(np.asarray(column).tolist() for column in columns))
-    with open(path, "w") as fh:
-        fh.write(header + "\n" + "".join([row_format % row for row in rows]))
+    print the same digits as numpy scalars under the same format.  The rows'
+    values are interleaved into one tuple and formatted by one bytes ``%`` on
+    the row format repeated once per row; bytes and str ``%`` give the same
+    digits."""
+    values = tuple(chain.from_iterable(zip(*(np.asarray(c).tolist() for c in columns))))
+    body = (row_format.encode() * (len(values) // len(columns))) % values
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n" + body)
 
 
 def write_pattern_csv(pattern: FieldPattern, path) -> None:

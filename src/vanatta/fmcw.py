@@ -271,8 +271,11 @@ def synthesize_beat(
             samples, amps, f_beat, phase0, phase_step, 1.0 / params.sample_rate
         )
     if noise_power > 0.0:
-        rng = np.random.default_rng(seed)
-        samples += rng.normal(0.0, math.sqrt(noise_power), samples.shape)
+        # standard_normal scaled in place draws the same bits as
+        # normal(0, sigma), without its per-element loc + scale * z.
+        noise = np.random.default_rng(seed).standard_normal(samples.shape)
+        noise *= math.sqrt(noise_power)
+        samples += noise
     return BeatSignal(params=params, samples=samples)
 
 

@@ -22,6 +22,7 @@ from vanatta import (
 )
 from vanatta.cli import (
     DEFAULTS,
+    _build_parser,
     load_config,
     main,
     parse_config_text,
@@ -389,6 +390,58 @@ def test_sweep_rejects_incidence_past_grazing(tmp_path, capsys):
     assert err.startswith("constraint error: incidence angle")
     assert "got 90.0" in err
     assert not (out / "sweep_incidence.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ("sweep.start = 10\nsweep.stop = -10\n", "sweep.stop"),
+        ("sweep.start = nan\n", "sweep.start"),
+        ("sweep.start = -inf\n", "sweep.start"),
+        ("sweep.stop = inf\n", "sweep.stop"),
+        ("sweep.stop = nan\n", "sweep.stop"),
+    ],
+)
+def test_sweep_rejects_empty_or_non_finite_incidence_range(tmp_path, capsys, text, key):
+    out = tmp_path / "out"
+    assert run_cli("sweep", "--config", write_config(tmp_path, text), "--out", str(out)) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"constraint error: {key} must be")
+    assert "written" not in captured.out
+    assert list(out.iterdir()) == []
+
+
+COMMANDS = ("validate", "pattern", "range", "scale", "link", "sweep")
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_parser_takes_each_command_with_options_on_either_side(command):
+    def parsed(argv):
+        args = _build_parser().parse_args(argv)
+        return args.command, args.config, args.out, args.seed, args.grid_step_deg
+
+    options = ["--config", "a.cfg", "--out", "o", "--seed", "7", "--grid-step-deg", "0.5"]
+    for argv in ([command, *options], [*options, command], [*options[:4], command, *options[4:]]):
+        assert parsed(argv) == (command, "a.cfg", "o", 7, 0.5)
+    assert parsed([command]) == (command, None, "out", None, None)
+
+
+def test_unknown_command_exits_two(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["frobnicate", "--out", "o"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'frobnicate'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["pattern", "--help"]])
+def test_help_names_every_command(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    assert text.startswith("usage: vanatta")
+    for command in COMMANDS:
+        assert f"\n  {command} " in text
 
 
 @pytest.mark.parametrize("value", ["0", "-5", "nan", "inf"])

@@ -8,10 +8,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import vanatta.geometry
+from vanatta.emfield import write_csv
 from vanatta import (
     ConfigurationError,
     ConstraintError,
@@ -454,6 +455,39 @@ def test_pattern_csv_matches_per_row_formatting(tmp_path):
     text = path.read_text()
     assert text == _per_row_pattern_csv(pattern)
     assert "-0," in text and ",-400\n" in text
+
+
+def _per_row_str_csv(header, row_format, *columns):
+    """The per-row str writer that the one bulk bytes format replaces."""
+    rows = zip(*(np.asarray(column).tolist() for column in columns))
+    return (header + "\n" + "".join([row_format % row for row in rows])).encode()
+
+
+_CSV_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-310, 1e308, -1e308]),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@example(rows=[])
+@given(
+    rows=st.lists(
+        st.tuples(st.integers(-(2**63), 2**63 - 1), _CSV_FLOATS, _CSV_FLOATS, _CSV_FLOATS),
+        max_size=40,
+    )
+)
+def test_write_csv_matches_per_row_str_writer(tmp_path_factory, rows):
+    ints = np.array([row[0] for row in rows], dtype=np.int64)
+    floats = [np.array([row[i] for row in rows], dtype=float) for i in (1, 2, 3)]
+    path = tmp_path_factory.getbasetemp() / "write_csv.csv"
+    for header, row_format, columns in (
+        ("i,a,b,c", "%d,%.12g,%.12g,%.12g\n", (ints, *floats)),
+        ("a", "%.12g\n", floats[:1]),
+        ("b,i", "%.6g;%d\n", (floats[1], ints)),
+    ):
+        write_csv(path, header, row_format, *columns)
+        assert path.read_bytes() == _per_row_str_csv(header, row_format, *columns)
 
 
 def test_readme_library_example_runs(capsys):

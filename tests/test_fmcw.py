@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vanatta import (
     ChirpParams,
@@ -344,6 +346,24 @@ def test_plate_reflector_amplitude():
     signal = synthesize_beat(params, [target])
     expected = 2.0013845711889124 / 10.0  # normal-incidence plate over 1/r
     assert math.isclose(np.abs(signal.samples[0]).max(), expected, rel_tol=1e-3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    power=st.one_of(st.floats(1e-300, 1e300), st.sampled_from([5e-324, 1e-6, 1.0])),
+    chirps=st.integers(1, 8),
+    samples=st.integers(2, 64),
+    with_target=st.booleans(),
+)
+def test_noise_is_the_seeded_normal_draw(seed, power, chirps, samples, with_target):
+    params = default_params(chirps_per_frame=chirps, sample_rate=samples / 0.5e-3)
+    targets = [Target(0.5 * params.max_unambiguous_range, 0.0, PLATE)] if with_target else []
+    beat = synthesize_beat(params, targets).samples
+    noisy = synthesize_beat(params, targets, noise_power=power, seed=seed).samples
+    shape = (chirps, samples)
+    expected = beat + np.random.default_rng(seed).normal(0.0, math.sqrt(power), shape)
+    assert np.array_equal(noisy, expected)
 
 
 def test_bin_noise_sigma_matches_monte_carlo():
