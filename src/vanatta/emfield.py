@@ -226,6 +226,10 @@ def response_matrix(
     Returns:
         Complex array of shape (len(configs), len(incidence_deg),
         len(observation_deg)).
+
+    Raises:
+        ConfigurationError: the scaled field overflows (an amplitude near
+            the float limit).
     """
     check_finite("frequency", frequency, "positive")
     check_finite("amplitude", amplitude, "positive")
@@ -241,7 +245,11 @@ def response_matrix(
     out = kernels.pair_path_response(
         x_in, x_out, path, 2.0 * math.pi / wavelength, np.sin(theta), np.sin(phi)
     )
-    return out * (amplitude * math.sqrt(layout.absorption_efficiency) / REFERENCE_DISTANCE)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        out *= amplitude * math.sqrt(layout.absorption_efficiency) / REFERENCE_DISTANCE
+    if not np.isfinite(out).all():
+        raise ConfigurationError(f"field overflows at amplitude {amplitude}")
+    return out
 
 
 def roundtrip_response(
@@ -293,13 +301,16 @@ def _sinc(x):
 def plate_baseline_pattern(width: float, wave: PlaneWave, angles_deg) -> FieldPattern:
     """Monostatic physical-optics return of a flat plate of given width."""
     check_finite("width", width, "positive")
+    kw = wave.wavenumber * width
+    if not math.isfinite(kw):
+        raise ConfigurationError(f"width {width} m overflows wavenumber * width")
     grid = _angle_grid(angles_deg)
     norm = width / wave.wavelength
     theta = np.radians(grid)
     mags = (
         wave.amplitude
         * np.cos(theta)
-        * np.abs(_sinc(wave.wavenumber * width * np.sin(theta)))
+        * np.abs(_sinc(kw * np.sin(theta)))
         * norm
         / REFERENCE_DISTANCE
     )

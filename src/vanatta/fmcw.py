@@ -44,8 +44,9 @@ DEFAULT_THRESHOLD_DB = 13.0
 
 _AUTOMOTIVE_BANDS = ((23e9, 25e9), (76e9, 81e9))
 
-# Chirps per range-FFT block: the windowed copy and the raw spectrum exist
-# for one block at a time, not for the whole frame.
+# Most chirps per block of beat synthesis and range FFT: the block buffers,
+# the windowed copy and the raw spectrum exist for one block at a time, not
+# for the whole frame.
 _FFT_BLOCK = 128
 
 
@@ -227,6 +228,78 @@ class Detection:
     snr_db: float
 
 
+def _chirp_blocks(n_chirps: int) -> list[tuple[int, int]]:
+    """(lo, hi) row bounds of balanced blocks of at most _FFT_BLOCK chirps.
+
+    Block sizes differ by at most one, so no block has a single row unless
+    the frame does: a one-row beat product goes through a different BLAS
+    path and rounds differently from the same rows inside a larger block.
+    """
+    n_blocks = max(1, -(-n_chirps // _FFT_BLOCK))
+    edges = [n_chirps * i // n_blocks for i in range(n_blocks + 1)]
+    return list(zip(edges[:-1], edges[1:]))
+
+
+def _beat_blocks(params: ChirpParams, targets, noise_power: float, seed: int | None):
+    """Yield (lo, block): rows lo:lo + len(block) of the noisy beat frame.
+
+    This is the only code that synthesizes frame rows.  Each target's
+    per-chirp amplitudes and start phases are computed once for the whole
+    frame; each block gets its slice of them.  Noise comes in row order from
+    one default_rng(seed), so the blocks form the same frame as one
+    whole-frame draw.  The block is one reused buffer: a consumer copies
+    what it keeps before asking for the next block.
+
+    Raises:
+        ConfigurationError: a target's beat tone would exceed Nyquist, or
+            its per-chirp amplitudes or phases are not finite (the error
+            names the target).
+    """
+    check_finite("noise_power", noise_power, "non-negative")
+    nyquist = params.sample_rate / 2.0
+    times = params.chirp_times()
+    tones = []
+    for index, target in enumerate(targets):
+        where = f"target {index} at {target.range_m} m"
+        f_beat = params.beat_frequency(target.range_m)
+        if f_beat > nyquist:
+            raise ConfigurationError(
+                f"{where}: beat frequency {f_beat:.6g} Hz exceeds Nyquist {nyquist:.6g} Hz"
+            )
+        scale = REFERENCE_DISTANCE / target.range_m
+        amps = target.reflector.amplitudes(times, params.start_frequency) * scale
+        tau = 2.0 * target.range_m / C0
+        phase0 = 2.0 * math.pi * params.start_frequency * tau
+        phase_step = (
+            2.0 * math.pi * (2.0 * target.velocity_mps / params.wavelength)
+            * params.chirp_duration
+        )
+        with np.errstate(invalid="ignore"):  # inf * 0 at chirp 0; refused below
+            phases = phase0 + phase_step * np.arange(params.chirps_per_frame)
+        for name, values in (("amplitudes", amps), ("phases", phases)):
+            if not np.isfinite(values).all():
+                raise ConfigurationError(f"{where}: per-chirp {name} are not finite")
+        tones.append((amps, f_beat, phases))
+    blocks = _chirp_blocks(params.chirps_per_frame)
+    shape = (max(hi - lo for lo, hi in blocks), params.samples_per_chirp)
+    buffer = np.empty(shape)
+    rng = np.random.default_rng(seed) if noise_power > 0.0 else None
+    noise = np.empty(shape) if rng is not None else None
+    dt = 1.0 / params.sample_rate
+    for lo, hi in blocks:
+        block = buffer[: hi - lo]
+        block.fill(0.0)
+        for amps, f_beat, phases in tones:
+            kernels.accumulate_beat(block, amps[lo:hi], f_beat, phases[lo:hi], 0.0, dt)
+        if rng is not None:
+            # standard_normal scaled in place draws the same bits as
+            # normal(0, sigma), without its per-element loc + scale * z.
+            draw = rng.standard_normal(out=noise[: hi - lo])
+            draw *= math.sqrt(noise_power)
+            block += draw
+        yield lo, block
+
+
 def synthesize_beat(
     params: ChirpParams,
     targets,
@@ -245,42 +318,22 @@ def synthesize_beat(
         BeatSignal with shape (chirps_per_frame, samples_per_chirp).
 
     Raises:
-        ConfigurationError: a target's beat tone would exceed Nyquist (the
-            error names the target).
+        ConfigurationError: a target's beat tone would exceed Nyquist, or
+            its per-chirp amplitudes or phases are not finite (the error
+            names the target).
     """
-    check_finite("noise_power", noise_power, "non-negative")
-    nyquist = params.sample_rate / 2.0
-    samples = np.zeros((params.chirps_per_frame, params.samples_per_chirp))
-    times = params.chirp_times()
-    for index, target in enumerate(targets):
-        f_beat = params.beat_frequency(target.range_m)
-        if f_beat > nyquist:
-            raise ConfigurationError(
-                f"target {index} at {target.range_m} m: beat frequency "
-                f"{f_beat:.6g} Hz exceeds Nyquist {nyquist:.6g} Hz"
-            )
-        scale = REFERENCE_DISTANCE / target.range_m
-        amps = target.reflector.amplitudes(times, params.start_frequency) * scale
-        tau = 2.0 * target.range_m / C0
-        phase0 = 2.0 * math.pi * params.start_frequency * tau
-        phase_step = (
-            2.0 * math.pi * (2.0 * target.velocity_mps / params.wavelength)
-            * params.chirp_duration
-        )
-        kernels.accumulate_beat(
-            samples, amps, f_beat, phase0, phase_step, 1.0 / params.sample_rate
-        )
-    if noise_power > 0.0:
-        # standard_normal scaled in place draws the same bits as
-        # normal(0, sigma), without its per-element loc + scale * z.
-        noise = np.random.default_rng(seed).standard_normal(samples.shape)
-        noise *= math.sqrt(noise_power)
-        samples += noise
+    samples = np.empty((params.chirps_per_frame, params.samples_per_chirp))
+    for lo, block in _beat_blocks(params, targets, noise_power, seed):
+        samples[lo : lo + len(block)] = block
     return BeatSignal(params=params, samples=samples)
 
 
 def _profile_matrix(signal: BeatSignal, zero_pad: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """Scaled range DFT of every chirp: (ranges, complex matrix C x bins)."""
+    """Scaled range DFT of every chirp: (ranges, complex matrix C x bins).
+
+    Only len(signal.samples) rows are transformed, so a BeatSignal holding
+    one block of a frame gives that block's spectra.
+    """
     if zero_pad < 1:
         raise ValueError("zero_pad must be >= 1")
     params = signal.params
@@ -290,9 +343,9 @@ def _profile_matrix(signal: BeatSignal, zero_pad: int = 1) -> tuple[np.ndarray, 
     scale = 2.0 / w.sum()
     samples = signal.samples
     spectra = np.empty((len(samples), nfft // 2 + 1), dtype=np.complex128)
-    for lo in range(0, len(samples), _FFT_BLOCK):
-        block = np.fft.rfft(samples[lo : lo + _FFT_BLOCK] * w, nfft, axis=1)
-        np.multiply(block, scale, out=spectra[lo : lo + _FFT_BLOCK])
+    for lo, hi in _chirp_blocks(len(samples)):
+        block = np.fft.rfft(samples[lo:hi] * w, nfft, axis=1)
+        np.multiply(block, scale, out=spectra[lo:hi])
     freqs = np.fft.rfftfreq(nfft, d=1.0 / params.sample_rate)
     ranges = freqs * C0 * params.chirp_duration / (2.0 * params.bandwidth)
     return ranges, spectra

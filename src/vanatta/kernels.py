@@ -56,6 +56,11 @@ def accumulate_beat(samples, amplitudes, beat_frequency, phase0, phase_step, dt)
     a_c cos(phi_c) cos(w t) - a_c sin(phi_c) sin(w t), one (chirps x 2) @
     (2 x samples) product: chirps + samples sines and cosines instead of
     chirps * samples cosines.
+
+    phase0 may also be an array of per-chirp start phases, passed with
+    phase_step = 0.0 (adding 0.0 keeps their bits).  fmcw computes a frame's
+    phases once, with the expression above, and gives each block of chirps
+    its slice.
     """
     amplitudes = np.asarray(amplitudes, dtype=np.float64)
     n_chirps, n_samples = samples.shape

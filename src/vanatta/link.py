@@ -22,7 +22,7 @@ import numpy as np
 
 from .emfield import PlaneWave, SwitchConfig, response_matrix, write_csv
 from .errors import DecodingError, SchedulingError, check_finite
-from .fmcw import ChirpParams, SurfaceReflector, Target, _profile_matrix, synthesize_beat
+from .fmcw import BeatSignal, ChirpParams, SurfaceReflector, Target, _beat_blocks, _profile_matrix
 from .geometry import SurfaceLayout
 from .modulation import BitFrame, SwitchSchedule
 
@@ -136,12 +136,22 @@ def decode_ook(per_chirp_amplitudes, chirps_per_bit: int, threshold: float | Non
     return BitFrame(bits=bits, label="decoded")
 
 
-def _extract_bin_amplitudes(beat) -> tuple[np.ndarray, int]:
-    """Per-chirp magnitudes at the strongest range bin of the frame."""
-    _, matrix = _profile_matrix(beat)
-    mean_mags = np.abs(matrix).mean(axis=0)
-    bin_index = int(np.argmax(mean_mags))
-    return np.abs(matrix[:, bin_index]), bin_index
+def _extract_bin_amplitudes(params: ChirpParams, targets, noise_power: float, seed) -> np.ndarray:
+    """Per-chirp magnitudes at the strongest range bin of the noisy frame.
+
+    The frame is synthesized and range-transformed one block of chirps at a
+    time; only the chirps x bins magnitude matrix is held whole, never the
+    frame or its complex spectrum.  The strongest bin is the one with the
+    largest mean magnitude over the chirps.
+    """
+    mags = np.empty((params.chirps_per_frame, params.samples_per_chirp // 2 + 1))
+    for lo, block in _beat_blocks(params, targets, noise_power, seed):
+        # The block's BeatSignal keeps the frame's params; _profile_matrix
+        # reads only the sampling from them and transforms the block's rows.
+        _, spectra = _profile_matrix(BeatSignal(params=params, samples=block))
+        np.abs(spectra, out=mags[lo : lo + len(block)])
+    bin_index = int(np.argmax(mags.mean(axis=0)))
+    return mags[:, bin_index].copy()
 
 
 def _measured_snr_db(amps: np.ndarray, threshold: float, c_lo: float, c_hi: float) -> float:
@@ -164,8 +174,7 @@ def run_link(scenario: LinkScenario) -> LinkResult:
         incident_amplitude=scenario.incident_amplitude,
     )
     target = Target(scenario.range_m, scenario.velocity_mps, reflector)
-    beat = synthesize_beat(params, [target], scenario.noise_power, scenario.seed)
-    amps, _ = _extract_bin_amplitudes(beat)
+    amps = _extract_bin_amplitudes(params, [target], scenario.noise_power, scenario.seed)
     c_lo, c_hi = two_cluster_centers(amps)
     threshold = 0.5 * (c_lo + c_hi)
     decoded = decode_ook(amps, cpb, threshold)
@@ -221,26 +230,38 @@ def ook_ber_trial(
     run_link.
 
     Returns the fraction of bit errors.
+
+    Raises:
+        ConfigurationError: per_chirp_snr_db or depth_db is not finite, or
+            is so far below zero that the noise power or the off-state
+            amplitude overflows.
     """
     if n_bits < 2:
         raise ValueError("need at least 2 bits for a trial")
+    check_finite("per_chirp_snr_db", per_chirp_snr_db)
+    check_finite("depth_db", depth_db)
+    on_received = 1.0
+    # numpy's power and division saturate to inf or 0.0 where Python's **
+    # and / raise, with the same bits in range; the synthesis then refuses
+    # an infinite noise power or amplitude.
+    with np.errstate(over="ignore", divide="ignore"):
+        off_ratio = float(np.float64(10.0) ** (-depth_db / 20.0))
+        snr_ratio = np.float64(10.0) ** (per_chirp_snr_db / 10.0)
+        noise_power = float((on_received**2 / 2.0) / snr_ratio)
     seeds = np.random.SeedSequence(seed).spawn(2)
     bits = tuple(int(b) for b in np.random.default_rng(seeds[0]).integers(0, 2, n_bits))
     interval = chirps_per_bit * params.chirp_duration
-    on_received = 1.0
     reflector = _TwoStateReflector(
         bits=bits,
         switch_interval=interval,
         # amplitudes are quoted at the reference distance; undo the 1/r
         # scaling so the received on-state amplitude is exactly 1
         on_amplitude=on_received * range_m,
-        off_amplitude=on_received * range_m * 10.0 ** (-depth_db / 20.0),
+        off_amplitude=on_received * range_m * off_ratio,
     )
     target = Target(range_m, 0.0, reflector)
     frame_params = replace(params, chirps_per_frame=n_bits * chirps_per_bit)
-    noise_power = (on_received**2 / 2.0) / 10.0 ** (per_chirp_snr_db / 10.0)
-    beat = synthesize_beat(frame_params, [target], noise_power, seeds[1])
-    amps, _ = _extract_bin_amplitudes(beat)
+    amps = _extract_bin_amplitudes(frame_params, [target], noise_power, seeds[1])
     decoded = decode_ook(amps, chirps_per_bit)
     errors = sum(d != s for d, s in zip(decoded.bits, bits))
     return errors / n_bits

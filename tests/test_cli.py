@@ -493,6 +493,65 @@ def test_link_rejects_non_finite_inputs(tmp_path, capsys, key, value, field):
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("amplitude = 1e308\n", "field overflows at amplitude 1e+308"),
+        ("target.range_m = 5e-324\n", "target 0 at 5e-324 m: per-chirp amplitudes are not finite"),
+        ("target.velocity_mps = 1e308\n", "target 0 at 50.0 m: per-chirp phases are not finite"),
+        ("frequency_hz = 1e308\n", "target 0 at 50.0 m: per-chirp phases are not finite"),
+    ],
+)
+def test_link_rejects_overflowing_inputs(tmp_path, capsys, text, message):
+    out = tmp_path / "out"
+    assert run_cli("link", "--config", write_config(tmp_path, text), "--out", str(out)) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"constraint error: {message}")
+    assert "ber=" not in captured.out
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "text, code, message",
+    [
+        ('sweep.snr_db = "1e308"\n', 0, None),
+        ("sweep.depth_db = 1e308\n", 0, None),
+        ('sweep.snr_db = "-1e308"\n', 1, "noise_power must be non-negative and finite"),
+        ('sweep.snr_db = "nan"\n', 1, "per_chirp_snr_db must be finite"),
+        ("sweep.depth_db = nan\n", 1, "depth_db must be finite"),
+        ("sweep.depth_db = -inf\n", 1, "depth_db must be finite"),
+        ("sweep.depth_db = -1e308\n", 1, "target 0 at 25.0 m: per-chirp amplitudes are not finite"),
+    ],
+)
+def test_snr_sweep_at_extreme_inputs_exits_cleanly(tmp_path, capsys, text, code, message):
+    cfg_path = write_config(tmp_path, "sweep.parameter = snr\nsweep.bits_per_point = 32\n" + text)
+    out = tmp_path / "out"
+    assert run_cli("sweep", "--config", cfg_path, "--out", str(out)) == code
+    captured = capsys.readouterr()
+    if code == 1:
+        assert captured.err.startswith(f"constraint error: {message}")
+        assert list(out.iterdir()) == []
+        return
+    rows = (out / "sweep_snr.csv").read_text().splitlines()[1:]
+    assert rows and all(math.isfinite(float(v)) for row in rows for v in row.split(","))
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        ("scale", "plate.width_m = 1e308\n", "width 1e+308 m overflows wavenumber * width"),
+        ("pattern", "plate.width_m = 1e308\n", "width 1e+308 m overflows wavenumber * width"),
+        ("range", "plate.width_m = 1e308\n", "width 1e+308 m overflows wavenumber * width"),
+        ("pattern", "amplitude = 1e308\n", "field overflows at amplitude 1e+308"),
+    ],
+)
+def test_field_overflow_exits_one(tmp_path, capsys, command, text, message):
+    out = tmp_path / "out"
+    assert run_cli(command, "--config", write_config(tmp_path, text), "--out", str(out)) == 1
+    assert capsys.readouterr().err.startswith(f"constraint error: {message}")
+    assert list(out.iterdir()) == []
+
+
 def test_commands_are_deterministic(tmp_path):
     cfg_path = write_config(
         tmp_path,

@@ -240,6 +240,20 @@ def test_plane_wave_validation():
             PlaneWave(24e9, 10.0, amplitude=bad)
 
 
+def test_plate_rejects_a_width_whose_phase_overflows():
+    with pytest.raises(ConfigurationError, match="overflows wavenumber"):
+        plate_baseline_pattern(1e308, WAVE30, [0.0, 30.0])
+    assert math.isfinite(plate_monostatic_amplitude(1e300, WAVE30))
+
+
+def test_response_matrix_rejects_an_overflowing_field():
+    layout = build_linear_array(2, LAM / 2.0, LAM)
+    with pytest.raises(ConfigurationError, match="field overflows at amplitude"):
+        response_matrix(layout, (constructive_config(),), 24e9, 30.0, [11.0, 30.0], 1e308)
+    finite = response_matrix(layout, (constructive_config(),), 24e9, 30.0, [11.0, 30.0], 1e300)
+    assert np.isfinite(finite).all()
+
+
 def test_plate_formula_values():
     # frozen from the physical-optics formula evaluated directly
     assert math.isclose(plate_monostatic_amplitude(0.025, PlaneWave(24e9, 30.0)),

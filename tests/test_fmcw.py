@@ -33,6 +33,12 @@ from vanatta import (
     write_range_profile_csv,
 )
 
+from vanatta import kernels
+from vanatta.emfield import REFERENCE_DISTANCE
+from vanatta.fmcw import _FFT_BLOCK, _chirp_blocks
+from vanatta.geometry import C0
+from vanatta.link import _extract_bin_amplitudes
+
 LAM = wavelength_of(24e9)
 LAYOUT = build_linear_array(2, LAM / 2.0, LAM)
 
@@ -364,6 +370,126 @@ def test_noise_is_the_seeded_normal_draw(seed, power, chirps, samples, with_targ
     shape = (chirps, samples)
     expected = beat + np.random.default_rng(seed).normal(0.0, math.sqrt(power), shape)
     assert np.array_equal(noisy, expected)
+
+
+class _SeededReflector:
+    """A different amplitude on every chirp, drawn from a seed."""
+
+    def __init__(self, seed):
+        self.seed = seed
+
+    def amplitudes(self, chirp_times, frequency):
+        return np.random.default_rng(self.seed).uniform(0.0, 2.0, len(chirp_times))
+
+
+def _whole_frame_beat(params, targets, noise_power, seed):
+    """The frame built whole: zeros, one whole-frame accumulate_beat per
+    target, then normal(0, sigma) noise over the whole frame."""
+    samples = np.zeros((params.chirps_per_frame, params.samples_per_chirp))
+    times = params.chirp_times()
+    for target in targets:
+        amps = target.reflector.amplitudes(times, params.start_frequency)
+        amps = amps * (REFERENCE_DISTANCE / target.range_m)
+        phase0 = 2.0 * math.pi * params.start_frequency * (2.0 * target.range_m / C0)
+        phase_step = (
+            2.0 * math.pi * (2.0 * target.velocity_mps / params.wavelength)
+            * params.chirp_duration
+        )
+        kernels.accumulate_beat(
+            samples,
+            amps,
+            params.beat_frequency(target.range_m),
+            phase0,
+            phase_step,
+            1.0 / params.sample_rate,
+        )
+    if noise_power > 0.0:
+        samples += np.random.default_rng(seed).normal(0.0, math.sqrt(noise_power), samples.shape)
+    return samples
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    chirps=st.one_of(st.integers(1, 300), st.sampled_from([1, 129, 257])),
+    samples=st.one_of(st.integers(3, 300), st.just(1000)),
+    targets=st.lists(
+        st.tuples(
+            st.floats(0.01, 1.0),
+            st.floats(0.1, 40.0),
+            st.booleans(),
+            st.booleans(),
+            st.integers(0, 2**32 - 1),
+        ),
+        max_size=2,
+    ),
+    noise_power=st.sampled_from([0.0, 1e-6, 1e-2]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_blocked_frame_matches_whole_frame_construction(chirps, samples, targets, noise_power, seed):
+    params = default_params(chirps_per_frame=chirps, sample_rate=samples / 0.5e-3)
+    scene = [
+        Target(
+            fraction * params.max_unambiguous_range,
+            -speed if receding else speed,
+            _SeededReflector(amp_seed) if varying else PLATE,
+        )
+        for fraction, speed, receding, varying, amp_seed in targets
+    ]
+    expected = _whole_frame_beat(params, scene, noise_power, seed)
+    frame = synthesize_beat(params, scene, noise_power, seed).samples
+    assert np.array_equal(frame, expected)
+
+    # The link's per-chirp amplitudes: the column of the whole-frame range
+    # spectrum at the bin of largest mean magnitude.
+    w = np.hanning(params.samples_per_chirp)
+    mags = np.abs(np.fft.rfft(expected * w, axis=1) * (2.0 / w.sum()))
+    column = mags[:, int(np.argmax(mags.mean(axis=0)))]
+    assert np.array_equal(_extract_bin_amplitudes(params, scene, noise_power, seed), column)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    chirps=st.integers(1000, 2048),
+    samples=st.integers(3, 1000),
+    fraction=st.floats(0.01, 1.0),
+    velocity=st.floats(-40.0, 40.0).filter(lambda v: v != 0.0),
+    noise_power=st.sampled_from([0.0, 1e-6]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_long_frames_match_whole_frame_construction_to_rounding(
+    chirps, samples, fraction, velocity, noise_power, seed
+):
+    # BLAS picks its kernel by matrix size: a whole long frame's beat product
+    # can take another path than its 128-chirp blocks, and then the last few
+    # sample columns round one ulp apart.  Seen at 2048 x 999 and 2048 x 742.
+    params = default_params(chirps_per_frame=chirps, sample_rate=samples / 0.5e-3)
+    scene = [Target(fraction * params.max_unambiguous_range, velocity, _SeededReflector(seed))]
+    expected = _whole_frame_beat(params, scene, noise_power, seed)
+    frame = synthesize_beat(params, scene, noise_power, seed).samples
+    eps = np.finfo(np.float64).eps
+    assert np.abs(frame - expected).max() <= 4.0 * eps * np.abs(expected).max()
+
+
+def test_chirp_blocks_are_balanced():
+    for n_chirps in (*range(1, 400), 1024, 2047, 2048, 2049):
+        blocks = _chirp_blocks(n_chirps)
+        sizes = [hi - lo for lo, hi in blocks]
+        assert blocks[0][0] == 0 and blocks[-1][1] == n_chirps
+        assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+        assert max(sizes) <= _FFT_BLOCK and max(sizes) - min(sizes) <= 1
+        assert len(blocks) == -(-n_chirps // _FFT_BLOCK)
+        # a one-row block would take BLAS's one-row path and round differently
+        assert n_chirps == 1 or min(sizes) >= 2
+
+
+@pytest.mark.parametrize(
+    "target, what",
+    [(Target(5e-324, 0.0, PLATE), "amplitudes"), (Target(50.0, 1e308, PLATE), "phases")],
+)
+def test_non_finite_per_chirp_values_name_the_target(target, what):
+    params = default_params(chirps_per_frame=4)
+    with pytest.raises(ConfigurationError, match=f"target 1 at .*per-chirp {what} are not finite"):
+        synthesize_beat(params, [Target(50.0, 0.0, PLATE), target])
 
 
 def test_bin_noise_sigma_matches_monte_carlo():

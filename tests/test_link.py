@@ -1,6 +1,7 @@
 """End-to-end OOK link: decoding, BER behavior, Doppler and isolation."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -203,6 +204,31 @@ def test_ber_trial_reproducible():
     a = ook_ber_trial(params, -20.0, 12.2, 128, seed=7)
     b = ook_ber_trial(params, -20.0, 12.2, 128, seed=7)
     assert a == b
+
+
+@pytest.mark.parametrize(
+    "snr_db, depth_db, name",
+    [(-math.inf, 12.2, "per_chirp_snr_db must be finite"), (-20.0, math.inf, "depth_db must be finite")],
+)
+def test_ber_trial_rejects_non_finite_operating_points(snr_db, depth_db, name):
+    # The CLI tests cover NaN and the finite extremes through the SNR sweep.
+    with pytest.raises(ConfigurationError, match=name):
+        ook_ber_trial(ChirpParams(), snr_db, depth_db, 16, seed=1)
+
+
+def test_link_peak_memory_stays_below_one_frame():
+    bits = tuple(int(b) for b in np.random.default_rng(4).integers(0, 2, 1024))
+    scenario = scenario_for(bits, noise_power=1e-6, seed=9)
+    frame_bytes = 2048 * scenario.params.samples_per_chirp * 8
+    run_link(scenario)  # warm up: the first call may allocate lasting caches
+    tracemalloc.start()
+    try:
+        result = run_link(scenario)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.decoded.bits == bits
+    assert peak < frame_bytes, f"peak {peak / 1e6:.1f} MB, one frame {frame_bytes / 1e6:.1f} MB"
 
 
 def test_link_report_and_csv(tmp_path):
