@@ -20,6 +20,7 @@ chirps, scaled by the chirp count.
 from __future__ import annotations
 
 import math
+import threading
 import warnings
 from dataclasses import dataclass, replace
 
@@ -240,22 +241,9 @@ def _chirp_blocks(n_chirps: int) -> list[tuple[int, int]]:
     return list(zip(edges[:-1], edges[1:]))
 
 
-def _beat_blocks(params: ChirpParams, targets, noise_power: float, seed: int | None):
-    """Yield (lo, block): rows lo:lo + len(block) of the noisy beat frame.
-
-    This is the only code that synthesizes frame rows.  Each target's
-    per-chirp amplitudes and start phases are computed once for the whole
-    frame; each block gets its slice of them.  Noise comes in row order from
-    one default_rng(seed), so the blocks form the same frame as one
-    whole-frame draw.  The block is one reused buffer: a consumer copies
-    what it keeps before asking for the next block.
-
-    Raises:
-        ConfigurationError: a target's beat tone would exceed Nyquist, or
-            its per-chirp amplitudes or phases are not finite (the error
-            names the target).
-    """
-    check_finite("noise_power", noise_power, "non-negative")
+def _tones(params: ChirpParams, targets) -> list[tuple[np.ndarray, float, np.ndarray]]:
+    """(per-chirp amplitudes, beat frequency, per-chirp phases) per target;
+    raises ConfigurationError as _beat_blocks documents."""
     nyquist = params.sample_rate / 2.0
     times = params.chirp_times()
     tones = []
@@ -280,24 +268,92 @@ def _beat_blocks(params: ChirpParams, targets, noise_power: float, seed: int | N
             if not np.isfinite(values).all():
                 raise ConfigurationError(f"{where}: per-chirp {name} are not finite")
         tones.append((amps, f_beat, phases))
-    blocks = _chirp_blocks(params.chirps_per_frame)
-    shape = (max(hi - lo for lo, hi in blocks), params.samples_per_chirp)
-    buffer = np.empty(shape)
-    rng = np.random.default_rng(seed) if noise_power > 0.0 else None
-    noise = np.empty(shape) if rng is not None else None
-    dt = 1.0 / params.sample_rate
-    for lo, hi in blocks:
-        block = buffer[: hi - lo]
-        block.fill(0.0)
-        for amps, f_beat, phases in tones:
-            kernels.accumulate_beat(block, amps[lo:hi], f_beat, phases[lo:hi], 0.0, dt)
-        if rng is not None:
+    return tones
+
+
+def _noise_draws(seed, sigma: float, blocks, free, full) -> None:
+    """Worker: draw each block's noise into a buffer taken from free and put
+    (buffer, draw) on full, or the exception raised; a None on free stops
+    it.  Calls numpy only."""
+    try:
+        rng = np.random.default_rng(seed)
+        for lo, hi in blocks:
+            buffer = free.get()
+            if buffer is None:
+                return
             # standard_normal scaled in place draws the same bits as
             # normal(0, sigma), without its per-element loc + scale * z.
-            draw = rng.standard_normal(out=noise[: hi - lo])
-            draw *= math.sqrt(noise_power)
-            block += draw
-        yield lo, block
+            draw = rng.standard_normal(out=buffer[: hi - lo])
+            draw *= sigma
+            full.put((buffer, draw))
+    except Exception as exc:  # re-raised by the consumer of the blocks
+        full.put(exc)
+
+
+def _beat_blocks(params: ChirpParams, targets, noise_power: float, seed: int | None):
+    """Yield (lo, block): rows lo:lo + len(block) of the noisy beat frame.
+
+    This is the only code that synthesizes frame rows.  Each target's
+    per-chirp amplitudes and start phases are computed once for the whole
+    frame; each block gets its slice of them.  The block is one reused
+    buffer: a consumer copies what it keeps before asking for the next
+    block.
+
+    A noisy frame's noise comes from one worker thread, started before the
+    targets' amplitudes, so the draw overlaps the reflector, the beat
+    products and the consumer's range FFT (numpy's random fill, BLAS and
+    pocketfft release the GIL).  It owns the frame's only default_rng(seed)
+    and draws in row order, so the blocks hold the bits of one whole-frame
+    draw; with two buffers it runs at most two blocks ahead.  It calls
+    numpy only: a tracer that wraps this package's functions keeps one span
+    stack, which is not thread-safe.  The worker is joined when the
+    generator ends, is closed or raises, and its errors are re-raised here.
+    A noiseless frame starts no thread.
+
+    Raises:
+        ConfigurationError: a target's beat tone would exceed Nyquist, or
+            its per-chirp amplitudes or phases are not finite (the error
+            names the target).
+    """
+    check_finite("noise_power", noise_power, "non-negative")
+    blocks = _chirp_blocks(params.chirps_per_frame)
+    shape = (max(hi - lo for lo, hi in blocks), params.samples_per_chirp)
+    worker = None
+    if noise_power > 0.0:
+        from queue import SimpleQueue  # imported here: only noisy frames need it
+
+        free, full = SimpleQueue(), SimpleQueue()
+        for _ in range(2):
+            free.put(np.empty(shape))
+        # daemon: a generator that is dropped unclosed, so never stops its
+        # worker, must not keep the interpreter from exiting.
+        worker = threading.Thread(
+            target=_noise_draws,
+            args=(seed, math.sqrt(noise_power), blocks, free, full),
+            daemon=True,
+        )
+        worker.start()
+    try:
+        tones = _tones(params, targets)
+        buffer = np.empty(shape)
+        dt = 1.0 / params.sample_rate
+        for lo, hi in blocks:
+            block = buffer[: hi - lo]
+            block.fill(0.0)
+            for amps, f_beat, phases in tones:
+                kernels.accumulate_beat(block, amps[lo:hi], f_beat, phases[lo:hi], 0.0, dt)
+            if worker is not None:
+                drawn = full.get()
+                if isinstance(drawn, Exception):
+                    raise drawn
+                noise, draw = drawn
+                block += draw
+                free.put(noise)
+            yield lo, block
+    finally:
+        if worker is not None:
+            free.put(None)
+            worker.join()
 
 
 def synthesize_beat(
@@ -328,6 +384,20 @@ def synthesize_beat(
     return BeatSignal(params=params, samples=samples)
 
 
+def _range_window(n: int) -> np.ndarray:
+    """The Hann window of the range DFT; the profile scaling divides by its sum.
+
+    Raises:
+        ConfigurationError: n < 3, whose Hann window is all zeros.
+    """
+    if n < 3:
+        raise ConfigurationError(
+            f"range processing needs at least 3 samples per chirp, got {n}: "
+            f"a {n}-point Hann window is all zeros"
+        )
+    return np.hanning(n)
+
+
 def _profile_matrix(signal: BeatSignal, zero_pad: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Scaled range DFT of every chirp: (ranges, complex matrix C x bins).
 
@@ -338,7 +408,7 @@ def _profile_matrix(signal: BeatSignal, zero_pad: int = 1) -> tuple[np.ndarray, 
         raise ValueError("zero_pad must be >= 1")
     params = signal.params
     n = params.samples_per_chirp
-    w = np.hanning(n)
+    w = _range_window(n)
     nfft = n * zero_pad
     scale = 2.0 / w.sum()
     samples = signal.samples
@@ -445,7 +515,7 @@ def bin_noise_sigma(params: ChirpParams, noise_power: float) -> float:
     Follows the 2/sum(w) profile scaling: E|bin|^2 = (2/sum(w))^2 *
     noise_power * sum(w^2).
     """
-    w = np.hanning(params.samples_per_chirp)
+    w = _range_window(params.samples_per_chirp)
     return 2.0 / w.sum() * math.sqrt(noise_power * float(np.square(w).sum()))
 
 
@@ -474,7 +544,8 @@ def max_detection_range(
     check_finite("noise_power", noise_power, "positive")
     check_finite("min_range", min_range, "positive")
     sigma = bin_noise_sigma(params, noise_power)
-    probe_params = replace(params, chirps_per_frame=1)
+    # params warned about their band when built; the probe copy does not.
+    probe_params = replace(params, chirps_per_frame=1, nonstandard_band_ok=True)
 
     def clears(range_m: float) -> bool:
         probe = replace(target, range_m=range_m)

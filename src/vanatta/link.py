@@ -166,7 +166,8 @@ def run_link(scenario: LinkScenario) -> LinkResult:
     """Synthesize, demodulate and decode one frame end to end."""
     cpb = scenario.chirps_per_bit
     n_chirps = scenario.schedule.n_bits * cpb
-    params = replace(scenario.params, chirps_per_frame=n_chirps)
+    # The scenario's params warned about their band when built; the copy does not.
+    params = replace(scenario.params, chirps_per_frame=n_chirps, nonstandard_band_ok=True)
     reflector = SurfaceReflector(
         layout=scenario.layout,
         schedule=scenario.schedule,
@@ -260,7 +261,10 @@ def ook_ber_trial(
         off_amplitude=on_received * range_m * off_ratio,
     )
     target = Target(range_m, 0.0, reflector)
-    frame_params = replace(params, chirps_per_frame=n_bits * chirps_per_bit)
+    # The caller's params warned about their band when built; the copy does not.
+    frame_params = replace(
+        params, chirps_per_frame=n_bits * chirps_per_bit, nonstandard_band_ok=True
+    )
     amps = _extract_bin_amplitudes(frame_params, [target], noise_power, seeds[1])
     decoded = decode_ook(amps, chirps_per_bit)
     errors = sum(d != s for d, s in zip(decoded.bits, bits))

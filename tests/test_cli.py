@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import pytest
 
@@ -276,6 +277,28 @@ def test_link_noise_swamped_ber_near_half(tmp_path):
     report = (out / "link_report.txt").read_text()
     ber = float(report.split("ber = ")[1].splitlines()[0])
     assert abs(ber - 0.5) <= 0.05
+
+
+def test_link_with_two_samples_per_chirp_exits_one(tmp_path, capsys):
+    # a 2-point Hann window is all zeros: the range profile would be NaN
+    cfg_path = write_config(tmp_path, "radar.sample_rate_hz = 4000\ntarget.range_m = 0.3\n")
+    out = tmp_path / "out"
+    assert run_cli("link", "--config", cfg_path, "--out", str(out)) == 1
+    assert "at least 3 samples per chirp" in capsys.readouterr().err
+    assert not (out / "per_chirp.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "command, text", [("link", ""), ("sweep", "sweep.parameter = snr\n")]
+)
+def test_out_of_band_frequency_warns_once(tmp_path, command, text):
+    cfg_path = write_config(tmp_path, f"frequency_hz = 50e9\n{text}")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli(command, "--config", cfg_path, "--out", str(tmp_path / "o")) == 0
+    assert len(caught) == 1
+    assert "outside the common automotive bands" in str(caught[0].message)
+    assert caught[0].filename.endswith("cli.py")
 
 
 def test_sweep_incidence(tmp_path):

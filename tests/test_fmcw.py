@@ -1,6 +1,8 @@
 """Beat synthesis, range/Doppler processing, and detection."""
 
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -33,9 +35,9 @@ from vanatta import (
     write_range_profile_csv,
 )
 
-from vanatta import kernels
+from vanatta import fmcw, kernels
 from vanatta.emfield import REFERENCE_DISTANCE
-from vanatta.fmcw import _FFT_BLOCK, _chirp_blocks
+from vanatta.fmcw import _FFT_BLOCK, _beat_blocks, _chirp_blocks
 from vanatta.geometry import C0
 from vanatta.link import _extract_bin_amplitudes
 
@@ -482,6 +484,89 @@ def test_chirp_blocks_are_balanced():
         assert n_chirps == 1 or min(sizes) >= 2
 
 
+# A noisy frame of 3 blocks: the noise worker is still drawing after block 0.
+NOISY = default_params(chirps_per_frame=3 * _FFT_BLOCK)
+
+
+def test_noise_worker_is_joined_when_the_frame_completes():
+    baseline = threading.active_count()
+    synthesize_beat(NOISY, [Target(50.0, 0.0, PLATE)], noise_power=1e-6, seed=1)
+    assert threading.active_count() == baseline
+
+
+def test_noise_worker_is_joined_when_the_consumer_stops_early():
+    baseline = threading.active_count()
+    blocks = _beat_blocks(NOISY, [Target(50.0, 0.0, PLATE)], 1e-6, 1)
+    next(blocks)
+    assert threading.active_count() == baseline + 1
+    blocks.close()
+    assert threading.active_count() == baseline
+
+
+def test_noise_worker_is_joined_after_a_target_error(monkeypatch):
+    started, draws = [], fmcw._noise_draws
+
+    def noise_draws(*args):
+        started.append(True)
+        return draws(*args)
+
+    monkeypatch.setattr(fmcw, "_noise_draws", noise_draws)
+    baseline = threading.active_count()
+    scene = [Target(50.0, 0.0, PLATE), Target(2.0 * NOISY.max_unambiguous_range, 0.0, PLATE)]
+    with pytest.raises(ConfigurationError, match="target 1 .* exceeds Nyquist"):
+        synthesize_beat(NOISY, scene, noise_power=1e-6, seed=1)
+    assert started  # the second target is refused after the worker started
+    assert threading.active_count() == baseline
+
+
+def test_noise_worker_error_reaches_the_caller():
+    with pytest.raises(ValueError) as expected:
+        np.random.default_rng(-1)
+    baseline = threading.active_count()
+    with pytest.raises(ValueError) as raised:
+        synthesize_beat(default_params(), [], 1e-6, seed=-1)
+    assert str(raised.value) == str(expected.value)
+    assert threading.active_count() == baseline
+
+
+def test_concurrent_noisy_frames_keep_their_seeded_draws():
+    # More consumers than cores, each with its own noise worker, switching
+    # threads often: a noise buffer refilled before its block had been
+    # summed would change that block's bits.  With no target each block is
+    # its noise alone, checked against the consumer's own serial draw.
+    params = default_params(chirps_per_frame=16 * _FFT_BLOCK)
+    sigma = math.sqrt(1e-2)
+    mismatched = {}
+
+    def consume(seed):
+        rng = np.random.default_rng(seed)
+        mismatched[seed] = sum(
+            not np.array_equal(block, rng.normal(0.0, sigma, block.shape))
+            for _, block in _beat_blocks(params, [], 1e-2, seed)
+        )
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        consumers = [threading.Thread(target=consume, args=(seed,)) for seed in range(6)]
+        for consumer in consumers:
+            consumer.start()
+        for consumer in consumers:
+            consumer.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(consumer.is_alive() for consumer in consumers)
+    assert mismatched == dict.fromkeys(range(6), 0)
+
+
+def test_noiseless_frame_starts_no_thread():
+    baseline = threading.active_count()
+    blocks = _beat_blocks(NOISY, [Target(50.0, 0.0, PLATE)], 0.0, None)
+    next(blocks)
+    assert threading.active_count() == baseline
+    blocks.close()
+
+
 @pytest.mark.parametrize(
     "target, what",
     [(Target(5e-324, 0.0, PLATE), "amplitudes"), (Target(50.0, 1e308, PLATE), "phases")],
@@ -537,6 +622,24 @@ def test_max_detection_range_undetectable_sentinel():
     params = default_params(chirps_per_frame=1)
     target = surface_target(10.0)
     assert math.isnan(max_detection_range(params, target, noise_power=1e6))
+
+
+def test_max_detection_range_warns_about_the_band_once():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        params = default_params(start_frequency=50e9)
+        max_detection_range(params, Target(10.0, 0.0, PLATE))
+    assert [w.category for w in caught] == [DesignMismatchWarning]
+
+
+def test_range_processing_refuses_two_samples():
+    # a 2-point Hann window is all zeros, and the profile scaling divides by its sum
+    params = default_params(chirps_per_frame=2, sample_rate=2 / 0.5e-3)
+    signal = synthesize_beat(params, [])
+    with pytest.raises(ConfigurationError, match="at least 3 samples"):
+        range_profile(signal)
+    with pytest.raises(ConfigurationError, match="at least 3 samples"):
+        bin_noise_sigma(params, 1e-6)
 
 
 def test_range_profile_csv(tmp_path):
