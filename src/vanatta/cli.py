@@ -41,7 +41,6 @@ from .emfield import (
     write_pattern_csv,
 )
 from .errors import ConfigurationError, SimulationError, check_finite
-from .fmcw import ChirpParams
 from .geometry import (
     build_concentric_surface,
     build_linear_array,
@@ -49,14 +48,10 @@ from .geometry import (
     validate_layout,
     wavelength_of,
 )
-from .link import (
-    LinkScenario,
-    ook_ber_trial,
-    run_link,
-    write_link_report,
-    write_per_chirp_csv,
-)
 from .modulation import constructive_config, destructive_config, encode_bits
+
+# fmcw and link are imported inside the functions that use them (the link
+# command and the SNR sweep), so the other commands start without loading them.
 
 
 class ConfigFileError(Exception):
@@ -278,7 +273,9 @@ def _wave(cfg: dict) -> PlaneWave:
     )
 
 
-def _chirp_params(cfg: dict) -> ChirpParams:
+def _chirp_params(cfg: dict):
+    from .fmcw import ChirpParams
+
     return ChirpParams(
         start_frequency=cfg["frequency_hz"],
         bandwidth=cfg["radar.bandwidth_hz"],
@@ -400,6 +397,8 @@ def cmd_scale(cfg: dict, out_dir: str, config_dir: str) -> int:
 
 
 def cmd_link(cfg: dict, out_dir: str, config_dir: str, seed: int) -> int:
+    from .link import LinkScenario, run_link, write_link_report, write_per_chirp_csv
+
     layout = _resolve_layout(cfg, config_dir)
     params = _chirp_params(cfg)
     n_random = cfg["link.random_bits"]
@@ -457,6 +456,8 @@ def cmd_sweep(cfg: dict, out_dir: str, config_dir: str, seed: int, grid_step: fl
         print(f"incidence sweep over {len(thetas)} angles written")
         return 0
     if parameter == "snr":
+        from .link import ook_ber_trial
+
         params = _chirp_params(cfg)
         cpb = round(cfg["link.switch_interval_s"] / params.chirp_duration)
         snrs = _floats(cfg["sweep.snr_db"])
@@ -537,6 +538,11 @@ def main(argv=None) -> int:
         return 2
     except (SimulationError, ValueError) as exc:
         print(f"constraint error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        # numpy refuses an array far beyond the host's memory at once, so a
+        # grid step or bit count that asks for one ends here, not in a traceback.
+        print(f"memory error: {exc}", file=sys.stderr)
         return 1
 
 

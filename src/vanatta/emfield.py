@@ -108,10 +108,6 @@ class FieldPattern:
             raise ValueError("angles and values must have matching shapes")
         _angle_grid(self.angles_deg)
 
-    @property
-    def samples(self) -> list[tuple[float, complex]]:
-        return list(zip(self.angles_deg.tolist(), self.values.tolist()))
-
     def magnitudes(self) -> np.ndarray:
         return np.abs(self.values)
 

@@ -198,10 +198,6 @@ class RangeProfile:
     ranges_m: np.ndarray
     values: np.ndarray
 
-    @property
-    def bin_spacing_m(self) -> float:
-        return float(self.ranges_m[1] - self.ranges_m[0])
-
     def magnitudes(self) -> np.ndarray:
         return np.abs(self.values)
 

@@ -23,7 +23,6 @@ consecutive rings differ by exactly one wavelength.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -455,6 +454,8 @@ def validate_layout(layout: SurfaceLayout, tolerance: float = 1e-9) -> Validatio
 
 def save_layout(layout: SurfaceLayout, path) -> None:
     """Write a layout as JSON; floats round-trip exactly."""
+    import json
+
     doc = {
         "wavelength_m": layout.wavelength,
         "center_xy_m": list(layout.center),
@@ -484,6 +485,8 @@ def save_layout(layout: SurfaceLayout, path) -> None:
 
 def load_layout(path) -> SurfaceLayout:
     """Read a layout written by save_layout."""
+    import json
+
     with open(path) as fh:
         doc = json.load(fh)
     lam = float(doc["wavelength_m"])

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .emfield import PlaneWave, SwitchConfig, response_matrix, write_csv
+from .emfield import write_csv
 from .errors import DecodingError, SchedulingError, check_finite
 from .fmcw import BeatSignal, ChirpParams, SurfaceReflector, Target, _beat_blocks, _profile_matrix
 from .geometry import SurfaceLayout
@@ -281,32 +281,6 @@ def doppler_phase_drift(velocity_delta: float, wavelength: float, interval: floa
     check_finite("wavelength", wavelength, "positive")
     check_finite("interval", interval, "non-negative")
     return 360.0 * (2.0 * velocity_delta / wavelength) * interval
-
-
-def cross_angle_isolation(
-    layout: SurfaceLayout,
-    config: SwitchConfig,
-    wave: PlaneWave,
-    observation_angle_deg: float,
-) -> float:
-    """Retro return over off-axis leakage, in dB.
-
-    The surface is illuminated from the wave's angle; the numerator is the
-    response back toward that angle and the denominator the response toward
-    observation_angle_deg.  Infinite when the off-axis response is an exact
-    null.
-    """
-    theta = wave.incidence_angle_deg
-    retro, other = np.abs(
-        response_matrix(
-            layout, (config,), wave.frequency, theta, (theta, observation_angle_deg), wave.amplitude
-        )[0, 0]
-    )
-    if other == 0.0:
-        return math.inf
-    if retro == 0.0:
-        return -math.inf
-    return 20.0 * math.log10(retro / other)
 
 
 def write_link_report(result: LinkResult, path) -> None:

@@ -396,6 +396,23 @@ def test_optional_number_keys_reject_non_numbers(tmp_path, capsys, command, key,
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, line",
+    [
+        ("pattern", "pattern.grid_step_deg = 1e-12"),
+        ("sweep", "sweep.step = 1e-13"),
+        ("link", "link.random_bits = 100000000000000"),
+    ],
+)
+def test_grid_or_frame_past_memory_exits_one(tmp_path, capsys, command, line):
+    # numpy refuses these petabyte-sized arrays at once; nothing is allocated
+    cfg_path = write_config(tmp_path, line + "\n")
+    assert run_cli(command, "--config", cfg_path, "--out", str(tmp_path / "out")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("memory error: Unable to allocate")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("value", ['"2,4.5"', "6.5", '"2,nan"'])
 def test_scale_rejects_non_integral_element_counts(tmp_path, capsys, value):
     cfg_path = write_config(tmp_path, f"scale.n_elements = {value}\n")

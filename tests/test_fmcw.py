@@ -160,7 +160,7 @@ def test_range_profile_peak_within_one_bin():
     profile = range_profile(signal)
     peak_range = profile.ranges_m[int(np.argmax(profile.magnitudes()))]
     assert abs(peak_range - 50.0) <= RANGE_BIN_M
-    assert math.isclose(profile.bin_spacing_m, RANGE_BIN_M, rel_tol=1e-12)
+    np.testing.assert_allclose(np.diff(profile.ranges_m), RANGE_BIN_M, rtol=1e-12, atol=0)
 
 
 def test_range_estimate_error_below_one_bin_across_ranges():
