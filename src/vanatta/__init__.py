@@ -58,7 +58,6 @@ _EXPORTS = {
         "range_profile",
         "synthesize_beat",
         "write_range_doppler_csv",
-        "write_range_profile_csv",
     ),
     "geometry": (
         "AntennaElement",

@@ -569,18 +569,6 @@ def max_detection_range(
     return lo
 
 
-def write_range_profile_csv(profile: RangeProfile, path) -> None:
-    """CSV with columns range_m, mag, mag_db."""
-    write_csv(
-        path,
-        "range_m,mag,mag_db",
-        "%.12g,%.12g,%.12g\n",
-        profile.ranges_m,
-        profile.magnitudes(),
-        magnitude_db(profile.values),
-    )
-
-
 def write_range_doppler_csv(rdmap: RangeDopplerMap, path) -> None:
     """CSV with columns range_m, velocity_mps, mag_db (range-major order)."""
     n_ranges, n_velocities = len(rdmap.ranges_m), len(rdmap.velocities_mps)

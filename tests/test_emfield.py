@@ -504,6 +504,82 @@ def test_write_csv_matches_per_row_str_writer(tmp_path_factory, rows):
         assert path.read_bytes() == _per_row_str_csv(header, row_format, *columns)
 
 
+def _percent_csv(row_format, *columns):
+    """Header "h", then Python's bytes % on each row of the columns."""
+    rows = zip(*(np.asarray(column).tolist() for column in columns))
+    return b"h\n" + b"".join([row_format.encode() % row for row in rows])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    bits=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=50),
+    precision=st.integers(1, 12),
+)
+def test_csv_g_matches_percent_on_raw_bit_patterns(tmp_path_factory, bits, precision):
+    # Every float64: nan payloads, infinities, subnormals, both zeros.
+    values = np.array(bits, dtype=np.uint64).view(np.float64)
+    path = tmp_path_factory.getbasetemp() / "g.csv"
+    row_format = f"%.{precision}g,%.{precision}g\n"
+    write_csv(path, "h", row_format, values, -values)
+    assert path.read_bytes() == _percent_csv(row_format, values, -values)
+
+
+@settings(max_examples=100, deadline=None)
+@example(ints=[-(2**63), 2**63 - 1, 0, -1, 9, 10, -10**18, 10**18])
+@given(ints=st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=50))
+def test_csv_d_matches_percent_over_int64(tmp_path_factory, ints):
+    column = np.array(ints, dtype=np.int64)
+    path = tmp_path_factory.getbasetemp() / "d.csv"
+    write_csv(path, "h", "%d\n", column)
+    assert path.read_bytes() == _percent_csv("%d\n", column)
+
+
+def test_csv_d_prints_integral_floats_as_percent(tmp_path):
+    # -0.0 prints "0" under %d; 1e12 and up take Python's % alone.
+    column = np.array([2.0, -0.0, -7.0, 999999999999.0, -1e12, 1e15, 2.0**62, -(2.0**62)])
+    write_csv(tmp_path / "d.csv", "h", "%d\n", column)
+    assert (tmp_path / "d.csv").read_bytes() == _percent_csv("%d\n", column)
+
+
+def _ties_and_powers(precision):
+    """Decimal ties (m + 1/2) * 10**k of `precision`-digit m, exactly
+    where the float holds them, their float neighbours, and 10**k with its
+    neighbours, for k in -5..13."""
+    mantissas = [10 ** (precision - 1), 10**precision - 1, 10 ** (precision - 1) + 4]
+    mantissas += [int("123456789012"[:precision]), int("987654320987"[:precision])]
+    values = []
+    for k in range(-5, 14):
+        for m in mantissas:
+            values.append((2 * m + 1) * 10**k / 2 if k >= 0 else (2 * m + 1) / (2 * 10**-k))
+        values.append(10.0**k)
+    values = np.array(values)
+    return np.concatenate([values, np.nextafter(values, 0.0), np.nextafter(values, np.inf)])
+
+
+@pytest.mark.parametrize("precision", range(1, 13))
+def test_csv_g_matches_percent_on_ties_and_powers_of_ten(tmp_path, precision):
+    values = _ties_and_powers(precision)
+    values = np.concatenate([values, -values])
+    row_format = f"%.{precision}g\n"
+    write_csv(tmp_path / "ties.csv", "h", row_format, values)
+    assert (tmp_path / "ties.csv").read_bytes() == _percent_csv(row_format, values)
+
+
+def test_write_csv_refuses_columns_of_different_lengths(tmp_path):
+    path = tmp_path / "short.csv"
+    with pytest.raises(ValueError, match="one length"):
+        write_csv(path, "a,b", "%.12g,%.12g\n", [1.0, 2.0, 3.0], [4.0, 5.0])
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("value", [2.7, -0.5])
+def test_write_csv_refuses_a_fraction_under_d(tmp_path, value):
+    path = tmp_path / "fraction.csv"
+    with pytest.raises(ValueError, match="integral"):
+        write_csv(path, "i", "%d\n", [1.0, value])
+    assert not path.exists()
+
+
 def test_readme_library_example_runs(capsys):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("## Library example", 1)[1]

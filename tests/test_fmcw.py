@@ -32,7 +32,6 @@ from vanatta import (
     synthesize_beat,
     wavelength_of,
     write_range_doppler_csv,
-    write_range_profile_csv,
 )
 
 from vanatta import fmcw, kernels
@@ -640,23 +639,6 @@ def test_range_processing_refuses_two_samples():
         range_profile(signal)
     with pytest.raises(ConfigurationError, match="at least 3 samples"):
         bin_noise_sigma(params, 1e-6)
-
-
-def test_range_profile_csv(tmp_path):
-    signal = synthesize_beat(default_params(chirps_per_frame=1), [surface_target(50.0)])
-    profile = range_profile(signal)
-    path = tmp_path / "profile.csv"
-    write_range_profile_csv(profile, path)
-    text = path.read_text()
-    lines = text.splitlines()
-    assert lines[0] == "range_m,mag,mag_db"
-    assert len(lines) == 502  # 501 rfft bins for 1000 samples
-    # Byte for byte what per-row f-strings over numpy scalars give.
-    oracle = "range_m,mag,mag_db\n" + "".join(
-        f"{r:.12g},{m:.12g},{db:.12g}\n"
-        for r, m, db in zip(profile.ranges_m, profile.magnitudes(), magnitude_db(profile.values))
-    )
-    assert text == oracle
 
 
 def test_range_doppler_csv(tmp_path):
