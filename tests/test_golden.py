@@ -3,10 +3,11 @@
 Each case runs one command through ``cli.main`` and compares its stdout and
 the sha256 of every file it writes with digests pinned from a tree that
 formatted its CSVs with Python's ``%``.  The six commands run on
-``configs/reference.cfg``; two more cases cover a 4-ring pattern and a noisy
-512-bit link.  The digests hold for numpy 2.4 with OpenBLAS on x86-64; a
-BLAS that rounds a product differently changes last digits, and with them
-the digests.
+``configs/reference.cfg``; four more cases cover a 4-ring pattern, a noisy
+512-bit link, the SNR sweep and a 121-angle incidence sweep that spans two
+blocks of the batched sweep.  The digests hold for numpy 2.4 with OpenBLAS
+on x86-64; a BLAS that rounds a product differently changes last digits,
+and with them the digests.
 """
 
 import contextlib
@@ -69,6 +70,18 @@ CASES = {
         None,
         "incidence sweep over 25 angles written\n",
         {"sweep_incidence.csv": "8274ab33f01cfb236aa1a5e2bd81ee9fe39aa77ee5d963bd3d91ba2c41b7d3bb"},
+    ),
+    "sweep-snr": (
+        "sweep",
+        "sweep.parameter = snr\n",
+        "snr sweep over 4 points written\n",
+        {"sweep_snr.csv": "6d54f120ddfbef238f3175984dc99843dca4e4ffa7810b0a1857c3f34bf89acb"},
+    ),
+    "sweep-121-incidences": (
+        "sweep",
+        "sweep.step = 1\n",
+        "incidence sweep over 121 angles written\n",
+        {"sweep_incidence.csv": "afd6d19b0fa0b7a7a291eae424387a0a5174e0e4431a0db4f55599827b8c6dc9"},
     ),
     "pattern-4-rings": (
         "pattern",
