@@ -38,6 +38,7 @@ from .emfield import (
     range_extension,
     response_matrix,
     scaling_sweep,
+    write_csv,
     write_pattern_csv,
 )
 from .errors import ConfigurationError, SimulationError, check_finite
@@ -211,14 +212,20 @@ def _coerce(cfg: dict) -> dict:
     return out
 
 
-def _floats(value) -> list[float]:
-    if isinstance(value, (int, float)):
-        return [float(value)]
-    return [float(part) for part in str(value).split(",") if part.strip()]
+def _floats(name: str, value) -> list[float]:
+    """The numbers of a comma-separated list key; an empty list or an entry
+    that is not a number is refused, naming the key."""
+    try:
+        values = [float(part) for part in str(value).split(",") if part.strip()]
+    except ValueError:
+        values = []
+    if not values:
+        raise ConfigurationError(f"{name} must list one or more numbers, got {value!r}")
+    return values
 
 
 def _ints(name: str, value) -> list[int]:
-    values = _floats(value)
+    values = _floats(name, value)
     for f in values:
         if not f.is_integer():
             raise ConfigurationError(f"{name} must list integers, got {f!r}")
@@ -363,15 +370,10 @@ def cmd_range(cfg: dict, out_dir: str, config_dir: str) -> int:
     else:
         gain_db = gain_over_plate(amp_on, amp_plate).gain_db
 
-    distances = _floats(cfg["range.distances_m"])
-    lines = ["distance_m,mag_plate,mag_constructive,mag_destructive"]
-    for d in distances:
-        lines.append(
-            f"{d:.12g},{far_field_amplitude(amp_plate, d):.12g},"
-            f"{far_field_amplitude(amp_on, d):.12g},"
-            f"{far_field_amplitude(amp_off, d):.12g}"
-        )
-    _emit(out_dir, "range_amplitudes.csv", "\n".join(lines) + "\n")
+    distances = _floats("range.distances_m", cfg["range.distances_m"])
+    mags = ([far_field_amplitude(a, d) for d in distances] for a in (amp_plate, amp_on, amp_off))
+    header = "distance_m,mag_plate,mag_constructive,mag_destructive"
+    write_csv(os.path.join(out_dir, "range_amplitudes.csv"), header, distances, *mags)
 
     factor = range_extension(gain_db)
     summary = f"gain_db={gain_db:.6g} range_extension={factor:.6g}"
@@ -386,12 +388,10 @@ def cmd_scale(cfg: dict, out_dir: str, config_dir: str) -> int:
     spacing = cfg["layout.spacing_m"]
     spacing = spacing if spacing is not None else lam / 2.0
     ns = _ints("scale.n_elements", cfg["scale.n_elements"])
-    rows = scaling_sweep(ns, spacing, wave)
+    ratios = [ratio for _, ratio in scaling_sweep(ns, spacing, wave)]
     plate_mag = plate_monostatic_amplitude(cfg["plate.width_m"], wave)
-    lines = ["n_elements,gain_ratio,plate_mag"]
-    for n, ratio in rows:
-        lines.append(f"{n},{ratio:.12g},{plate_mag:.12g}")
-    _emit(out_dir, "scale.csv", "\n".join(lines) + "\n")
+    path = os.path.join(out_dir, "scale.csv")
+    write_csv(path, "n_elements,gain_ratio,plate_mag", ns, ratios, [plate_mag] * len(ns))
     print(f"scaling ratios for n={','.join(str(n) for n in ns)} written")
     return 0
 
@@ -440,7 +440,7 @@ def cmd_sweep(cfg: dict, out_dir: str, config_dir: str, seed: int, grid_step: fl
         thetas = np.arange(start, stop + inc / 2.0, inc)
         frequency, amplitude = cfg["frequency_hz"], cfg["amplitude"]
         configs = (constructive_config(),)
-        lines = ["theta_deg,retro_mag,peak_deg"]
+        retros, peaks = [], []
         # One batched call per block of incidences, observed over the grid
         # followed by the block itself: the grid columns give each pattern
         # peak and the diagonal of the block columns the retro returns.
@@ -448,11 +448,15 @@ def cmd_sweep(cfg: dict, out_dir: str, config_dir: str, seed: int, grid_step: fl
             block = thetas[lo : lo + SWEEP_BLOCK]
             angles = np.concatenate((grid, block))
             mags = np.abs(response_matrix(layout, configs, frequency, block, angles, amplitude)[0])
-            peaks = grid[np.argmax(mags[:, : grid.size], axis=1)]
-            retros = np.diagonal(mags[:, grid.size :])
-            for theta, retro, peak in zip(block, retros, peaks):
-                lines.append(f"{theta:.12g},{retro:.12g},{peak:.12g}")
-        _emit(out_dir, "sweep_incidence.csv", "\n".join(lines) + "\n")
+            peaks.append(grid[np.argmax(mags[:, : grid.size], axis=1)])
+            retros.append(np.diagonal(mags[:, grid.size :]))
+        write_csv(
+            os.path.join(out_dir, "sweep_incidence.csv"),
+            "theta_deg,retro_mag,peak_deg",
+            thetas,
+            np.concatenate(retros),
+            np.concatenate(peaks),
+        )
         print(f"incidence sweep over {len(thetas)} angles written")
         return 0
     if parameter == "snr":
@@ -460,14 +464,13 @@ def cmd_sweep(cfg: dict, out_dir: str, config_dir: str, seed: int, grid_step: fl
 
         params = _chirp_params(cfg)
         cpb = round(cfg["link.switch_interval_s"] / params.chirp_duration)
-        snrs = _floats(cfg["sweep.snr_db"])
+        snrs = _floats("sweep.snr_db", cfg["sweep.snr_db"])
         n_bits = cfg["sweep.bits_per_point"]
         depth = cfg["sweep.depth_db"]
-        lines = ["snr_db,ber"]
-        for i, snr in enumerate(snrs):
-            ber = ook_ber_trial(params, snr, depth, n_bits, cpb, seed + i)
-            lines.append(f"{snr:.12g},{ber:.12g}")
-        _emit(out_dir, "sweep_snr.csv", "\n".join(lines) + "\n")
+        bers = [
+            ook_ber_trial(params, snr, depth, n_bits, cpb, seed + i) for i, snr in enumerate(snrs)
+        ]
+        write_csv(os.path.join(out_dir, "sweep_snr.csv"), "snr_db,ber", snrs, bers)
         print(f"snr sweep over {len(snrs)} points written")
         return 0
     raise ConfigFileError(f"unknown sweep.parameter {parameter!r}")

@@ -43,10 +43,8 @@ from __future__ import annotations
 
 import functools
 import math
-import re
 import warnings
 from dataclasses import dataclass, field
-from itertools import chain
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -382,18 +380,18 @@ def magnitude_db(values, floor_db: float = DB_FLOOR) -> np.ndarray:
 
 
 # CSV number formatting.  Each number becomes one fixed-width cell of bytes
-# that holds NUL where no character goes; a table's cells and separators are
-# laid side by side and one bytes.translate drops the NULs.  A %.Pg cell has
-# the slots
+# that holds NUL where no character goes; a table's cells are laid side by
+# side and one bytes.translate drops the NULs.  A %.12g cell has the slots
 #   0 sign | 1-5 "0.000" | 8-31 twelve digits, each followed by a slot for
 #   the decimal point | 32 'e' | 33 exponent sign | 36-38 exponent digits
+#   | 39 the separator after the cell, set by write_csv
 # and the other slots stay NUL.  A layout row holds per slot the constant
 # character, 0xFF where a digit is kept, or NUL; each 8-byte word of a cell
 # but the first is then ANDed with a lookup word: four digits with 0xFF
 # between them, or an exponent (0xFF over 'e' and its sign, three digits).
 _G_WIDTH = 40
 _EXPONENT_WORDS = 10000
-# %.Pg layout classes: 0-15 fixed notation with decimal exponent -4..11,
+# %.12g layout classes: 0-15 fixed notation with decimal exponent -4..11,
 # 16-19 exponent notation (e+XX, e+XXX, e-XX, e-XXX), 20 zero.
 _G_CLASSES = 21
 # |s - rint(s)| of a fast-path value stays below 1/2 minus this margin, well
@@ -411,11 +409,11 @@ def _csv_tables():
 
     words        lookup words: digits of 0..9999, then exponents 0..999
     trailing     trailing zeros of 0..9999 (4 for 0)
-    g_row        %.Pg layout row, per (precision, exponent + _P10_BIAS), of
-                 a value with no trailing zero; z trailing zeros take the
-                 row z before it
+    g_row        %.12g layout row, per exponent + _P10_BIAS, of a value
+                 with no trailing zero; z trailing zeros take the row z
+                 before it
     powers       10**k for k = -_P10_BIAS.._P10_BIAS, correctly rounded
-    g_layouts    %.Pg layout rows: sign x class x kept digits 1..12
+    g_layouts    %.12g layout rows: sign x class x kept digits 1..12
     """
     digit = np.arange(48, 58, dtype=np.uint8)
     words = np.full((11000, 8), 0xFF, np.uint8)
@@ -431,7 +429,7 @@ def _csv_tables():
     trailing = zero_at[0] * (1 + zero_at[1] * (1 + zero_at[2] * (1 + zero_at[3])))
     e = np.arange(-_P10_BIAS, _P10_BIAS + 1)
     exponent_form = 16 + 2 * (e < 0) + (np.abs(e) >= 100)
-    classes = [np.where((e >= -4) & (e < p), e + 4, exponent_form) for p in range(13)]
+    classes = np.where((e >= -4) & (e < 12), e + 4, exponent_form)
     powers = np.array([float(f"1e{k}") for k in e])  # correctly rounded
     g_rows = np.zeros((2, _G_CLASSES, 12, _G_WIDTH), np.uint8)
     g_rows[1, ..., 0] = ord("-")
@@ -454,7 +452,7 @@ def _csv_tables():
     tables = SimpleNamespace(
         words=words.view(np.uint64).ravel(),
         trailing=trailing.ravel(),
-        g_row=np.array(classes) * 12 + 11,
+        g_row=classes * 12 + 11,
         powers=powers,
         g_layouts=g_rows.reshape(-1, _G_WIDTH),
     )
@@ -463,27 +461,26 @@ def _csv_tables():
     return tables
 
 
-def _g_cells(x: np.ndarray, precision: int) -> np.ndarray:
-    """The bytes of ``b"%.<precision>g" % v`` for each v of x, one NUL-padded
-    cell per value (len(x) x _G_WIDTH uint8)."""
+def _g_cells(x: np.ndarray) -> np.ndarray:
+    """The bytes of ``b"%.12g" % v`` for each v of x, one NUL-padded cell per
+    value (len(x) x _G_WIDTH uint8)."""
     t = _csv_tables()
-    lo = 10.0 ** (precision - 1)
     a = np.abs(x)
     fast = (a >= _FAST_RANGE[0]) & (a < _FAST_RANGE[1])
     a = np.where(fast, a, 1.0)
     exp = np.floor(np.log10(a)).astype(np.intp)
-    s = a * t.powers[_P10_BIAS + precision - 1 - exp]
+    s = a * t.powers[_P10_BIAS + 11 - exp]
     m = np.rint(s)
-    fast &= (s >= lo) & (m < 10.0 * lo) & (np.abs(s - m) < 0.5 - _TIE_MARGIN)
+    fast &= (s >= 1e11) & (m < 1e12) & (np.abs(s - m) < 0.5 - _TIE_MARGIN)
     # Twelve digits as three groups of four.  Every step is exact: m is an
     # integer below 1e12, and m / 1e8 and rest / 1e4 round to no integer.
-    m = np.where(fast, m, lo) * 10.0 ** (12 - precision)
+    m = np.where(fast, m, 1e11)
     high = np.floor(m / 1e8)
     rest = m - high * 1e8
     mid = np.floor(rest / 1e4)
     groups = [g.astype(np.intp) for g in (high, mid, rest - mid * 1e4)]
     z0, z1, z2 = (t.trailing[g] for g in groups)
-    key = t.g_row[precision][exp + _P10_BIAS] - z2 - (z2 == 4) * (z1 + (z1 == 4) * z0)
+    key = t.g_row[exp + _P10_BIAS] - z2 - (z2 == 4) * (z1 + (z1 == 4) * z0)
     key[x == 0.0] = 20 * 12
     key += np.signbit(x) * (_G_CLASSES * 12)
     cells = np.take(t.g_layouts, key, axis=0)
@@ -492,81 +489,44 @@ def _g_cells(x: np.ndarray, precision: int) -> np.ndarray:
         words[:, k] &= t.words[g]
     words[:, 4] &= t.words[_EXPONENT_WORDS + np.abs(exp)]
     wide = ~fast & (x != 0.0)
-    texts = np.array([b"%.*g" % (precision, v) for v in x[wide].tolist()], f"S{_G_WIDTH}")
+    texts = np.array([b"%.12g" % v for v in x[wide].tolist()], f"S{_G_WIDTH}")
     cells[wide] = texts.view(np.uint8).reshape(-1, _G_WIDTH)
     return cells
 
 
-def _d_cells(column: np.ndarray) -> np.ndarray:
-    """The bytes of ``b"%d" % v`` for each integral v of column, as cells of
-    _g_cells: below 1e12 in magnitude, %d and %.12g print the same digits."""
-    if column.dtype.kind == "f":
-        bad = ~(np.abs(column) < 2.0**63) | (np.trunc(column) != column)
-        if bad.any():
-            raise ValueError(f"%d needs integral values below 2**63, got {column[bad][0]}")
-    big = (column <= -(10**12)) | (column >= 10**12)
-    cells = _g_cells(np.where(big, 0, column) + 0.0, 12)  # -0.0 + 0.0 is 0.0
-    texts = np.array([b"%d" % v for v in column[big].tolist()], f"S{_G_WIDTH}")
-    cells[big] = texts.view(np.uint8).reshape(-1, _G_WIDTH)
-    return cells
+def write_csv(path, header: str, *columns) -> None:
+    """Header line, then one line per row of the columns, written in one
+    call: each value as ``%.12g``, joined by ``,``.
 
-
-def write_csv(path, header: str, row_format: str, *columns) -> None:
-    """Header line, then ``row_format % row`` for each row of the columns,
-    written in one call.
-
-    row_format holds one ``%d`` or ``%.Pg`` (1 <= P <= 12) per column
-    between literal text, and each row reads exactly as Python's ``%``
-    prints the row's values.  The numbers are formatted in numpy: a finite
-    x with 1e-290 <= |x| < 1e290 has decimal exponent e = floor(log10|x|)
-    and is scaled to s = |x| * 10**(P-1-e), with the power a correctly
-    rounded float, so s carries a relative error of at most 2u (u = 2**-53)
-    and an absolute one below 2.2e-4, as s < 10**P <= 1e12.  m = rint(s) is
-    then the correctly rounded P-digit mantissa whenever s >= 10**(P-1),
-    m < 10**P and |s - m| < 1/2 - 1e-3: no value within the error of s
-    rounds the other way, whatever e log10 gave.  Zeros are written
-    directly.  Every other value (a near-tie, an exponent log10 misjudged,
-    a carry to 10**P, nan, inf, subnormal or out-of-range |x|) is formatted
-    alone by Python's ``%``.  A %d value below 1e12 in magnitude prints as
-    its %.12g does; a larger one goes to Python's ``%`` too.
+    Each row reads exactly as Python's ``%`` prints the row's values with
+    that format, integers taken as float64: below 1e12 in magnitude an
+    integer prints as its ``%d`` does.  The numbers are formatted in numpy:
+    a finite x with 1e-290 <= |x| < 1e290 has decimal exponent
+    e = floor(log10|x|) and is scaled to s = |x| * 10**(11-e), with the
+    power a correctly rounded float, so s carries a relative error of at
+    most 2u (u = 2**-53) and an absolute one below 2.2e-4, as s < 1e12.
+    m = rint(s) is then the correctly rounded 12-digit mantissa whenever
+    s >= 1e11, m < 1e12 and |s - m| < 1/2 - 1e-3: no value within the
+    error of s rounds the other way, whatever e log10 gave.  Zeros are
+    written directly.  Every other value (a near-tie, an exponent log10
+    misjudged, a carry to 1e12, nan, inf, subnormal or out-of-range |x|)
+    is formatted alone by Python's ``%``.
 
     Raises:
-        ValueError: row_format has another conversion, a NUL, or not one
-            conversion per column; the columns are not 1-D arrays of real
-            numbers of one length; or a %d column holds a fraction, a
-            non-finite value or a float of 2**63 or more in magnitude.
+        ValueError: there is no column, or the columns are not 1-D arrays
+            of real numbers of one length.
     """
-    # The literal text around each %d or %.Pg conversion, and its precision.
-    pieces = re.split(rb"%(?:d|\.(\d+)g)", row_format.encode())
-    literals, precisions = pieces[::2], [p and int(p) for p in pieces[1::2]]
-    text = b"".join(literals)
-    if len(precisions) != len(columns) or b"%" in text or b"\0" in text or not all(
-        p is None or 1 <= p <= 12 for p in precisions
-    ):
-        raise ValueError(
-            f"row format {row_format!r} must hold one %d or %.Pg (1 <= P <= 12) for "
-            f"each of its {len(columns)} columns and no other conversion"
-        )
     arrays = [np.asarray(column) for column in columns]
-    rows = len(arrays[0]) if arrays else 0
-    if any(a.ndim != 1 or len(a) != rows or a.dtype.kind not in "biuf" for a in arrays):
-        raise ValueError("columns must be 1-D arrays of real numbers of one length")
-    # Columns of one precision are formatted together, row by row.
-    cells = [None] * len(arrays)
-    for precision in set(precisions):
-        picked = [i for i, p in enumerate(precisions) if p == precision]
-        if precision is None:
-            for i in picked:
-                cells[i] = _d_cells(arrays[i])
-        else:
-            values = np.stack([arrays[i] for i in picked], axis=1, dtype=np.float64)
-            block = _g_cells(values.ravel(), precision).reshape(rows, len(picked), _G_WIDTH)
-            for j, i in enumerate(picked):
-                cells[i] = block[:, j]
-    blocks = [np.broadcast_to(np.frombuffer(t, np.uint8), (rows, len(t))) for t in literals]
-    table = np.concatenate([*chain.from_iterable(zip(blocks, cells)), blocks[-1]], axis=1)
+    if not arrays or any(
+        a.ndim != 1 or len(a) != len(arrays[0]) or a.dtype.kind not in "biuf" for a in arrays
+    ):
+        raise ValueError("columns must be one or more 1-D arrays of real numbers of one length")
+    values = np.stack(arrays, axis=1, dtype=np.float64)
+    cells = _g_cells(values.ravel()).reshape(values.shape + (_G_WIDTH,))
+    cells[..., -1] = ord(",")
+    cells[:, -1, -1] = ord("\n")
     with open(path, "wb") as fh:
-        fh.write(header.encode() + b"\n" + table.tobytes().translate(None, b"\0"))
+        fh.write(header.encode() + b"\n" + cells.tobytes().translate(None, b"\0"))
 
 
 def write_pattern_csv(pattern: FieldPattern, path) -> None:
@@ -574,7 +534,6 @@ def write_pattern_csv(pattern: FieldPattern, path) -> None:
     write_csv(
         path,
         "angle_deg,re_v_per_m,im_v_per_m,mag_v_per_m,mag_db",
-        "%.12g,%.12g,%.12g,%.12g,%.12g\n",
         pattern.angles_deg,
         pattern.values.real,
         pattern.values.imag,

@@ -575,7 +575,6 @@ def write_range_doppler_csv(rdmap: RangeDopplerMap, path) -> None:
     write_csv(
         path,
         "range_m,velocity_mps,mag_db",
-        "%.12g,%.12g,%.12g\n",
         np.repeat(rdmap.ranges_m, n_velocities),
         np.tile(rdmap.velocities_mps, n_ranges),
         magnitude_db(rdmap.values).ravel(),

@@ -302,7 +302,6 @@ def write_per_chirp_csv(result: LinkResult, path) -> None:
     write_csv(
         path,
         "chirp_index,time_s,amplitude,bit_index",
-        "%d,%.12g,%.12g,%d\n",
         index,
         result.chirp_times,
         result.per_chirp_amplitudes,

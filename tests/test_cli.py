@@ -451,6 +451,19 @@ def test_sweep_rejects_empty_or_non_finite_incidence_range(tmp_path, capsys, tex
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("value", ['""', ",", "abc", "1,abc"])
+@pytest.mark.parametrize("key", ["range.distances_m", "scale.n_elements", "sweep.snr_db"])
+def test_list_keys_reject_empty_or_non_number_lists(tmp_path, capsys, key, value):
+    command = key.split(".")[0]
+    cfg_path = write_config(tmp_path, f"sweep.parameter = snr\n{key} = {value}\n")
+    out = tmp_path / "out"
+    assert run_cli(command, "--config", cfg_path, "--out", str(out)) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"constraint error: {key} must list one or more numbers")
+    assert captured.out == ""
+    assert list(out.iterdir()) == []
+
+
 COMMANDS = ("validate", "pattern", "range", "scale", "link", "sweep")
 
 
