@@ -3,9 +3,11 @@
 Each case runs one command through ``cli.main`` and compares its stdout and
 the sha256 of every file it writes with digests pinned from a tree that
 formatted its CSVs with Python's ``%``.  The six commands run on
-``configs/reference.cfg``; four more cases cover a 4-ring pattern, a noisy
-512-bit link, the SNR sweep and a 121-angle incidence sweep that spans two
-blocks of the batched sweep.  The digests hold for numpy 2.4 with OpenBLAS
+``configs/reference.cfg``; six more cases cover a 4-ring pattern, a noisy
+512-bit link, the SNR sweep, a 121-angle incidence sweep that spans two
+blocks of the batched sweep, and the benchmark's two field shapes: a
+64-pair sweep on the 0.25 degree grid and a 4-ring pattern on the 0.05
+degree grid.  The digests hold for numpy 2.4 with OpenBLAS
 on x86-64; a BLAS that rounds a product differently changes last digits,
 and with them the digests.
 """
@@ -92,6 +94,24 @@ CASES = {
             "pattern_destructive.csv": "749f9d1ea016a6a14299db1ac5d0193fe1a880813166efc25861daddf38d9c90",
             "pattern_plate.csv": "646d38759af6b12febd775b3ebacfbb3461105a98f50e7360c7fbd80cd93854f",
             "pattern_summary.txt": "faa85037ad56aea477eabe822427a55ace10591169112f18738f2da8e21371ae",
+        },
+    ),
+    "sweep-64-pairs": (
+        "sweep",
+        "layout.n_pairs = 64\nsweep.step = 2.5\n",
+        "incidence sweep over 49 angles written\n",
+        {"sweep_incidence.csv": "632e5be2c74762f2674b45f71f050982c92b8c25ec04036e44658921fb8fbed4"},
+    ),
+    "pattern-4-rings-fine-grid": (
+        "pattern",
+        "layout.builder = concentric\nlayout.n_rings = 4\nlayout.base_radius_m = 0.05\n"
+        "incidence_angle_deg = 12.35\npattern.grid_step_deg = 0.05\n",
+        "retro_peak_deg=12.35 null_depth_db=295.254 monostatic_gain_db=51.2479\n",
+        {
+            "pattern_constructive.csv": "1067299afd787555d946f57ee6fc5d7ffa91d4bac8e2ea2182591a91ca9fef54",
+            "pattern_destructive.csv": "d2d8c3062d3f61d11a9842628b828a7fd743f40bd9c3aa80c7760da45fbd6667",
+            "pattern_plate.csv": "704e7059c53f1cd49473604cda2a6ca7923e0945373706ff57a2e8ba3528173f",
+            "pattern_summary.txt": "a1b7d86eb6417edc4aee066747830f6f3d55a4cd74f2be8843130cbcd45380a7",
         },
     ),
     "link-noisy-512-bits": (
