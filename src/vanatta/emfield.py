@@ -321,9 +321,17 @@ def plate_monostatic_amplitude(width: float, wave: PlaneWave) -> float:
 
 
 def far_field_amplitude(amplitude_at_ref: float, distance: float) -> float:
-    """1/r far-field scaling from the reference distance outward."""
+    """1/r far-field scaling from the reference distance outward.
+
+    Raises:
+        ConfigurationError: the scaled amplitude is not finite (a distance
+            near the subnormal range).
+    """
     check_finite("distance", distance, "positive")
-    return amplitude_at_ref * REFERENCE_DISTANCE / distance
+    scaled = amplitude_at_ref * REFERENCE_DISTANCE / distance
+    if not math.isfinite(scaled):
+        raise ConfigurationError(f"amplitude {amplitude_at_ref} overflows at distance {distance} m")
+    return scaled
 
 
 def gain_over_plate(surface: float, plate: float) -> MonostaticGain:

@@ -434,20 +434,22 @@ def validate_layout(layout: SurfaceLayout, tolerance: float = 1e-9) -> Validatio
     for i in np.flatnonzero(dev > tolerance):
         violations.append(Violation("centrosymmetry", (int(view.pair_ids[i]),), float(dev[i])))
 
-    # Pairwise rules scan the upper triangle in row-major order, so findings
-    # come out in (i, j) loop order.
+    # Pairwise rules evaluate each unordered pair once, in row-major upper
+    # triangle order, so findings come out in (i, j) loop order.
     length = view.line_length
-    frac = np.abs(np.fmod(length[:, None] - length[None, :], lam))
+    i, j = np.triu_indices(len(length), k=1)
+    frac = np.abs(np.fmod(length[i] - length[j], lam))
     dev = np.minimum(frac, lam - frac)
-    for i, j in zip(*np.nonzero(np.triu(dev > tolerance, k=1))):
-        ids = (int(view.pair_ids[i]), int(view.pair_ids[j]))
-        violations.append(Violation("line_length_congruence", ids, float(dev[i, j])))
+    for p in np.flatnonzero(dev > tolerance):
+        ids = (int(view.pair_ids[i[p]]), int(view.pair_ids[j[p]]))
+        violations.append(Violation("line_length_congruence", ids, float(dev[p])))
 
     floor = lam / 2.0
-    dist = np.hypot(x[:, None] - x[None, :], y[:, None] - y[None, :])
-    for i, j in zip(*np.nonzero(np.triu(dist < floor - tolerance, k=1))):
-        ids = (int(view.ids[i]), int(view.ids[j]))
-        violations.append(Violation("min_spacing", ids, float(floor - dist[i, j])))
+    i, j = np.triu_indices(len(x), k=1)
+    dist = np.hypot(x[i] - x[j], y[i] - y[j])
+    for p in np.flatnonzero(dist < floor - tolerance):
+        ids = (int(view.ids[i[p]]), int(view.ids[j[p]]))
+        violations.append(Violation("min_spacing", ids, float(floor - dist[p])))
 
     return ValidationReport(passed=not violations, violations=tuple(violations))
 

@@ -28,24 +28,72 @@ def pair_path_response(x_in, x_out, path_extra, wavenumber, sin_incidence, sin_o
     bit-identical to a call with that config alone.  Returns the complex
     configs x incidences x observations array.
 
-    When the second half of x_out is exactly the first half negated, as the
-    layout builders make it (each pair sits at +-x and is traversed both
-    ways), only the first half's phasors are computed: the rest are their
-    complex conjugates, bit for bit, since cos is even and sin odd.  Any
-    other x_out, such as a hand-built layout off by one ulp, takes every
-    row through cos and sin.
+    The outbound matrix skips work that mirror symmetry makes redundant,
+    without changing a bit of it, since cos is even, sin odd, and
+    fl(x * -s) = -fl(x * s):
+
+    - Rows: when the second half of x_out is exactly the first half negated,
+      as the layout builders make it (each pair sits at +-x and is traversed
+      both ways), only the first half's phasors are computed and the rest
+      are their complex conjugates.  Any other x_out, such as a hand-built
+      layout off by one ulp, takes every row through cos and sin.
+    - Columns: when at least a quarter of the sin_obs entries repeat the
+      magnitude of an earlier one, cos and sin run once per distinct
+      magnitude.  A repeat copies its source column, conjugated when its
+      sign bit differs.  An angle grid meets this when its step's multiples
+      are exact in binary (0.25, 0.5 or 1 degree steps are exactly
+      antisymmetric); 0.05 or 0.1 degree steps are not, and take the direct
+      path.
     """
     inbound = np.exp(-1j * (wavenumber * (np.outer(sin_incidence, x_in) + path_extra[:, None, :])))
     n = len(x_out)
     m = n // 2 if np.array_equal(x_out[n // 2 :], -x_out[: n // 2]) else n
     outbound = np.empty((n, len(sin_obs)), dtype=np.complex128)
-    phase = np.outer(x_out[:m], sin_obs)
-    phase *= -wavenumber
-    np.cos(phase, out=outbound.real[:m])
-    np.sin(phase, out=outbound.imag[:m])
+    mirrored = _mirrored_columns(sin_obs)
+    if mirrored is None:
+        _outbound_phasors(x_out[:m], sin_obs, wavenumber, outbound[:m])
+    else:
+        distinct, source, flipped = mirrored
+        table = np.empty((m, len(distinct)), dtype=np.complex128)
+        _outbound_phasors(x_out[:m], distinct, wavenumber, table)
+        # source is in range; mode "raise" would copy through a buffer.
+        np.take(table, source, axis=1, out=outbound[:m], mode="clip")
+        imag = outbound.imag[:m]
+        np.negative(imag, out=imag, where=flipped)
     if m < n:
         np.conjugate(outbound[:m], out=outbound[m:])
     return inbound @ outbound
+
+
+def _outbound_phasors(x_out, sin_obs, wavenumber, out):
+    """exp(-j k x_out sin_obs) into out (len(x_out) x len(sin_obs))."""
+    phase = np.outer(x_out, sin_obs)
+    phase *= -wavenumber
+    np.cos(phase, out=out.real)
+    np.sin(phase, out=out.imag)
+
+
+def _mirrored_columns(sin_obs):
+    """(distinct, source, flipped) when >= 1/4 of |sin_obs| repeat, else None.
+
+    distinct holds one sine per magnitude, the first in sort order; sine i
+    has the magnitude of distinct[source[i]], and flipped[i] is true when
+    their sign bits differ.  Sorting and comparing neighbours stands in for
+    np.unique, whose first call imports numpy.ma.
+    """
+    magnitude = np.abs(sin_obs)
+    order = np.argsort(magnitude, kind="stable")
+    ranked = magnitude[order]
+    first = np.empty(len(ranked), dtype=bool)
+    first[:1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
+    repeats = len(ranked) - int(np.count_nonzero(first))
+    if repeats == 0 or 4 * repeats < len(ranked):
+        return None
+    distinct = sin_obs[order[first]]
+    source = np.empty(len(ranked), dtype=np.intp)
+    source[order] = np.cumsum(first) - 1
+    return distinct, source, np.signbit(sin_obs) != np.signbit(distinct)[source]
 
 
 def accumulate_beat(samples, amplitudes, beat_frequency, phase0, phase_step, dt):

@@ -605,6 +605,18 @@ def test_field_overflow_exits_one(tmp_path, capsys, command, text, message):
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("distances", ["1e-320", "1,2,5e-324"])
+def test_range_refuses_a_distance_whose_amplitude_overflows(tmp_path, capsys, distances):
+    out = tmp_path / "out"
+    cfg_path = write_config(tmp_path, f'range.distances_m = "{distances}"\n')
+    assert run_cli("range", "--config", cfg_path, "--out", str(out)) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("constraint error: amplitude ")
+    assert f"overflows at distance {distances.split(',')[-1]} m" in captured.err
+    assert "range_extension" not in captured.out
+    assert list(out.iterdir()) == []
+
+
 def test_commands_are_deterministic(tmp_path):
     cfg_path = write_config(
         tmp_path,

@@ -285,6 +285,18 @@ def test_far_field_amplitude_scaling():
         far_field_amplitude(1.0, 0.0)
 
 
+def test_far_field_amplitude_refuses_an_overflowing_result():
+    # 1 / 1e-320 overflows: the scaled amplitude would be inf.
+    with pytest.raises(ConfigurationError, match="overflows at distance 1e-320 m"):
+        far_field_amplitude(1.0, 1e-320)
+    with pytest.raises(ConfigurationError, match="overflows"):
+        far_field_amplitude(1e300, 1e-10)
+    with pytest.raises(ConfigurationError, match="overflows"):
+        far_field_amplitude(math.nan, 1.0)
+    # A tiny distance whose amplitude stays finite still scales.
+    assert math.isclose(far_field_amplitude(1.0, 1e-300), 1e300, rel_tol=1e-15)
+
+
 def test_far_field_product_constant_in_distance():
     for r in (1.0, 3.7, 120.0, 4e3):
         assert math.isclose(far_field_amplitude(2.2, r) * r, 2.2, rel_tol=1e-15)

@@ -1,4 +1,5 @@
-"""Import boundary: the geometry and field commands never load the FMCW chain."""
+"""Import boundary: the geometry and field commands never load the FMCW chain,
+and no command pays for numpy.ma or, unless it draws noise, numpy.random."""
 
 import ast
 import subprocess
@@ -12,30 +13,46 @@ import vanatta
 
 SRC = Path(vanatta.__file__).resolve().parent.parent
 
-# Runs the non-link commands in one fresh interpreter; argv: src dir, out dir.
-# It prints the exit codes and which of the link-only modules got loaded.
+# Runs CLI commands in one fresh interpreter; argv: src dir, out dir, and the
+# repr of a list of command argvs.  It prints the exit codes and which of the
+# watched modules got loaded.
 _CHILD = """
-import contextlib, io, sys
+import ast, contextlib, io, sys
 sys.path.insert(0, sys.argv[1])
 import vanatta.cli
-runs = (["pattern"], ["sweep"], ["validate"], ["scale"], ["range"])
+runs = ast.literal_eval(sys.argv[3])
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [vanatta.cli.main([*argv, "--out", sys.argv[2]]) for argv in runs]
-print((codes, [m for m in ("vanatta.fmcw", "vanatta.link", "json") if m in sys.modules]))
+watched = ("vanatta.fmcw", "vanatta.link", "json", "numpy.ma", "numpy.random")
+print((codes, [m for m in watched if m in sys.modules]))
 """
 
 
-def test_non_link_commands_leave_fmcw_link_and_json_unloaded(tmp_path):
+def _run_child(out_dir, runs):
     done = subprocess.run(
-        [sys.executable, "-c", _CHILD, str(SRC), str(tmp_path)],
+        [sys.executable, "-c", _CHILD, str(SRC), str(out_dir), repr(runs)],
         capture_output=True,
         text=True,
         check=True,
     )
-    codes, loaded = ast.literal_eval(done.stdout.strip())
+    return ast.literal_eval(done.stdout.strip())
+
+
+def test_non_link_commands_leave_fmcw_link_and_json_unloaded(tmp_path):
+    runs = [["pattern"], ["sweep"], ["validate"], ["scale"], ["range"]]
+    codes, loaded = _run_child(tmp_path, runs)
     assert codes == [0, 0, 0, 0, 0]
-    assert loaded == []
+    assert loaded == []  # nor numpy.ma or numpy.random
     assert (tmp_path / "sweep_incidence.csv").is_file()
+
+
+def test_noisy_link_leaves_numpy_ma_unloaded(tmp_path):
+    config = tmp_path / "noisy.cfg"
+    config.write_text("noise.power = 3e-2\nlink.random_bits = 64\n")
+    codes, loaded = _run_child(tmp_path / "out", [["link", "--config", str(config)]])
+    assert codes == [0]
+    assert "numpy.random" in loaded  # the noise was drawn
+    assert "numpy.ma" not in loaded
 
 
 def test_package_names_load_on_first_use():

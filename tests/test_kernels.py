@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from test_emfield import brute_force_response
 
 from vanatta import PlaneWave, constructive_config, kernels, roundtrip_response, wavelength_of
+from vanatta.cli import _angle_grid
 from vanatta.fmcw import ChirpParams
 from vanatta.geometry import C0, build_concentric_surface, build_linear_array
 
@@ -147,6 +148,45 @@ def test_pair_path_response_on_built_layouts_matches_full_exp(
     got = kernels.pair_path_response(*args)
     assert got.shape == (n_configs, len(incidence), len(observation))
     assert np.array_equal(got, _full_exp_response(*args))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    layout=_layouts,
+    step=st.sampled_from([0.25, 0.5, 1.0, 2.5, 5.0]),
+    on_grid=st.lists(st.integers(0, 720), max_size=3),
+    off_grid=st.lists(st.floats(-89.0, 89.0), max_size=3),
+    signed_zeros=st.booleans(),
+)
+def test_pair_path_response_on_mirrored_grids_matches_full_exp(
+    layout, step, on_grid, off_grid, signed_zeros
+):
+    # Grids built as the CLI builds them are exactly antisymmetric for these
+    # steps, so about half the observation sines repeat a magnitude: the
+    # kernel computes one column per magnitude and copies, or conjugates,
+    # the rest.  That must give the same bits as computing all of them.
+    grid = _angle_grid({}, step)
+    incidence = np.array([grid[i % len(grid)] for i in on_grid] + off_grid + [30.0])
+    sin_obs = np.sin(np.radians(np.concatenate((grid, incidence))))
+    if signed_zeros:
+        sin_obs = np.append(sin_obs, [0.0, -0.0])
+    mirrored = kernels._mirrored_columns(sin_obs)
+    assert mirrored is not None
+    assert len(mirrored[0]) == len({abs(s) for s in sin_obs.tolist()})
+    x_in, x_out, paths = _layout_traversals(layout, np.zeros((1, layout.n_pairs), dtype=bool))
+    args = (x_in, x_out, paths, 2.0 * math.pi / LAM, np.sin(np.radians(incidence)), sin_obs)
+    assert np.array_equal(kernels.pair_path_response(*args), _full_exp_response(*args))
+
+
+def test_few_repeated_sines_take_the_direct_path():
+    # The 0.05 deg grid built by arange is not exactly antisymmetric.
+    grid = np.sin(np.radians(_angle_grid({}, 0.05)))
+    assert kernels._mirrored_columns(grid) is None
+    assert kernels._mirrored_columns(np.array([0.5])) is None
+    assert kernels._mirrored_columns(np.array([])) is None
+    # Exactly a quarter repeating is enough; fewer is not.
+    assert kernels._mirrored_columns(np.array([0.1, -0.1, 0.2, 0.3])) is not None
+    assert kernels._mirrored_columns(np.array([0.1, -0.1, 0.2, 0.3, 0.4])) is None
 
 
 def test_asymmetric_layout_takes_the_full_path():
