@@ -297,14 +297,42 @@ def _step(name: str, value: float) -> float:
     return value
 
 
+def _whole_steps(name: str, span: float, step: float) -> tuple[int, bool]:
+    """(n, exact): the whole steps of step in span, and whether they fill it.
+
+    A quotient within 1e-9 (relative) of an integer counts as that integer,
+    so 0.05 leaves 3600 exact steps in 180 although 180 / 0.05 is inexact.
+    A count past 2**53 (or none, for a subnormal step) is refused: float64
+    no longer holds every integer there.
+    """
+    q = span / step
+    if not q <= 2.0**53:
+        raise ConfigurationError(
+            f"{name} must divide {span:g} deg into at most 2**53 steps, got {step!r}"
+        )
+    n = round(q)
+    if abs(q - n) <= 1e-9 * q:
+        return n, True
+    return math.floor(q), False
+
+
 def _angle_grid(cfg: dict, grid_step: float | None) -> np.ndarray:
-    """The -90..90 deg grid at --grid-step-deg, else at pattern.grid_step_deg."""
+    """The -90..90 deg grid at --grid-step-deg, else at pattern.grid_step_deg.
+
+    The N + 1 points are centred on broadside and spaced by whole steps:
+    point i is (2i - N) * step / 2, computed as (2i - N) * 90 / N when the
+    step divides 180.  Each point is then the negative of its mirror image
+    bit for bit, so the field kernel computes one column per |sin|; 0 is on
+    the grid when N is even, and +-90 are exact when the step divides 180.
+    """
     if grid_step is None:
-        step = _step("pattern.grid_step_deg", cfg["pattern.grid_step_deg"])
+        name, step = "pattern.grid_step_deg", cfg["pattern.grid_step_deg"]
     else:
-        step = _step("--grid-step-deg", grid_step)
-    grid = np.arange(-90.0, 90.0 + step / 2.0, step)
-    return grid[grid <= 90.0 + 1e-12]
+        name, step = "--grid-step-deg", grid_step
+    n, exact = _whole_steps(name, 180.0, _step(name, step))
+    twice = np.arange(-n, n + 1, 2)
+    grid = twice * 90.0 / n if exact else twice * (step / 2.0)
+    return np.clip(grid, -90.0, 90.0, out=grid)
 
 
 def _emit(out_dir: str, name: str, text: str) -> None:
@@ -437,7 +465,9 @@ def cmd_sweep(cfg: dict, out_dir: str, config_dir: str, seed: int, grid_step: fl
         if stop < start:
             raise ConfigurationError(f"sweep.stop must be >= sweep.start, got {stop} < {start}")
         inc = _step("sweep.step", cfg["sweep.step"])
-        thetas = np.arange(start, stop + inc / 2.0, inc)
+        n, _ = _whole_steps("sweep.step", stop - start, inc)
+        thetas = start + inc * np.arange(n + 1)
+        np.minimum(thetas, stop, out=thetas)  # a whole count may round past stop
         frequency, amplitude = cfg["frequency_hz"], cfg["amplitude"]
         configs = (constructive_config(),)
         retros, peaks = [], []

@@ -40,10 +40,9 @@ def pair_path_response(x_in, x_out, path_extra, wavenumber, sin_incidence, sin_o
     - Columns: when at least a quarter of the sin_obs entries repeat the
       magnitude of an earlier one, cos and sin run once per distinct
       magnitude.  A repeat copies its source column, conjugated when its
-      sign bit differs.  An angle grid meets this when its step's multiples
-      are exact in binary (0.25, 0.5 or 1 degree steps are exactly
-      antisymmetric); 0.05 or 0.1 degree steps are not, and take the direct
-      path.
+      sign bit differs.  An exactly antisymmetric angle grid meets this, as
+      the CLI builds at any step: on the benchmark's 0.05 degree ring
+      pattern, 1,801 of the 3,602 columns repeat.
     """
     inbound = np.exp(-1j * (wavenumber * (np.outer(sin_incidence, x_in) + path_extra[:, None, :])))
     n = len(x_out)

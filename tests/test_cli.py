@@ -3,10 +3,13 @@
 import json
 import math
 import warnings
+from fractions import Fraction
 
 import pytest
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vanatta import (
     PlaneWave,
@@ -23,6 +26,7 @@ from vanatta import (
 )
 from vanatta.cli import (
     DEFAULTS,
+    _angle_grid,
     _build_parser,
     load_config,
     main,
@@ -127,6 +131,37 @@ def test_pattern_outputs(tmp_path, capsys):
     assert "null_depth_db=" in summary
     depth = float(summary.split("null_depth_db=")[1].split()[0])
     assert depth > 100.0 or math.isinf(depth)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    exact=st.one_of(
+        st.integers(1, 3600).map(lambda n: Fraction(180, n)),
+        st.sampled_from(["0.05", "0.1", "0.15", "0.2", "0.3", "0.7"]).map(Fraction),
+    )
+)
+def test_angle_grid_is_exactly_antisymmetric_in_whole_steps(exact):
+    grid = _angle_grid({}, float(exact))
+    n = math.floor(180 / exact)
+    assert len(grid) == n + 1
+    assert np.array_equal(grid, -grid[::-1])
+    assert not np.signbit(grid[grid == 0.0]).any()
+    if n * exact == 180:
+        assert (grid[0], grid[-1]) == (-90.0, 90.0)
+    # Point i lies within one ulp of (2i - n)/2 steps, the step taken at the
+    # decimal or rational value written; the mirror half is checked above.
+    for i, angle in enumerate(grid[n // 2 :].tolist(), start=n // 2):
+        want = Fraction(2 * i - n, 2) * exact
+        assert abs(Fraction(angle) - want) <= Fraction(math.ulp(float(want)))
+
+
+def test_pattern_grid_keeps_its_endpoint_at_an_inexact_step(tmp_path):
+    out = tmp_path / "out"
+    assert run_cli("pattern", "--out", str(out), "--grid-step-deg", "0.2") == 0
+    for name in ("pattern_constructive.csv", "pattern_destructive.csv", "pattern_plate.csv"):
+        rows = (out / name).read_text().splitlines()[1:]
+        assert len(rows) == 901
+        assert rows[0].startswith("-90,") and rows[-1].startswith("90,")
 
 
 def test_pattern_batched_states_agree_with_separate_responses(tmp_path, monkeypatch):
@@ -318,6 +353,38 @@ def test_sweep_incidence(tmp_path):
     for row in rows:
         assert math.isclose(float(row[1]), retro, rel_tol=1e-9)
         assert abs(float(row[2]) - float(row[0])) <= 0.25
+
+
+@pytest.mark.parametrize(
+    "text, thetas",
+    [
+        ("sweep.start = 0\nsweep.stop = 1\nsweep.step = 0.6\n", ["0", "0.6"]),
+        ("sweep.start = 80\nsweep.stop = 89.5\nsweep.step = 2\n", ["80", "82", "84", "86", "88"]),
+    ],
+)
+def test_sweep_stops_at_the_last_whole_step_before_stop(tmp_path, text, thetas):
+    out = tmp_path / "out"
+    assert run_cli("sweep", "--config", write_config(tmp_path, text), "--out", str(out)) == 0
+    rows = (out / "sweep_incidence.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == thetas
+
+
+def test_sweep_incidences_are_whole_steps_from_start(tmp_path, monkeypatch):
+    import vanatta.cli as cli
+
+    written = {}
+    original = cli.write_csv
+
+    def recorded(path, header, thetas, *columns):
+        written["thetas"] = thetas
+        return original(path, header, thetas, *columns)
+
+    monkeypatch.setattr(cli, "write_csv", recorded)
+    cfg_path = write_config(tmp_path, "sweep.step = 0.1\npattern.grid_step_deg = 10\n")
+    assert run_cli("sweep", "--config", cfg_path, "--out", str(tmp_path / "out")) == 0
+    thetas = written["thetas"]
+    assert thetas.tolist() == [-60.0 + 0.1 * k for k in range(1201)]
+    assert thetas[-1] == 60.0
 
 
 def test_sweep_snr_monotone_headline(tmp_path):
@@ -517,6 +584,30 @@ def test_bad_steps_exit_one(tmp_path, capsys, command, key, value):
     assert run_cli(*argv) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"constraint error: {key} must be positive and finite")
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("value", ["5e-324", "1e-300"])
+@pytest.mark.parametrize(
+    "command, key, span",
+    [
+        ("pattern", "pattern.grid_step_deg", "180"),
+        ("pattern", "--grid-step-deg", "180"),
+        ("sweep", "--grid-step-deg", "180"),
+        ("sweep", "sweep.step", "120"),
+    ],
+)
+def test_steps_past_2_53_points_exit_one(tmp_path, capsys, command, key, span, value):
+    # 180 / 5e-324 is inf and 180 / 1e-300 finite but far past any grid.
+    out = tmp_path / "out"
+    argv = [command, "--out", str(out)]
+    if key.startswith("--"):
+        argv += [key, value]
+    else:
+        argv += ["--config", write_config(tmp_path, f"{key} = {value}\n")]
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"constraint error: {key} must divide {span} deg into at most 2**53 steps, got {value}\n"
     assert list(out.iterdir()) == []
 
 

@@ -7,9 +7,11 @@ formatted its CSVs with Python's ``%``.  The six commands run on
 512-bit link, the SNR sweep, a 121-angle incidence sweep that spans two
 blocks of the batched sweep, and the benchmark's two field shapes: a
 64-pair sweep on the 0.25 degree grid and a 4-ring pattern on the 0.05
-degree grid.  The digests hold for numpy 2.4 with OpenBLAS
-on x86-64; a BLAS that rounds a product differently changes last digits,
-and with them the digests.
+degree grid.  The 0.05 degree pattern's CSVs are pinned on the grid built
+in whole steps from broadside, exactly antisymmetric with 90 as its last
+point; the 0.25 degree grid is the same bits either way.  The digests hold
+for numpy 2.4 with OpenBLAS on x86-64; a BLAS that rounds a product
+differently changes last digits, and with them the digests.
 """
 
 import contextlib
@@ -108,9 +110,9 @@ CASES = {
         "incidence_angle_deg = 12.35\npattern.grid_step_deg = 0.05\n",
         "retro_peak_deg=12.35 null_depth_db=295.254 monostatic_gain_db=51.2479\n",
         {
-            "pattern_constructive.csv": "1067299afd787555d946f57ee6fc5d7ffa91d4bac8e2ea2182591a91ca9fef54",
-            "pattern_destructive.csv": "d2d8c3062d3f61d11a9842628b828a7fd743f40bd9c3aa80c7760da45fbd6667",
-            "pattern_plate.csv": "704e7059c53f1cd49473604cda2a6ca7923e0945373706ff57a2e8ba3528173f",
+            "pattern_constructive.csv": "8a21ef954a5dac325144ce816fb2f5056f4577ef5b28b50fb49c66235595abbc",
+            "pattern_destructive.csv": "70464776d05f3ddf0e27196cc423d3671cab2ba46d095fc524d7d26cc3fa0904",
+            "pattern_plate.csv": "6983722e63b322f3f1c58565e789ed8eff92c271343f7f891c3936e6f5a9cf26",
             "pattern_summary.txt": "a1b7d86eb6417edc4aee066747830f6f3d55a4cd74f2be8843130cbcd45380a7",
         },
     ),

@@ -153,7 +153,7 @@ def test_pair_path_response_on_built_layouts_matches_full_exp(
 @settings(max_examples=40, deadline=None)
 @given(
     layout=_layouts,
-    step=st.sampled_from([0.25, 0.5, 1.0, 2.5, 5.0]),
+    step=st.sampled_from([0.05, 0.1, 0.2, 0.25, 0.5, 1.0, 2.5, 5.0]),
     on_grid=st.lists(st.integers(0, 720), max_size=3),
     off_grid=st.lists(st.floats(-89.0, 89.0), max_size=3),
     signed_zeros=st.booleans(),
@@ -161,8 +161,8 @@ def test_pair_path_response_on_built_layouts_matches_full_exp(
 def test_pair_path_response_on_mirrored_grids_matches_full_exp(
     layout, step, on_grid, off_grid, signed_zeros
 ):
-    # Grids built as the CLI builds them are exactly antisymmetric for these
-    # steps, so about half the observation sines repeat a magnitude: the
+    # Grids built as the CLI builds them are exactly antisymmetric at any
+    # step, so about half the observation sines repeat a magnitude: the
     # kernel computes one column per magnitude and copies, or conjugates,
     # the rest.  That must give the same bits as computing all of them.
     grid = _angle_grid({}, step)
@@ -179,8 +179,8 @@ def test_pair_path_response_on_mirrored_grids_matches_full_exp(
 
 
 def test_few_repeated_sines_take_the_direct_path():
-    # The 0.05 deg grid built by arange is not exactly antisymmetric.
-    grid = np.sin(np.radians(_angle_grid({}, 0.05)))
+    # A 0.05 deg grid built by arange drifts off exact antisymmetry.
+    grid = np.sin(np.radians(np.arange(-90.0, 90.025, 0.05)))
     assert kernels._mirrored_columns(grid) is None
     assert kernels._mirrored_columns(np.array([0.5])) is None
     assert kernels._mirrored_columns(np.array([])) is None
