@@ -607,7 +607,8 @@ def test_steps_past_2_53_points_exit_one(tmp_path, capsys, command, key, span, v
         argv += ["--config", write_config(tmp_path, f"{key} = {value}\n")]
     assert run_cli(*argv) == 1
     err = capsys.readouterr().err
-    assert err == f"constraint error: {key} must divide {span} deg into at most 2**53 steps, got {value}\n"
+    want = f"{key} must divide {span} deg into at most 2**53 steps, got {value}"
+    assert err == f"constraint error: {want}\n"
     assert list(out.iterdir()) == []
 
 

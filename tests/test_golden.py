@@ -7,11 +7,10 @@ formatted its CSVs with Python's ``%``.  The six commands run on
 512-bit link, the SNR sweep, a 121-angle incidence sweep that spans two
 blocks of the batched sweep, and the benchmark's two field shapes: a
 64-pair sweep on the 0.25 degree grid and a 4-ring pattern on the 0.05
-degree grid.  The 0.05 degree pattern's CSVs are pinned on the grid built
-in whole steps from broadside, exactly antisymmetric with 90 as its last
-point; the 0.25 degree grid is the same bits either way.  The digests hold
-for numpy 2.4 with OpenBLAS on x86-64; a BLAS that rounds a product
-differently changes last digits, and with them the digests.
+degree grid, whose points are whole steps from broadside, exactly
+antisymmetric and ending at 90.  The digests hold for numpy 2.4 with
+OpenBLAS on x86-64; a BLAS that rounds a product differently changes last
+digits, and with them the digests.
 """
 
 import contextlib
