@@ -19,7 +19,6 @@ from importlib import import_module
 _EXPORTS = {
     "emfield": (
         "FieldPattern",
-        "MonostaticGain",
         "PlaneWave",
         "SwitchConfig",
         "far_field_amplitude",

@@ -378,7 +378,7 @@ def cmd_pattern(cfg: dict, out_dir: str, config_dir: str, grid_step: float | Non
     summary = (
         f"retro_peak_deg={constructive.peak_angle():.6g} "
         f"null_depth_db={depth:.6g} "
-        f"monostatic_gain_db={gain.gain_db:.6g}"
+        f"monostatic_gain_db={gain:.6g}"
     )
     _emit(out_dir, "pattern_summary.txt", summary + "\n")
     print(summary)
@@ -396,7 +396,7 @@ def cmd_range(cfg: dict, out_dir: str, config_dir: str) -> int:
     if gain_db is not None:
         check_finite("range.gain_db", gain_db)
     else:
-        gain_db = gain_over_plate(amp_on, amp_plate).gain_db
+        gain_db = gain_over_plate(amp_on, amp_plate)
 
     distances = _floats("range.distances_m", cfg["range.distances_m"])
     mags = ([far_field_amplitude(a, d) for d in distances] for a in (amp_plate, amp_on, amp_off))

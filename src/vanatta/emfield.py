@@ -46,7 +46,6 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from types import SimpleNamespace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -120,11 +119,6 @@ class FieldPattern:
         if abs(float(self.angles_deg[idx]) - angle_deg) > 1e-9:
             raise KeyError(f"angle {angle_deg} deg not on the pattern grid")
         return complex(self.values[idx])
-
-
-class MonostaticGain(NamedTuple):
-    gain_db: float
-    plate_is_null: bool
 
 
 def _angles(angles_deg, kind: str) -> np.ndarray:
@@ -334,17 +328,17 @@ def far_field_amplitude(amplitude_at_ref: float, distance: float) -> float:
     return scaled
 
 
-def gain_over_plate(surface: float, plate: float) -> MonostaticGain:
-    """20 log10(surface / plate) for two return magnitudes.
+def gain_over_plate(surface: float, plate: float) -> float:
+    """20 log10(surface / plate) in dB for two return magnitudes.
 
-    gain_db is +inf (and plate_is_null true) when the plate sits exactly on
-    a pattern null, -inf when the surface does.
+    +inf when the plate sits exactly on a pattern null, -inf when only the
+    surface does.
     """
     if plate == 0.0:
-        return MonostaticGain(math.inf, True)
+        return math.inf
     if surface == 0.0:
-        return MonostaticGain(-math.inf, False)
-    return MonostaticGain(20.0 * math.log10(surface / plate), False)
+        return -math.inf
+    return 20.0 * math.log10(surface / plate)
 
 
 def range_extension(gain_db: float) -> float:

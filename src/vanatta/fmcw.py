@@ -246,7 +246,9 @@ def _tones(params: ChirpParams, targets) -> list[tuple[np.ndarray, float, np.nda
     for index, target in enumerate(targets):
         where = f"target {index} at {target.range_m} m"
         f_beat = params.beat_frequency(target.range_m)
-        if f_beat > nyquist:
+        # The range, not the rounded beat frequency, decides: at exactly
+        # max_unambiguous_range the tone may round one ulp above Nyquist.
+        if target.range_m > params.max_unambiguous_range:
             raise ConfigurationError(
                 f"{where}: beat frequency {f_beat:.6g} Hz exceeds Nyquist {nyquist:.6g} Hz"
             )
@@ -307,9 +309,9 @@ def _beat_blocks(params: ChirpParams, targets, noise_power: float, seed: int | N
     A noiseless frame starts no thread.
 
     Raises:
-        ConfigurationError: a target's beat tone would exceed Nyquist, or
-            its per-chirp amplitudes or phases are not finite (the error
-            names the target).
+        ConfigurationError: a target lies past max_unambiguous_range (its
+            beat tone would exceed Nyquist), or its per-chirp amplitudes or
+            phases are not finite (the error names the target).
     """
     check_finite("noise_power", noise_power, "non-negative")
     blocks = _chirp_blocks(params.chirps_per_frame)
@@ -370,9 +372,9 @@ def synthesize_beat(
         BeatSignal with shape (chirps_per_frame, samples_per_chirp).
 
     Raises:
-        ConfigurationError: a target's beat tone would exceed Nyquist, or
-            its per-chirp amplitudes or phases are not finite (the error
-            names the target).
+        ConfigurationError: a target lies past max_unambiguous_range (its
+            beat tone would exceed Nyquist), or its per-chirp amplitudes or
+            phases are not finite (the error names the target).
     """
     samples = np.empty((params.chirps_per_frame, params.samples_per_chirp))
     for lo, block in _beat_blocks(params, targets, noise_power, seed):

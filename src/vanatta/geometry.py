@@ -64,14 +64,13 @@ class TransmissionLine:
     """Line joining the two elements of a pair.
 
     base_electrical_length is in meters.  When has_switch is true the line
-    can insert switched_extra_length (exactly half the design wavelength)
-    to flip the pair's round-trip phase by 180 degrees.
+    can insert half the layout's design wavelength to flip the pair's
+    round-trip phase by 180 degrees.
     """
 
     pair_id: int
     base_electrical_length: float
     has_switch: bool
-    switched_extra_length: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -150,14 +149,6 @@ class SurfaceLayout:
         line_ids = [ln.pair_id for ln in self.lines]
         if sorted(line_ids) != sorted(members):
             raise ConstraintError("pair_ids of lines and element pairs must match")
-        half = self.wavelength / 2.0
-        for ln in self.lines:
-            want = half if ln.has_switch else 0.0
-            if ln.switched_extra_length != want:
-                raise ConstraintError(
-                    f"line {ln.pair_id}: switched_extra_length must be "
-                    f"{want} m, got {ln.switched_extra_length}"
-                )
 
     @property
     def n_elements(self) -> int:
@@ -166,9 +157,6 @@ class SurfaceLayout:
     @property
     def n_pairs(self) -> int:
         return len(self.lines)
-
-    def pair_ids(self) -> tuple[int, ...]:
-        return tuple(sorted(ln.pair_id for ln in self.lines))
 
     # Layouts are frozen, so each object builds its array view and its
     # default-tolerance report once; dataclasses.replace makes a new object
@@ -247,17 +235,14 @@ def build_linear_array(
         pair = min(i, n - 1 - i) + 1
         elements.append(AntennaElement(id=i, position=(x, 0.0), pair_id=pair))
 
-    lines = []
-    for k in range(1, n_pairs + 1):
-        switched = k % 2 == 0
-        lines.append(
-            TransmissionLine(
-                pair_id=k,
-                base_electrical_length=base_length + (n_pairs - k) * wavelength,
-                has_switch=switched,
-                switched_extra_length=wavelength / 2.0 if switched else 0.0,
-            )
+    lines = [
+        TransmissionLine(
+            pair_id=k,
+            base_electrical_length=base_length + (n_pairs - k) * wavelength,
+            has_switch=k % 2 == 0,
         )
+        for k in range(1, n_pairs + 1)
+    ]
     return SurfaceLayout(
         elements=tuple(elements),
         lines=tuple(lines),
@@ -356,44 +341,22 @@ def build_concentric_surface(
         )
 
     count = _uniform_ring_count(base_radius, n_rings, wavelength)
+    half = count // 2
     elements: list[AntennaElement] = []
     lines: list[TransmissionLine] = []
-    next_element = 0
-    next_pair = 1
 
+    # Ids run on across rings; element j of a ring and element j + half
+    # (its negation) form the ring's pair first + j.
     for m in range(n_rings):
         radius = base_radius + m * wavelength / math.pi
         phase = (math.pi / count) * (m % 2)
-        pos = _ring_positions(radius, count, phase)
-
-        ring_pairs = []
-        for j in range(count // 2):
-            pid = next_pair
-            next_pair += 1
-            ring_pairs.append(pid)
-            elements.append(
-                AntennaElement(id=next_element, position=pos[j], pair_id=pid)
-            )
-            next_element += 1
-        for j in range(count // 2):
-            elements.append(
-                AntennaElement(
-                    id=next_element,
-                    position=pos[count // 2 + j],
-                    pair_id=ring_pairs[j],
-                )
-            )
-            next_element += 1
-        for pid in ring_pairs:
-            switched = pid % 2 == 0
-            lines.append(
-                TransmissionLine(
-                    pair_id=pid,
-                    base_electrical_length=math.pi * radius,
-                    has_switch=switched,
-                    switched_extra_length=wavelength / 2.0 if switched else 0.0,
-                )
-            )
+        first = len(lines) + 1
+        for j, position in enumerate(_ring_positions(radius, count, phase)):
+            elements.append(AntennaElement(len(elements), position, first + j % half))
+        lines.extend(
+            TransmissionLine(pid, math.pi * radius, has_switch=pid % 2 == 0)
+            for pid in range(first, first + half)
+        )
 
     return SurfaceLayout(
         elements=tuple(elements),
@@ -491,7 +454,6 @@ def load_layout(path) -> SurfaceLayout:
 
     with open(path) as fh:
         doc = json.load(fh)
-    lam = float(doc["wavelength_m"])
     elements = tuple(
         AntennaElement(
             id=int(e["id"]),
@@ -505,14 +467,13 @@ def load_layout(path) -> SurfaceLayout:
             pair_id=int(ln["pair_id"]),
             base_electrical_length=float(ln["base_length_m"]),
             has_switch=bool(ln["has_switch"]),
-            switched_extra_length=lam / 2.0 if ln["has_switch"] else 0.0,
         )
         for ln in doc["lines"]
     )
     return SurfaceLayout(
         elements=elements,
         lines=lines,
-        wavelength=lam,
+        wavelength=float(doc["wavelength_m"]),
         center=tuple(float(v) for v in doc["center_xy_m"]),
         absorption_efficiency=float(doc["absorption_efficiency"]),
     )

@@ -37,43 +37,35 @@ def pair_path_response(x_in, x_out, path_extra, wavenumber, sin_incidence, sin_o
       both ways), only the first half's phasors are computed and the rest
       are their complex conjugates.  Any other x_out, such as a hand-built
       layout off by one ulp, takes every row through cos and sin.
-    - Columns: when at least a quarter of the sin_obs entries repeat the
-      magnitude of an earlier one, cos and sin run once per distinct
-      magnitude.  A repeat copies its source column, conjugated when its
-      sign bit differs.  An exactly antisymmetric angle grid meets this, as
-      the CLI builds at any step: on the benchmark's 0.05 degree ring
-      pattern, 1,801 of the 3,602 columns repeat.
+    - Columns: cos and sin run once per distinct magnitude of sin_obs, into
+      an m x distinct table (m the rows computed above), and each column
+      copies its source column, conjugated when its sign bit differs.  An
+      exactly antisymmetric angle grid, as the CLI builds at any step,
+      repeats about half its magnitudes: on the benchmark's 0.05 degree ring
+      pattern, 1,801 of the 3,602 columns.  With no repeat the copy is only
+      a permutation; README (Kernels) gives its measured cost.
     """
     inbound = np.exp(-1j * (wavenumber * (np.outer(sin_incidence, x_in) + path_extra[:, None, :])))
     n = len(x_out)
     m = n // 2 if np.array_equal(x_out[n // 2 :], -x_out[: n // 2]) else n
+    distinct, source, flipped = _mirrored_columns(sin_obs)
+    phase = np.outer(x_out[:m], distinct)
+    phase *= -wavenumber
+    table = np.empty(phase.shape, dtype=np.complex128)
+    np.cos(phase, out=table.real)
+    np.sin(phase, out=table.imag)
     outbound = np.empty((n, len(sin_obs)), dtype=np.complex128)
-    mirrored = _mirrored_columns(sin_obs)
-    if mirrored is None:
-        _outbound_phasors(x_out[:m], sin_obs, wavenumber, outbound[:m])
-    else:
-        distinct, source, flipped = mirrored
-        table = np.empty((m, len(distinct)), dtype=np.complex128)
-        _outbound_phasors(x_out[:m], distinct, wavenumber, table)
-        # source is in range; mode "raise" would copy through a buffer.
-        np.take(table, source, axis=1, out=outbound[:m], mode="clip")
-        imag = outbound.imag[:m]
-        np.negative(imag, out=imag, where=flipped)
+    # source is in range; mode "raise" would copy through a buffer.
+    np.take(table, source, axis=1, out=outbound[:m], mode="clip")
+    imag = outbound.imag[:m]
+    np.negative(imag, out=imag, where=flipped)
     if m < n:
         np.conjugate(outbound[:m], out=outbound[m:])
     return inbound @ outbound
 
 
-def _outbound_phasors(x_out, sin_obs, wavenumber, out):
-    """exp(-j k x_out sin_obs) into out (len(x_out) x len(sin_obs))."""
-    phase = np.outer(x_out, sin_obs)
-    phase *= -wavenumber
-    np.cos(phase, out=out.real)
-    np.sin(phase, out=out.imag)
-
-
 def _mirrored_columns(sin_obs):
-    """(distinct, source, flipped) when >= 1/4 of |sin_obs| repeat, else None.
+    """(distinct, source, flipped): the distinct magnitudes of sin_obs.
 
     distinct holds one sine per magnitude, the first in sort order; sine i
     has the magnitude of distinct[source[i]], and flipped[i] is true when
@@ -86,9 +78,6 @@ def _mirrored_columns(sin_obs):
     first = np.empty(len(ranked), dtype=bool)
     first[:1] = True
     np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
-    repeats = len(ranked) - int(np.count_nonzero(first))
-    if repeats == 0 or 4 * repeats < len(ranked):
-        return None
     distinct = sin_obs[order[first]]
     source = np.empty(len(ranked), dtype=np.intp)
     source[order] = np.cumsum(first) - 1

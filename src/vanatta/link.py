@@ -115,7 +115,7 @@ def decode_ook(per_chirp_amplitudes, chirps_per_bit: int, threshold: float | Non
             cluster centers of the amplitude list.
 
     Returns:
-        BitFrame labeled "decoded".
+        BitFrame of the decoded bits.
 
     Raises:
         DecodingError: all amplitudes identical and no threshold was given.
@@ -133,7 +133,7 @@ def decode_ook(per_chirp_amplitudes, chirps_per_bit: int, threshold: float | Non
         threshold = 0.5 * (c_lo + c_hi)
     means = amps.reshape(-1, chirps_per_bit).mean(axis=1)
     bits = tuple(int(m > threshold) for m in means)
-    return BitFrame(bits=bits, label="decoded")
+    return BitFrame(bits)
 
 
 def _extract_bin_amplitudes(params: ChirpParams, targets, noise_power: float, seed) -> np.ndarray:

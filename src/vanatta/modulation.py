@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .emfield import SwitchConfig
-from .errors import ConfigurationError, ConstraintError, SchedulingError, check_finite
+from .errors import ConfigurationError, SchedulingError, check_finite
 from .geometry import SurfaceLayout
 
 # Defaults matching the radar timing used throughout: the state is held for
@@ -25,10 +25,9 @@ DEFAULT_CHIRP_DURATION = 0.5e-3
 
 @dataclass(frozen=True)
 class BitFrame:
-    """A bit sequence with an optional label."""
+    """A non-empty sequence of 0/1 bits."""
 
     bits: tuple[int, ...]
-    label: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "bits", tuple(int(b) for b in self.bits))
@@ -46,26 +45,20 @@ class BitFrame:
 
 @dataclass(frozen=True)
 class SwitchSchedule:
-    """Per-interval switch states; states[i] holds during interval i."""
+    """Per-interval switch states; states[i] holds during interval i and
+    keys one bit: 1 when no switch is closed (constructive), else 0."""
 
     switch_interval: float
     states: tuple[SwitchConfig, ...]
-    bits: tuple[int, ...]
 
     def __post_init__(self):
         check_finite("switch_interval", self.switch_interval, "positive")
-        if len(self.states) != len(self.bits):
-            raise ValueError("states and bits must have the same length")
         if not self.states:
             raise ValueError("schedule is empty")
-        for i, (state, bit) in enumerate(zip(self.states, self.bits)):
-            if bit not in (0, 1):
-                raise ValueError(f"bit {i} must be 0 or 1, got {bit}")
-            if (len(state.toggled) == 0) != (bit == 1):
-                raise ConstraintError(
-                    f"state {i} disagrees with bit {bit}: constructive means "
-                    f"no toggles"
-                )
+
+    @property
+    def bits(self) -> tuple[int, ...]:
+        return tuple(int(not state.toggled) for state in self.states)
 
     @property
     def duration(self) -> float:
@@ -73,7 +66,7 @@ class SwitchSchedule:
 
     @property
     def n_bits(self) -> int:
-        return len(self.bits)
+        return len(self.states)
 
 
 def constructive_config() -> SwitchConfig:
@@ -130,7 +123,7 @@ def encode_bits(
     on = constructive_config()
     off = destructive_config(layout)
     states = tuple(on if b == 1 else off for b in frame.bits)
-    return SwitchSchedule(switch_interval=switch_interval, states=states, bits=frame.bits)
+    return SwitchSchedule(switch_interval=switch_interval, states=states)
 
 
 def config_at(schedule: SwitchSchedule, t: float) -> SwitchConfig:

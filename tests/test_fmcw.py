@@ -198,6 +198,18 @@ def test_nyquist_violation_names_target():
         synthesize_beat(params, [good, bad])
 
 
+def test_target_exactly_at_the_unambiguous_range_synthesizes():
+    # Here beat_frequency(max_unambiguous_range) rounds one ulp above
+    # Nyquist; the range itself is what the bound is stated in.
+    params = default_params(chirps_per_frame=1, sample_rate=221 / 0.5e-3)
+    limit = params.max_unambiguous_range
+    assert params.beat_frequency(limit) > params.sample_rate / 2.0
+    assert synthesize_beat(params, [Target(limit, 0.0, PLATE)]).samples.shape == (1, 221)
+    beyond = Target(math.nextafter(limit, math.inf), 0.0, PLATE)
+    with pytest.raises(ConfigurationError, match="target 0 .* exceeds Nyquist"):
+        synthesize_beat(params, [beyond])
+
+
 def test_doppler_phase_step_matches_formula():
     params = default_params(chirps_per_frame=8)
     signal = synthesize_beat(params, [surface_target(50.0, velocity=10.0)])

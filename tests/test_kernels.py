@@ -25,6 +25,13 @@ def _random_traversals(rng, n):
     return x_in, x_out, path
 
 
+# Below amplitude ~5e-312 the relative term 1e-12 * max|a| rounds to 0.  The
+# closed form's two products each round to the subnormal grid twice where
+# the per-cell formula rounds once, so they may sit up to 2.5 subnormal
+# steps apart: allow 4.
+_SUBNORMAL_SLACK = 4 * np.finfo(np.float64).smallest_subnormal
+
+
 def _direct_beat(amps, n_samples, f, phase0, step, dt):
     """a_c cos(2 pi f n dt + phase0 + c step), one chirp row at a time."""
     t = np.arange(n_samples) * dt
@@ -148,6 +155,13 @@ def test_pair_path_response_on_built_layouts_matches_full_exp(
     got = kernels.pair_path_response(*args)
     assert got.shape == (n_configs, len(incidence), len(observation))
     assert np.array_equal(got, _full_exp_response(*args))
+    # Grids with no repeated magnitude, down to one column, take the same
+    # one-column-per-magnitude path.
+    no_repeat = np.sin(np.radians(np.random.default_rng(n).uniform(-90.0, 90.0, 64)))
+    assert len(np.unique(np.abs(no_repeat))) == len(no_repeat)
+    for sin_obs in (no_repeat, no_repeat[:1]):
+        args = (*args[:-1], sin_obs)
+        assert np.array_equal(kernels.pair_path_response(*args), _full_exp_response(*args))
 
 
 @settings(max_examples=40, deadline=None)
@@ -170,23 +184,11 @@ def test_pair_path_response_on_mirrored_grids_matches_full_exp(
     sin_obs = np.sin(np.radians(np.concatenate((grid, incidence))))
     if signed_zeros:
         sin_obs = np.append(sin_obs, [0.0, -0.0])
-    mirrored = kernels._mirrored_columns(sin_obs)
-    assert mirrored is not None
-    assert len(mirrored[0]) == len({abs(s) for s in sin_obs.tolist()})
+    distinct, _, _ = kernels._mirrored_columns(sin_obs)
+    assert len(distinct) == len({abs(s) for s in sin_obs.tolist()})
     x_in, x_out, paths = _layout_traversals(layout, np.zeros((1, layout.n_pairs), dtype=bool))
     args = (x_in, x_out, paths, 2.0 * math.pi / LAM, np.sin(np.radians(incidence)), sin_obs)
     assert np.array_equal(kernels.pair_path_response(*args), _full_exp_response(*args))
-
-
-def test_few_repeated_sines_take_the_direct_path():
-    # A 0.05 deg grid built by arange drifts off exact antisymmetry.
-    grid = np.sin(np.radians(np.arange(-90.0, 90.025, 0.05)))
-    assert kernels._mirrored_columns(grid) is None
-    assert kernels._mirrored_columns(np.array([0.5])) is None
-    assert kernels._mirrored_columns(np.array([])) is None
-    # Exactly a quarter repeating is enough; fewer is not.
-    assert kernels._mirrored_columns(np.array([0.1, -0.1, 0.2, 0.3])) is not None
-    assert kernels._mirrored_columns(np.array([0.1, -0.1, 0.2, 0.3, 0.4])) is None
 
 
 def test_asymmetric_layout_takes_the_full_path():
@@ -256,7 +258,20 @@ def test_accumulate_beat_matches_per_cell_formula(
     f = nyquist_fraction / (2.0 * dt)
     samples = kernels.accumulate_beat(np.zeros((n_chirps, n_samples)), amps, f, phase0, step, dt)
     expected = _direct_beat(amps, n_samples, f, phase0, step, dt)
-    np.testing.assert_allclose(samples, expected, rtol=0, atol=1e-12 * np.abs(amps).max())
+    atol = 1e-12 * np.abs(amps).max() + _SUBNORMAL_SLACK
+    np.testing.assert_allclose(samples, expected, rtol=0, atol=atol)
+
+
+def test_accumulate_beat_at_a_subnormal_amplitude():
+    # An amplitude Hypothesis drew: the relative bound alone underflows to 0
+    # and asks for bits the closed form does not give.
+    amps = np.array([2.2250738585e-313])
+    args = (0.25 / (2.0 * 5e-7), 0.3, 1.7, 5e-7)
+    samples = kernels.accumulate_beat(np.zeros((1, 200)), amps, *args)
+    expected = _direct_beat(amps, 200, *args)
+    relative = 1e-12 * amps.max()
+    assert np.abs(samples - expected).max() > relative
+    np.testing.assert_allclose(samples, expected, rtol=0, atol=relative + _SUBNORMAL_SLACK)
 
 
 def test_accumulate_beat_at_the_link_carrier_phase():

