@@ -20,12 +20,14 @@ switch-state x incidence x observation grid through the factorization
 
     S(theta, phi) = sum_j exp(-j k (x_in,j sin(theta) + l_j)) * exp(-j k x_out,j sin(phi))
 
-as one (incidences x traversals) @ (traversals x observations) matrix
-product per switch state, all sharing one outbound matrix
-(``kernels.pair_path_response``), so no incidence x traversal x
-observation array is ever built.  A layout is validated once per object:
-the report is cached on the frozen layout (``SurfaceLayout.validation``)
-and reused by every later call.
+in ``kernels.pair_path_response``.  The outbound factor depends only on
+|x_out| and |sin(phi)| up to a sign, so the kernel sums the inbound factors
+of traversals that share |x_out| and takes two real products per switch
+state with one cos table and one sin table over distinct |x_out| x
+distinct |sin(phi)|, shared by all states.  No incidence x traversal x
+observation array, and no complex traversal x observation matrix, is ever
+built.  A layout is validated once per object: the report is cached on the
+frozen layout (``SurfaceLayout.validation``) and reused by every later call.
 
 Patterns are azimuth cuts in the plane spanned by the array x-axis and the
 surface normal; only element x-coordinates enter the projection paths.
@@ -50,7 +52,13 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import kernels
-from .errors import ConfigurationError, ConstraintError, DesignMismatchWarning, check_finite
+from .errors import (
+    ConfigurationError,
+    ConstraintError,
+    DesignMismatchWarning,
+    check_finite,
+    check_integers,
+)
 from .geometry import C0, SurfaceLayout, build_linear_array, wavelength_of
 
 # All patterns and responses are quoted at this distance, in meters.
@@ -93,7 +101,7 @@ class SwitchConfig:
     toggled: frozenset[int] = field(default_factory=frozenset)
 
     def __post_init__(self):
-        object.__setattr__(self, "toggled", frozenset(self.toggled))
+        object.__setattr__(self, "toggled", frozenset(check_integers("pair ids", self.toggled)))
 
 
 @dataclass(frozen=True)
@@ -202,8 +210,8 @@ def response_matrix(
 ) -> np.ndarray:
     """Complex round-trip field for every (config, incidence, observation).
 
-    The outbound factor does not depend on the switch state, so evaluating
-    several configs in one call computes it once.
+    The outbound cos and sin tables do not depend on the switch state, so
+    evaluating several configs in one call computes them once.
 
     Args:
         layout: surface geometry; must pass validate_layout.

@@ -47,3 +47,16 @@ def check_count(name: str, value, minimum: int = 1) -> None:
     """Raise ConfigurationError unless value is an integer >= minimum."""
     if not (isinstance(value, numbers.Integral) and value >= minimum):
         raise ConfigurationError(f"{name} must be an integer >= {minimum}, got {value}")
+
+
+def check_integers(name: str, values) -> tuple[int, ...]:
+    """values as a tuple of ints; ConfigurationError unless each is an
+    integer (numbers.Integral: int, bool or a numpy integer), so 2.5, '2'
+    and nan are refused rather than truncated or parsed."""
+    values = tuple(values)
+    if not set(map(type, values)) <= {int}:  # plain ints skip the ABC check
+        for value in values:
+            if not isinstance(value, numbers.Integral):
+                raise ConfigurationError(f"{name} must be integers, got {value!r}")
+        values = tuple(map(int, values))
+    return values

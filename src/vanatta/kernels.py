@@ -2,10 +2,20 @@
 
 Two loops dominate every simulation here: summing round-trip path phasors
 over pair traversals, and accumulating beat-tone samples over chirps.  Both
-factorize into one matrix product, which numpy hands to BLAS.
-``tests/test_kernels.py`` checks both against what they replace: the
-per-cell beat formula, one pair-path call per switch state, and every
-outbound phasor computed with ``np.exp``.
+factorize into real matrix products, which numpy hands to BLAS.
+
+The pair-path sum folds first.  A Van Atta pair sits at exactly +-x and is
+traversed both ways, so traversals share |x|, and an exactly antisymmetric
+angle grid repeats |sin phi|.  The outbound phasor is cos - j sign sin of
+one entry of a real table over distinct |x| x distinct |sin phi|: 64 of 128
+rows on the benchmark's 64-pair sweep, 55 of 128 on its 4-ring pattern and
+2 of 4 on its 2-pair link, and 361 of 746 and 1,801 of 3,602 columns on the
+first two.  README (Kernels) gives the measured cost.
+
+``tests/test_kernels.py`` checks both kernels against what they replace:
+the per-cell beat formula, one pair-path call per switch state, and every
+outbound phasor computed with ``np.exp`` in one complex product, the latter
+within a roundoff bound derived from the traversal count.
 """
 
 from __future__ import annotations
@@ -20,68 +30,75 @@ def pair_path_response(x_in, x_out, path_extra, wavenumber, sin_incidence, sin_o
 
     x_in and x_out hold one entry per pair traversal, path_extra one row of
     line lengths per switch config (configs x traversals); sin_incidence and
-    sin_obs are 1-D arrays of sines.  Each phasor splits into an inbound
-    factor, which carries the config, and an outbound one, built once; the
-    sum is one (incidences x traversals) @ (traversals x observations)
-    product per config.  The products are stacked rather than merged into
-    one (configs * incidences)-row product, which keeps each config's result
-    bit-identical to a call with that config alone.  Returns the complex
-    configs x incidences x observations array.
+    sin_obs are 1-D arrays of sines.  Returns the complex configs x
+    incidences x observations array.
 
-    The outbound matrix skips work that mirror symmetry makes redundant,
-    without changing a bit of it, since cos is even, sin odd, and
-    fl(x * -s) = -fl(x * s):
+    Each phasor splits into an inbound factor, which carries the config, and
+    an outbound one, exp(j theta) with theta = -k x_out sin_obs.  Row g is
+    the first x_out of its magnitude in sort order, column d likewise for
+    sin_obs; rho and tau are -1 where a traversal's or an observation's
+    sign bit differs from its representative's.  Since fl(-a * b) =
+    -fl(a * b), theta = rho tau theta[g, d] exactly, and with cos even and
+    sin odd
 
-    - Rows: when the second half of x_out is exactly the first half negated,
-      as the layout builders make it (each pair sits at +-x and is traversed
-      both ways), only the first half's phasors are computed and the rest
-      are their complex conjugates.  Any other x_out, such as a hand-built
-      layout off by one ulp, takes every row through cos and sin.
-    - Columns: cos and sin run once per distinct magnitude of sin_obs, into
-      an m x distinct table (m the rows computed above), and each column
-      copies its source column, conjugated when its sign bit differs.  An
-      exactly antisymmetric angle grid, as the CLI builds at any step,
-      repeats about half its magnitudes: on the benchmark's 0.05 degree ring
-      pattern, 1,801 of the 3,602 columns.  With no repeat the copy is only
-      a permutation; README (Kernels) gives its measured cost.
+        S = sum_g P_g cos theta[g, d] + j tau sum_g Q_g sin theta[g, d],
+
+    where P_g sums the inbound factors of row g's traversals and Q_g sums
+    them times rho.  So cos and sin run once per distinct row x distinct
+    column into two real tables, and the sum takes two real products per
+    config, [Re P; Im P] @ cos and [Re Q; Im Q] @ sin: the parts of U = P
+    cos and V = Q sin.  Each observation takes U + jV or U - jV at its
+    column, as its tau says.
+
+    The row sums use np.add.reduceat, not BLAS, so their order is fixed.
+    The products run as one BLAS call per config rather than one merged
+    (configs * 2 incidences)-row product, which keeps each config's result
+    bit-identical to a call with that config alone.
     """
     inbound = np.exp(-1j * (wavenumber * (np.outer(sin_incidence, x_in) + path_extra[:, None, :])))
-    n = len(x_out)
-    m = n // 2 if np.array_equal(x_out[n // 2 :], -x_out[: n // 2]) else n
-    distinct, source, flipped = _mirrored_columns(sin_obs)
-    phase = np.outer(x_out[:m], distinct)
+    rows, row_of, row_flipped = _distinct_magnitudes(x_out)
+    order = np.argsort(row_of, kind="stable")
+    grouped = inbound[..., order]
+    starts = np.searchsorted(row_of[order], np.arange(len(rows)))
+    p = np.add.reduceat(grouped, starts, axis=-1)
+    np.negative(grouped, out=grouped, where=row_flipped[order])
+    q = np.add.reduceat(grouped, starts, axis=-1)
+
+    columns, column_of, column_flipped = _distinct_magnitudes(sin_obs)
+    phase = np.outer(rows, columns)
     phase *= -wavenumber
-    table = np.empty(phase.shape, dtype=np.complex128)
-    np.cos(phase, out=table.real)
-    np.sin(phase, out=table.imag)
-    outbound = np.empty((n, len(sin_obs)), dtype=np.complex128)
-    # source is in range; mode "raise" would copy through a buffer.
-    np.take(table, source, axis=1, out=outbound[:m], mode="clip")
-    imag = outbound.imag[:m]
-    np.negative(imag, out=imag, where=flipped)
-    if m < n:
-        np.conjugate(outbound[:m], out=outbound[m:])
-    return inbound @ outbound
+    cos = np.cos(phase)
+    sin = np.sin(phase, out=phase)
+    u = np.concatenate((p.real, p.imag), axis=-2) @ cos
+    v = np.concatenate((q.real, q.imag), axis=-2) @ sin
+    # U + jV for tau = 1, then U - jV for tau = -1, per distinct column.
+    n, d = len(sin_incidence), len(columns)
+    both = np.empty((len(path_extra), n, 2 * d), dtype=np.complex128)
+    np.subtract(u[:, :n], v[:, n:], out=both.real[..., :d])
+    np.add(u[:, n:], v[:, :n], out=both.imag[..., :d])
+    np.add(u[:, :n], v[:, n:], out=both.real[..., d:])
+    np.subtract(u[:, n:], v[:, :n], out=both.imag[..., d:])
+    return both[..., column_of + d * column_flipped]
 
 
-def _mirrored_columns(sin_obs):
-    """(distinct, source, flipped): the distinct magnitudes of sin_obs.
+def _distinct_magnitudes(values):
+    """(distinct, source, flipped): the distinct magnitudes of values.
 
-    distinct holds one sine per magnitude, the first in sort order; sine i
-    has the magnitude of distinct[source[i]], and flipped[i] is true when
+    distinct holds one value per magnitude, the first in sort order; value
+    i has the magnitude of distinct[source[i]], and flipped[i] is true when
     their sign bits differ.  Sorting and comparing neighbours stands in for
     np.unique, whose first call imports numpy.ma.
     """
-    magnitude = np.abs(sin_obs)
+    magnitude = np.abs(values)
     order = np.argsort(magnitude, kind="stable")
     ranked = magnitude[order]
     first = np.empty(len(ranked), dtype=bool)
     first[:1] = True
     np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
-    distinct = sin_obs[order[first]]
+    distinct = values[order[first]]
     source = np.empty(len(ranked), dtype=np.intp)
     source[order] = np.cumsum(first) - 1
-    return distinct, source, np.signbit(sin_obs) != np.signbit(distinct)[source]
+    return distinct, source, np.signbit(values) != np.signbit(distinct)[source]
 
 
 def accumulate_beat(samples, amplitudes, beat_frequency, phase0, phase_step, dt):

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .emfield import SwitchConfig
-from .errors import ConfigurationError, SchedulingError, check_finite
+from .errors import ConfigurationError, SchedulingError, check_finite, check_integers
 from .geometry import SurfaceLayout
 
 # Defaults matching the radar timing used throughout: the state is held for
@@ -30,11 +30,11 @@ class BitFrame:
     bits: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "bits", tuple(int(b) for b in self.bits))
+        object.__setattr__(self, "bits", check_integers("bits", self.bits))
         if not self.bits:
-            raise ValueError("bit frame is empty")
+            raise ConfigurationError("bit frame is empty")
         if any(b not in (0, 1) for b in self.bits):
-            raise ValueError("bits must be 0 or 1")
+            raise ConfigurationError("bits must be 0 or 1")
 
     def __len__(self) -> int:
         return len(self.bits)

@@ -215,6 +215,20 @@ def test_config_must_match_layout_switches():
         roundtrip_response(layout, SwitchConfig(frozenset({1})), WAVE30, 0.0)
 
 
+@pytest.mark.parametrize("pair_id", [2.5, "2", math.nan])
+def test_switch_config_refuses_non_integral_pair_ids(pair_id):
+    # int() would truncate 2.5 and parse "2" into pair 2, and fail on nan
+    # with a bare ValueError.
+    with pytest.raises(ConfigurationError, match="pair ids must be integers"):
+        SwitchConfig(frozenset({pair_id}))
+
+
+def test_switch_config_accepts_python_and_numpy_integers():
+    config = SwitchConfig({2, np.int64(4)})
+    assert config.toggled == frozenset({2, 4})
+    assert all(type(i) is int for i in config.toggled)
+
+
 def test_wavelength_mismatch_warns():
     layout = build_linear_array(2, LAM / 2.0, LAM)
     with pytest.warns(DesignMismatchWarning):

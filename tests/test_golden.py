@@ -8,21 +8,34 @@ formatted its CSVs with Python's ``%``.  The six commands run on
 blocks of the batched sweep, and the benchmark's two field shapes: a
 64-pair sweep on the 0.25 degree grid and a 4-ring pattern on the 0.05
 degree grid, whose points are whole steps from broadside, exactly
-antisymmetric and ending at 90.  The digests hold for numpy 2.4 with
-OpenBLAS on x86-64; a BLAS that rounds a product differently changes last
-digits, and with them the digests.
+antisymmetric and ending at 90.
+
+The digests hold for numpy 2.4 with OpenBLAS on x86-64 under its FMA
+kernels: the default pick on an AVX-512 host (SkylakeX), Haswell and Zen,
+with one thread or two.  The field kernel's only BLAS calls are real
+products whose bits those kernels agree on; the five cases that print a
+switched null's roundoff residue (``BLAS_SENSITIVE``) run again in child
+interpreters under ``OPENBLAS_CORETYPE=Haswell`` and under
+``OPENBLAS_NUM_THREADS=1``.  The non-FMA kernels (Sandybridge, Prescott)
+round each product before adding it and change last digits of those five.
 """
 
 import contextlib
 import hashlib
 import io
+import json
+import os
+import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from vanatta.cli import main
 
-REFERENCE = Path(__file__).resolve().parents[1] / "configs" / "reference.cfg"
+ROOT = Path(__file__).resolve().parents[1]
+REFERENCE = ROOT / "configs" / "reference.cfg"
 
 # name: (command, config keys over the defaults or None for reference.cfg,
 #        stdout, {output file: sha256})
@@ -36,12 +49,12 @@ CASES = {
     "pattern": (
         "pattern",
         None,
-        "retro_peak_deg=30 null_depth_db=295.102 monostatic_gain_db=69.6024\n",
+        "retro_peak_deg=30 null_depth_db=295.058 monostatic_gain_db=69.6024\n",
         {
-            "pattern_constructive.csv": "508298e380b2ec093311fa942993f3729ef4bda8ee29c23ae9df08058a836666",
-            "pattern_destructive.csv": "00ce0018b176fed46b252019ef88658d760c98a336aa17fa3e690bb902959ae0",
+            "pattern_constructive.csv": "dd34c0c949843af93fe5011122e70f052fc9d39bed757af2e25b1392fb6748f2",
+            "pattern_destructive.csv": "368a6b69f1d5591538d8f75f6ff1c5d7b572d7b06d7fbf82b07126da2612e4a6",
             "pattern_plate.csv": "646d38759af6b12febd775b3ebacfbb3461105a98f50e7360c7fbd80cd93854f",
-            "pattern_summary.txt": "74a989970e8d3534f962f244e6c7ac0c43d377c9ef2c2e93b6a88c55729a8d51",
+            "pattern_summary.txt": "1c9e931d36f3fc2b05e950e768fc6e4f4055238b7108f748b162e5f15d073d88",
         },
     ),
     "range": (
@@ -49,7 +62,7 @@ CASES = {
         None,
         "gain_db=69.6024 range_extension=3020.8\n",
         {
-            "range_amplitudes.csv": "a7997dc3af9a4d96fdecf5d4f2bb223ca024412858cea572219e041b7a86face",
+            "range_amplitudes.csv": "621d88e87180455dbf1b9426b3e5771ad624f6642e9932a0507584fa4d0d8be3",
             "range_summary.txt": "6a44edc5252cdd2b0e3b95e31a7984dca720e470863fff592b1d9caa4bb6ba2d",
         },
     ),
@@ -65,7 +78,7 @@ CASES = {
         "ber=0 snr_db=inf\n",
         {
             "link_report.txt": "90533e4f28d60a6fd68145e1c22a5d59bee3f0fe18b84de5b9ce8b0fb9c5f868",
-            "per_chirp.csv": "18a1432ec97170149bf095beaa1abcf1145fcadfc0ae70e19ce234e57d1ecbc1",
+            "per_chirp.csv": "a0aeb223b64b611d4f47c4e88a8b710c64053428fa24f946c7578cf4ce89469d",
         },
     ),
     "sweep": (
@@ -89,12 +102,12 @@ CASES = {
     "pattern-4-rings": (
         "pattern",
         "layout.builder = concentric\nlayout.n_rings = 4\n",
-        "retro_peak_deg=30 null_depth_db=305.962 monostatic_gain_db=87.6642\n",
+        "retro_peak_deg=30 null_depth_db=306.157 monostatic_gain_db=87.6642\n",
         {
             "pattern_constructive.csv": "6954ccbb759b13f1d1bcc215288c14898042ee9589818425f54ace2e55c62270",
-            "pattern_destructive.csv": "749f9d1ea016a6a14299db1ac5d0193fe1a880813166efc25861daddf38d9c90",
+            "pattern_destructive.csv": "2a6bbc5ece976277b6b2ab9cfff3a987853ccf00b530cf39cc6b516d371c530e",
             "pattern_plate.csv": "646d38759af6b12febd775b3ebacfbb3461105a98f50e7360c7fbd80cd93854f",
-            "pattern_summary.txt": "faa85037ad56aea477eabe822427a55ace10591169112f18738f2da8e21371ae",
+            "pattern_summary.txt": "17bbe46d4794f07a2a03031301bacc4e7f9e229116acf55767cec12f4cc8e85e",
         },
     ),
     "sweep-64-pairs": (
@@ -107,12 +120,12 @@ CASES = {
         "pattern",
         "layout.builder = concentric\nlayout.n_rings = 4\nlayout.base_radius_m = 0.05\n"
         "incidence_angle_deg = 12.35\npattern.grid_step_deg = 0.05\n",
-        "retro_peak_deg=12.35 null_depth_db=295.254 monostatic_gain_db=51.2479\n",
+        "retro_peak_deg=12.35 null_depth_db=295.278 monostatic_gain_db=51.2479\n",
         {
-            "pattern_constructive.csv": "8a21ef954a5dac325144ce816fb2f5056f4577ef5b28b50fb49c66235595abbc",
-            "pattern_destructive.csv": "70464776d05f3ddf0e27196cc423d3671cab2ba46d095fc524d7d26cc3fa0904",
+            "pattern_constructive.csv": "af897b75db29f746052dcaaf158f583a1433bb64952eb573c93c181eb6e2ffdc",
+            "pattern_destructive.csv": "4b04e7bc310e527d17715457c57f5dd07a8172f60d71c0cd7c2bb5a961166cf5",
             "pattern_plate.csv": "6983722e63b322f3f1c58565e789ed8eff92c271343f7f891c3936e6f5a9cf26",
-            "pattern_summary.txt": "a1b7d86eb6417edc4aee066747830f6f3d55a4cd74f2be8843130cbcd45380a7",
+            "pattern_summary.txt": "bcc593ff9a694e31a75604617039a0abad3053b5e3bd36fada73f600b9f213be",
         },
     ),
     "link-noisy-512-bits": (
@@ -145,3 +158,50 @@ def run_case(tmp_path, command, overrides):
 def test_cli_output_matches_pinned_digests(tmp_path, name):
     command, overrides, stdout, digests = CASES[name]
     assert run_case(tmp_path, command, overrides) == (stdout, digests)
+
+
+# The cases whose outputs carry the exact switched null's roundoff residue,
+# the digits a BLAS kernel could round differently.
+BLAS_SENSITIVE = ("link", "pattern", "pattern-4-rings", "pattern-4-rings-fine-grid", "range")
+
+
+def _has_fma_kernels():
+    """x86-64 with avx2 and fma: OpenBLAS can run its Haswell kernel here."""
+    if platform.machine() not in ("x86_64", "AMD64"):
+        return False
+    try:
+        flags = set(Path("/proc/cpuinfo").read_text().split())
+    except OSError:
+        return False
+    return {"avx2", "fma"} <= flags
+
+
+@pytest.mark.skipif(not _has_fma_kernels(), reason="needs x86-64 with avx2 and fma")
+@pytest.mark.parametrize("setting", ["OPENBLAS_CORETYPE=Haswell", "OPENBLAS_NUM_THREADS=1"])
+def test_blas_sensitive_cases_hold_under_other_blas_settings(tmp_path, setting):
+    # One child interpreter per setting, since OpenBLAS reads both variables
+    # once, when numpy loads it.
+    key, value = setting.split("=")
+    env = {**os.environ, key: value}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
+    child = subprocess.run(
+        [sys.executable, __file__, str(tmp_path), *BLAS_SENSITIVE],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert child.returncode == 0, child.stderr
+    expected = {name: [CASES[name][2], CASES[name][3]] for name in BLAS_SENSITIVE}
+    assert json.loads(child.stdout) == expected
+
+
+if __name__ == "__main__":
+    # python tests/test_golden.py DIR NAME...: print each case's stdout and
+    # digests as JSON, running case NAME in DIR/NAME.
+    results = {}
+    for name in sys.argv[2:]:
+        work = Path(sys.argv[1]) / name
+        work.mkdir(parents=True)
+        results[name] = run_case(work, *CASES[name][:2])
+    print(json.dumps(results))

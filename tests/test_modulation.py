@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from vanatta import (
@@ -34,6 +35,20 @@ def test_bit_frame_checks_contents():
         BitFrame(())
     with pytest.raises(ValueError):
         BitFrame((0, 2))
+
+
+@pytest.mark.parametrize("bit", [1.5, "1", math.nan])
+def test_bit_frame_refuses_non_integral_bits(bit):
+    # int() would truncate 1.5 to 1 and parse "1", and fail on nan with a
+    # bare ValueError; encode_bits builds its frame the same way.
+    with pytest.raises(ConfigurationError, match="bits must be integers"):
+        BitFrame((bit, 0))
+    with pytest.raises(ConfigurationError, match="bits must be integers"):
+        encode_bits((bit, 0), LAYOUT2, 1e-3)
+
+
+def test_bit_frame_accepts_python_and_numpy_integers():
+    assert BitFrame((np.int64(1), 0, np.uint8(1))).bits == (1, 0, 1)
 
 
 def test_constructive_config_is_empty():
