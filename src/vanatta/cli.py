@@ -490,10 +490,10 @@ def cmd_sweep(cfg: dict, out_dir: str, config_dir: str, seed: int, grid_step: fl
         print(f"incidence sweep over {len(thetas)} angles written")
         return 0
     if parameter == "snr":
-        from .link import ook_ber_trial
+        from .link import ook_ber_trial, whole_chirps
 
         params = _chirp_params(cfg)
-        cpb = round(cfg["link.switch_interval_s"] / params.chirp_duration)
+        cpb = whole_chirps(cfg["link.switch_interval_s"], params.chirp_duration)
         snrs = _floats("sweep.snr_db", cfg["sweep.snr_db"])
         n_bits = cfg["sweep.bits_per_point"]
         depth = cfg["sweep.depth_db"]

@@ -380,13 +380,13 @@ def scaling_sweep(n_elements, spacing: float, wave: PlaneWave) -> list[tuple[int
     return results
 
 
-def magnitude_db(values, floor_db: float = DB_FLOOR) -> np.ndarray:
-    """20 log10 |values| with exact zeros clamped to floor_db."""
+def magnitude_db(values) -> np.ndarray:
+    """20 log10 |values| with exact zeros clamped to DB_FLOOR."""
     mags = np.abs(np.asarray(values, dtype=np.complex128))
-    out = np.full(mags.shape, floor_db)
+    out = np.full(mags.shape, DB_FLOOR)
     np.log10(mags, out=out, where=mags > 0.0)
-    out = np.where(mags > 0.0, 20.0 * out, floor_db)
-    return np.maximum(out, floor_db)
+    out = np.where(mags > 0.0, 20.0 * out, DB_FLOOR)
+    return np.maximum(out, DB_FLOOR)
 
 
 # CSV number formatting.  Each number becomes one fixed-width cell of bytes

@@ -43,10 +43,10 @@ def check_finite(name: str, value, sign: str = "") -> None:
         raise ConfigurationError(f"{name} must be {must}, got {value}")
 
 
-def check_count(name: str, value, minimum: int = 1) -> None:
-    """Raise ConfigurationError unless value is an integer >= minimum."""
-    if not (isinstance(value, numbers.Integral) and value >= minimum):
-        raise ConfigurationError(f"{name} must be an integer >= {minimum}, got {value}")
+def check_count(name: str, value) -> None:
+    """Raise ConfigurationError unless value is an integer >= 1."""
+    if not (isinstance(value, numbers.Integral) and value >= 1):
+        raise ConfigurationError(f"{name} must be an integer >= 1, got {value}")
 
 
 def check_integers(name: str, values) -> tuple[int, ...]:

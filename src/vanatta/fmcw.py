@@ -33,7 +33,7 @@ from .emfield import (
     SwitchConfig,
     magnitude_db,
     plate_monostatic_amplitude,
-    roundtrip_response,
+    response_matrix,
     write_csv,
 )
 from .errors import ConfigurationError, DesignMismatchWarning, check_count, check_finite
@@ -119,8 +119,8 @@ class SurfaceReflector:
     """Echo source backed by a surface, optionally driven by a schedule.
 
     Exactly one of schedule/config may be given; neither means the static
-    constructive state.  Chirps starting past the schedule end hold its
-    last state.
+    constructive state.  Chirps whose midpoint lies past the schedule end
+    hold its last state.
     """
 
     layout: SurfaceLayout
@@ -135,24 +135,18 @@ class SurfaceReflector:
         check_finite("incident_amplitude", self.incident_amplitude, "positive")
 
     def amplitudes(self, chirp_times: np.ndarray, frequency: float) -> np.ndarray:
-        wave = PlaneWave(frequency, self.incidence_angle_deg, self.incident_amplitude)
         if self.schedule is None:
-            static = self.config if self.config is not None else SwitchConfig()
-            value = abs(
-                roundtrip_response(self.layout, static, wave, self.incidence_angle_deg)
-            )
-            return np.full(len(chirp_times), value)
-        out = np.empty(len(chirp_times))
-        cache: dict[frozenset, float] = {}
-        end = self.schedule.duration
-        for i, t in enumerate(chirp_times):
-            cfg = config_at(self.schedule, min(t, math.nextafter(end, 0.0)))
-            if cfg.toggled not in cache:
-                cache[cfg.toggled] = abs(
-                    roundtrip_response(self.layout, cfg, wave, self.incidence_angle_deg)
-                )
-            out[i] = cache[cfg.toggled]
-        return out
+            states = [self.config or SwitchConfig()] * len(chirp_times)
+        else:
+            # config_at places the last interval's midpoint in it, however the end rounds.
+            last = (self.schedule.n_bits - 0.5) * self.schedule.switch_interval
+            states = [config_at(self.schedule, t) for t in np.minimum(chirp_times, last).tolist()]
+        index = {state: i for i, state in enumerate(dict.fromkeys(states))}
+        theta = self.incidence_angle_deg
+        values = response_matrix(
+            self.layout, tuple(index), frequency, theta, theta, self.incident_amplitude
+        )
+        return np.abs(values[:, 0, 0])[[index[state] for state in states]]
 
 
 @dataclass(frozen=True)
@@ -239,9 +233,10 @@ def _chirp_blocks(n_chirps: int) -> list[tuple[int, int]]:
 
 def _tones(params: ChirpParams, targets) -> list[tuple[np.ndarray, float, np.ndarray]]:
     """(per-chirp amplitudes, beat frequency, per-chirp phases) per target;
-    raises ConfigurationError as _beat_blocks documents."""
+    raises ConfigurationError as _beat_blocks documents.  Reflectors are
+    read at chirp midpoints, half a chirp from any bit boundary."""
     nyquist = params.sample_rate / 2.0
-    times = params.chirp_times()
+    times = (np.arange(params.chirps_per_frame) + 0.5) * params.chirp_duration
     tones = []
     for index, target in enumerate(targets):
         where = f"target {index} at {target.range_m} m"
@@ -522,8 +517,6 @@ def max_detection_range(
     target: Target,
     threshold_db: float = DEFAULT_THRESHOLD_DB,
     noise_power: float = 1e-6,
-    min_range: float = 1.0,
-    rel_tol: float = 1e-6,
 ) -> float:
     """Largest range at which the target's echo clears the threshold.
 
@@ -534,13 +527,14 @@ def max_detection_range(
     result is proportional to the echo amplitude, so an amplitude gain
     of g dB extends the result by 10**(g/20).
 
-    Returns NaN when the target is undetectable at min_range.  The search
+    Returns NaN when the target is undetectable at 1 m.  The search
     stops two range bins short of the unambiguous limit (closer in, the
     spectral image overlaps the peak and corrupts the amplitude estimate)
-    and returns that cap when the target is still detectable there.
+    and returns that cap when the target is still detectable there; it
+    raises ConfigurationError when 1 m lies beyond that cap.
     """
     check_finite("noise_power", noise_power, "positive")
-    check_finite("min_range", min_range, "positive")
+    min_range, rel_tol = 1.0, 1e-6
     sigma = bin_noise_sigma(params, noise_power)
     # params warned about their band when built; the probe copy does not.
     probe_params = replace(params, chirps_per_frame=1, nonstandard_band_ok=True)
@@ -556,7 +550,7 @@ def max_detection_range(
 
     cap = params.max_unambiguous_range - 2.0 * params.range_bin_m
     if min_range > cap:
-        raise ConfigurationError("min_range is beyond the unambiguous range")
+        raise ConfigurationError(f"{min_range} m is beyond the search cap {cap:.6g} m")
     if not clears(min_range):
         return math.nan
     if clears(cap):

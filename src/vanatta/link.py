@@ -27,6 +27,19 @@ from .geometry import SurfaceLayout
 from .modulation import BitFrame, SwitchSchedule
 
 
+def whole_chirps(switch_interval: float, chirp_duration: float) -> int:
+    """Chirps per bit; SchedulingError unless switch_interval is within 1e-9
+    of a whole number >= 1 of chirp_duration (so finite and positive)."""
+    ratio = switch_interval / chirp_duration
+    count = round(ratio) if math.isfinite(ratio) else 0
+    if count < 1 or abs(ratio - count) > 1e-9:
+        raise SchedulingError(
+            f"switch interval {switch_interval} s must be a whole number of "
+            f"chirps ({chirp_duration} s each)"
+        )
+    return count
+
+
 @dataclass(frozen=True)
 class LinkScenario:
     """Everything needed to run one modulated frame.
@@ -50,16 +63,11 @@ class LinkScenario:
         check_finite("range_m", self.range_m, "positive")
         check_finite("velocity_mps", self.velocity_mps)
         check_finite("noise_power", self.noise_power, "non-negative")
-        ratio = self.schedule.switch_interval / self.params.chirp_duration
-        if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
-            raise SchedulingError(
-                f"switch interval {self.schedule.switch_interval} s must be a "
-                f"whole number of chirps ({self.params.chirp_duration} s each)"
-            )
+        whole_chirps(self.schedule.switch_interval, self.params.chirp_duration)
 
     @property
     def chirps_per_bit(self) -> int:
-        return int(round(self.schedule.switch_interval / self.params.chirp_duration))
+        return whole_chirps(self.schedule.switch_interval, self.params.chirp_duration)
 
 
 @dataclass(frozen=True)
@@ -155,19 +163,39 @@ def _extract_bin_amplitudes(params: ChirpParams, targets, noise_power: float, se
 
 
 def _measured_snr_db(amps: np.ndarray, threshold: float, c_lo: float, c_hi: float) -> float:
-    assigned = np.where(amps > threshold, c_hi, c_lo)
-    residual = float(np.sqrt(np.mean((amps - assigned) ** 2)))
-    if residual == 0.0:
+    residual = amps - np.where(amps > threshold, c_hi, c_lo)
+    with np.errstate(over="ignore"):
+        rms = float(np.sqrt(np.mean(residual**2)))
+    if rms == 0.0:
         return math.inf
-    return 20.0 * math.log10(c_hi / residual)
+    if rms == math.inf:  # squares past the float range: take them relative to c_hi
+        return -10.0 * math.log10(float(np.mean((residual / c_hi) ** 2)))
+    return 20.0 * math.log10(c_hi / rms)
+
+
+def _run_frame(params: ChirpParams, target: Target, bits, chirps_per_bit: int, noise_power, seed):
+    """LinkResult of sending bits, chirps_per_bit chirps each, off one target."""
+    # The caller's params warned about their band when built; the copy does not.
+    params = replace(params, chirps_per_frame=len(bits) * chirps_per_bit, nonstandard_band_ok=True)
+    amps = _extract_bin_amplitudes(params, [target], noise_power, seed)
+    c_lo, c_hi = two_cluster_centers(amps)
+    threshold = 0.5 * (c_lo + c_hi)
+    decoded = decode_ook(amps, chirps_per_bit, threshold)
+    errors = sum(d != s for d, s in zip(decoded.bits, bits))
+    return LinkResult(
+        per_chirp_amplitudes=amps,
+        chirp_times=params.chirp_times(),
+        transmitted=bits,
+        decoded=decoded,
+        ber=errors / len(bits),
+        snr_db=_measured_snr_db(amps, threshold, c_lo, c_hi),
+        threshold=threshold,
+        chirps_per_bit=chirps_per_bit,
+    )
 
 
 def run_link(scenario: LinkScenario) -> LinkResult:
     """Synthesize, demodulate and decode one frame end to end."""
-    cpb = scenario.chirps_per_bit
-    n_chirps = scenario.schedule.n_bits * cpb
-    # The scenario's params warned about their band when built; the copy does not.
-    params = replace(scenario.params, chirps_per_frame=n_chirps, nonstandard_band_ok=True)
     reflector = SurfaceReflector(
         layout=scenario.layout,
         schedule=scenario.schedule,
@@ -175,22 +203,8 @@ def run_link(scenario: LinkScenario) -> LinkResult:
         incident_amplitude=scenario.incident_amplitude,
     )
     target = Target(scenario.range_m, scenario.velocity_mps, reflector)
-    amps = _extract_bin_amplitudes(params, [target], scenario.noise_power, scenario.seed)
-    c_lo, c_hi = two_cluster_centers(amps)
-    threshold = 0.5 * (c_lo + c_hi)
-    decoded = decode_ook(amps, cpb, threshold)
-    sent = scenario.schedule.bits
-    errors = sum(d != s for d, s in zip(decoded.bits, sent))
-    return LinkResult(
-        per_chirp_amplitudes=amps,
-        chirp_times=params.chirp_times(),
-        transmitted=sent,
-        decoded=decoded,
-        ber=errors / len(sent),
-        snr_db=_measured_snr_db(amps, threshold, c_lo, c_hi),
-        threshold=threshold,
-        chirps_per_bit=cpb,
-    )
+    bits, cpb = scenario.schedule.bits, scenario.chirps_per_bit
+    return _run_frame(scenario.params, target, bits, cpb, scenario.noise_power, scenario.seed)
 
 
 @dataclass(frozen=True)
@@ -220,15 +234,14 @@ def ook_ber_trial(
     n_bits: int,
     chirps_per_bit: int = 2,
     seed: int | None = None,
-    range_m: float = 25.0,
 ) -> float:
     """Monte-Carlo bit error rate of the OOK chain at one operating point.
 
     Random bits drive a two-state reflector whose received on-state beat
     amplitude is 1 and whose off state sits depth_db below it; white noise
     is set from per_chirp_snr_db (receiver-input convention, see module
-    docstring).  The frame runs through the same demodulate/decode path as
-    run_link.
+    docstring).  The target sits at 25 m, and the frame runs through the
+    same demodulate/decode path as run_link.
 
     Returns the fraction of bit errors.
 
@@ -241,34 +254,26 @@ def ook_ber_trial(
         raise ValueError("need at least 2 bits for a trial")
     check_finite("per_chirp_snr_db", per_chirp_snr_db)
     check_finite("depth_db", depth_db)
-    on_received = 1.0
     # numpy's power and division saturate to inf or 0.0 where Python's **
     # and / raise, with the same bits in range; the synthesis then refuses
     # an infinite noise power or amplitude.
     with np.errstate(over="ignore", divide="ignore"):
         off_ratio = float(np.float64(10.0) ** (-depth_db / 20.0))
         snr_ratio = np.float64(10.0) ** (per_chirp_snr_db / 10.0)
-        noise_power = float((on_received**2 / 2.0) / snr_ratio)
+        noise_power = float(0.5 / snr_ratio)
     seeds = np.random.SeedSequence(seed).spawn(2)
     bits = tuple(int(b) for b in np.random.default_rng(seeds[0]).integers(0, 2, n_bits))
-    interval = chirps_per_bit * params.chirp_duration
+    range_m = 25.0
     reflector = _TwoStateReflector(
         bits=bits,
-        switch_interval=interval,
+        switch_interval=chirps_per_bit * params.chirp_duration,
         # amplitudes are quoted at the reference distance; undo the 1/r
         # scaling so the received on-state amplitude is exactly 1
-        on_amplitude=on_received * range_m,
-        off_amplitude=on_received * range_m * off_ratio,
+        on_amplitude=range_m,
+        off_amplitude=range_m * off_ratio,
     )
     target = Target(range_m, 0.0, reflector)
-    # The caller's params warned about their band when built; the copy does not.
-    frame_params = replace(
-        params, chirps_per_frame=n_bits * chirps_per_bit, nonstandard_band_ok=True
-    )
-    amps = _extract_bin_amplitudes(frame_params, [target], noise_power, seeds[1])
-    decoded = decode_ook(amps, chirps_per_bit)
-    errors = sum(d != s for d, s in zip(decoded.bits, bits))
-    return errors / n_bits
+    return _run_frame(params, target, bits, chirps_per_bit, noise_power, seeds[1]).ber
 
 
 def doppler_phase_drift(velocity_delta: float, wavelength: float, interval: float) -> float:

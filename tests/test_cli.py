@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vanatta import (
+    DesignMismatchWarning,
     PlaneWave,
     build_concentric_surface,
     build_linear_array,
@@ -648,7 +649,12 @@ def test_link_rejects_non_finite_inputs(tmp_path, capsys, key, value, field):
 )
 def test_link_rejects_overflowing_inputs(tmp_path, capsys, text, message):
     out = tmp_path / "out"
-    assert run_cli("link", "--config", write_config(tmp_path, text), "--out", str(out)) == 1
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli("link", "--config", write_config(tmp_path, text), "--out", str(out)) == 1
+    # A 1e308 Hz carrier lies outside the automotive bands, and says so.
+    band = [DesignMismatchWarning] if text.startswith("frequency_hz") else []
+    assert [w.category for w in caught] == band
     captured = capsys.readouterr()
     assert captured.err.startswith(f"constraint error: {message}")
     assert "ber=" not in captured.out
@@ -665,6 +671,10 @@ def test_link_rejects_overflowing_inputs(tmp_path, capsys, text, message):
         ("sweep.depth_db = nan\n", 1, "depth_db must be finite"),
         ("sweep.depth_db = -inf\n", 1, "depth_db must be finite"),
         ("sweep.depth_db = -1e308\n", 1, "target 0 at 25.0 m: per-chirp amplitudes are not finite"),
+        # The SNR sweep takes the link's whole chirps per bit, not a rounded count.
+        ("link.switch_interval_s = 1.3e-3\n", 1, "switch interval 0.0013 s must be a whole"),
+        ("link.switch_interval_s = 0.2e-3\n", 1, "switch interval 0.0002 s must be a whole"),
+        ("link.switch_interval_s = inf\n", 1, "switch interval inf s must be a whole"),
     ],
 )
 def test_snr_sweep_at_extreme_inputs_exits_cleanly(tmp_path, capsys, text, code, message):

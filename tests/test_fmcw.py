@@ -38,7 +38,7 @@ from vanatta import fmcw, kernels
 from vanatta.emfield import REFERENCE_DISTANCE
 from vanatta.fmcw import _FFT_BLOCK, _beat_blocks, _chirp_blocks
 from vanatta.geometry import C0
-from vanatta.link import _extract_bin_amplitudes
+from vanatta.link import _extract_bin_amplitudes, _TwoStateReflector
 
 LAM = wavelength_of(24e9)
 LAYOUT = build_linear_array(2, LAM / 2.0, LAM)
@@ -399,7 +399,7 @@ def _whole_frame_beat(params, targets, noise_power, seed):
     """The frame built whole: zeros, one whole-frame accumulate_beat per
     target, then normal(0, sigma) noise over the whole frame."""
     samples = np.zeros((params.chirps_per_frame, params.samples_per_chirp))
-    times = params.chirp_times()
+    times = params.chirp_times() + 0.5 * params.chirp_duration
     for target in targets:
         amps = target.reflector.amplitudes(times, params.start_frequency)
         amps = amps * (REFERENCE_DISTANCE / target.range_m)
@@ -635,12 +635,79 @@ def test_max_detection_range_undetectable_sentinel():
     assert math.isnan(max_detection_range(params, target, noise_power=1e6))
 
 
+def test_max_detection_range_refuses_a_cap_inside_one_meter():
+    # three samples per chirp: a 0.9 m unambiguous range, so the cap lies below 1 m
+    params = default_params(sample_rate=6e3)
+    with pytest.raises(ConfigurationError, match="1.0 m is beyond the search cap"):
+        max_detection_range(params, Target(0.5, 0.0, PLATE))
+
+
 def test_max_detection_range_warns_about_the_band_once():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         params = default_params(start_frequency=50e9)
         max_detection_range(params, Target(10.0, 0.0, PLATE))
     assert [w.category for w in caught] == [DesignMismatchWarning]
+
+
+@pytest.mark.parametrize("chirp_s", [0.3e-3, 0.5e-3, 0.7e-3])
+def test_every_chirp_carries_its_own_bits_level(chirp_s):
+    # Chirp c starts at c*T; where that rounds just below a bit boundary, a
+    # reflector read at start times puts the chirp in the previous bit.
+    bits = tuple(int(b) for b in np.random.default_rng(11).integers(0, 2, 2048))
+    for per_bit in range(1, 8):
+        params = default_params(chirp_duration=chirp_s, chirps_per_frame=len(bits) * per_bit)
+        interval = per_bit * chirp_s
+        schedule = encode_bits(bits, LAYOUT, interval, chirp_s)
+        reflectors = (
+            SurfaceReflector(LAYOUT, schedule=schedule),
+            _TwoStateReflector(bits, interval, on_amplitude=1.0, off_amplitude=0.25),
+        )
+        sent = np.repeat(bits, per_bit) == 1
+        for reflector in reflectors:
+            [(amps, _, _)] = fmcw._tones(params, [Target(10.0, 0.0, reflector)])
+            levels = np.where(sent, amps.max(), amps.min())
+            assert amps.max() > amps.min()
+            assert np.array_equal(amps, levels), (
+                f"{type(reflector).__name__} at {per_bit} x {chirp_s} s: first wrong "
+                f"chirp {np.flatnonzero(amps != levels)[:1]}"
+            )
+
+
+def test_surface_reflector_holds_the_last_state_past_the_schedule_end():
+    # The float just below the end of 33 bits of 0.9 ms divides back to
+    # 33.0, which config_at would put past the end.
+    schedule = encode_bits((1,) * 32 + (0,), LAYOUT, 0.9e-3, 0.3e-3)
+    reflector = SurfaceReflector(LAYOUT, schedule=schedule)
+    amps = reflector.amplitudes(np.array([0.0, 29.0e-3, 29.7e-3, 33e-3]), 24e9)
+    assert amps[0] > amps[1]
+    assert np.array_equal(amps[1:], np.full(3, amps[1]))
+
+
+def test_surface_reflector_evaluates_its_states_in_one_field_call(monkeypatch):
+    calls = {"response_matrix": 0, "config_at": 0}
+
+    def counted(name):
+        fn = getattr(fmcw, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(fmcw, name, wrapper)
+
+    counted("response_matrix")
+    counted("config_at")
+    times = np.arange(8) * 0.5e-3
+    schedule = encode_bits((1, 0, 0, 1), LAYOUT, 1e-3)
+    for reflector, config_ats in (
+        (SurfaceReflector(LAYOUT), 0),
+        (SurfaceReflector(LAYOUT, config=destructive_config(LAYOUT)), 0),
+        (SurfaceReflector(LAYOUT, schedule=schedule), 8),
+    ):
+        calls.update(response_matrix=0, config_at=0)
+        reflector.amplitudes(times, 24e9)
+        assert calls == {"response_matrix": 1, "config_at": config_ats}
 
 
 def test_range_processing_refuses_two_samples():

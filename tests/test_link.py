@@ -180,6 +180,21 @@ def test_ber_trial_rejects_non_finite_operating_points(snr_db, depth_db, name):
         ook_ber_trial(ChirpParams(), snr_db, depth_db, 16, seed=1)
 
 
+def test_measured_snr_survives_residual_squares_past_the_float_range():
+    # Three samples per chirp put each bin near 2 sigma |z|; at this noise
+    # power the squared residuals sum past the float range.
+    params = ChirpParams(bandwidth=1e6, sample_rate=6e3)
+    noisy = scenario_for((1, 0) * 8, noise_power=1e308, seed=1)
+    scenario = replace(noisy, params=params)
+    result = run_link(scenario)
+    assert math.isfinite(result.snr_db)
+    amps = result.per_chirp_amplitudes
+    c_lo, c_hi = two_cluster_centers(amps)
+    with np.errstate(over="ignore"):
+        residual = amps - np.where(amps > result.threshold, c_hi, c_lo)
+        assert np.isinf(np.sum(residual**2))
+
+
 def test_link_peak_memory_stays_below_one_frame():
     bits = tuple(int(b) for b in np.random.default_rng(4).integers(0, 2, 1024))
     scenario = scenario_for(bits, noise_power=1e-6, seed=9)
