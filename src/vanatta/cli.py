@@ -22,6 +22,7 @@ constraint or validation fails, 2 on I/O or config parse errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -516,9 +517,11 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """One flat parser: the command is a positional choice and the four
-    options are shared, so they may come before or after it."""
+    options are shared, so they may come before or after it.  Built once per
+    process; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="vanatta",
         description="Retrodirective reflective surface simulator",

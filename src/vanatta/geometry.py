@@ -24,12 +24,14 @@ consecutive rings differ by exactly one wavelength.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import cycle, repeat
 
 import numpy as np
 
-from .errors import ConstraintError, check_count, check_finite
+from .errors import ConfigurationError, ConstraintError, check_count, check_finite, check_integers
 
 # Vacuum speed of light, m/s.
 C0 = 299_792_458.0
@@ -122,7 +124,9 @@ class SurfaceLayout:
 
     absorption_efficiency is the fraction of incident power captured by an
     element and re-emitted after the line round trip; it enters field
-    amplitudes once as its square root.
+    amplitudes once as its square root.  Construction checks the pairing
+    (ConstraintError) and refuses a non-finite center, element position or
+    line length, naming the element or pair (ConfigurationError).
     """
 
     elements: tuple[AntennaElement, ...]
@@ -130,6 +134,9 @@ class SurfaceLayout:
     wavelength: float
     center: tuple[float, float] = (0.0, 0.0)
     absorption_efficiency: float = 0.82
+    # The array view, built and checked with the layout; dataclasses.replace
+    # makes a new object and so a new view.
+    arrays: LayoutArrays = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_finite("wavelength", self.wavelength, "positive")
@@ -137,18 +144,53 @@ class SurfaceLayout:
             raise ConstraintError(
                 f"absorption_efficiency must be in (0, 1], got {self.absorption_efficiency}"
             )
-        ids = [e.id for e in self.elements]
+        if not all(map(math.isfinite, self.center)):
+            raise ConfigurationError(f"center must be finite, got {self.center}")
+        elements = self.elements
+        ids = [e.id for e in elements]
         if len(set(ids)) != len(ids):
             raise ConstraintError("element ids must be unique")
-        members: dict[int, int] = {}
-        for e in self.elements:
-            members[e.pair_id] = members.get(e.pair_id, 0) + 1
+        pairs = [e.pair_id for e in elements]
+        members = Counter(pairs)
         bad = sorted(p for p, n in members.items() if n != 2)
         if bad:
             raise ConstraintError(f"pairs must have exactly two elements, bad: {bad}")
-        line_ids = [ln.pair_id for ln in self.lines]
-        if sorted(line_ids) != sorted(members):
+        lines = sorted(self.lines, key=lambda ln: ln.pair_id)
+        if [ln.pair_id for ln in lines] != sorted(members):
             raise ConstraintError("pair_ids of lines and element pairs must match")
+
+        x = np.array([e.position[0] for e in elements], dtype=np.float64)
+        y = np.array([e.position[1] for e in elements], dtype=np.float64)
+        finite = np.isfinite(x) & np.isfinite(y)
+        if not finite.all():
+            e = elements[np.flatnonzero(~finite)[0]]
+            raise ConfigurationError(f"element {e.id} position must be finite, got {e.position}")
+        length = np.array([ln.base_electrical_length for ln in lines], dtype=np.float64)
+        finite = np.isfinite(length)
+        if not finite.all():
+            ln = lines[np.flatnonzero(~finite)[0]]
+            raise ConfigurationError(
+                f"pair {ln.pair_id} line length must be finite, got {ln.base_electrical_length}"
+            )
+
+        ids = np.array(ids, dtype=np.int64)
+        pairs = np.array(pairs, dtype=np.int64)
+        # Every pair has exactly two elements, so sorting by (pair, id) puts
+        # each pair's members next to each other.
+        order = np.lexsort((ids, pairs))
+        view = LayoutArrays(
+            ids=ids,
+            x=x,
+            y=y,
+            pair_ids=pairs[order[0::2]],
+            a=order[0::2],
+            b=order[1::2],
+            line_length=length,
+            has_switch=np.array([ln.has_switch for ln in lines], dtype=bool),
+        )
+        for array in vars(view).values():
+            array.flags.writeable = False
+        object.__setattr__(self, "arrays", view)
 
     @property
     def n_elements(self) -> int:
@@ -158,33 +200,8 @@ class SurfaceLayout:
     def n_pairs(self) -> int:
         return len(self.lines)
 
-    # Layouts are frozen, so each object builds its array view and its
-    # default-tolerance report once; dataclasses.replace makes a new object
-    # with empty caches.
-    @cached_property
-    def arrays(self) -> LayoutArrays:
-        """Array view of the layout, built on first use."""
-        elements = self.elements
-        ids = np.array([e.id for e in elements], dtype=np.int64)
-        pairs = np.array([e.pair_id for e in elements], dtype=np.int64)
-        # Every pair has exactly two elements, so sorting by (pair, id) puts
-        # each pair's members next to each other.
-        order = np.lexsort((ids, pairs))
-        lines = sorted(self.lines, key=lambda ln: ln.pair_id)
-        view = LayoutArrays(
-            ids=ids,
-            x=np.array([e.position[0] for e in elements], dtype=np.float64),
-            y=np.array([e.position[1] for e in elements], dtype=np.float64),
-            pair_ids=pairs[order[0::2]],
-            a=order[0::2],
-            b=order[1::2],
-            line_length=np.array([ln.base_electrical_length for ln in lines], dtype=np.float64),
-            has_switch=np.array([ln.has_switch for ln in lines], dtype=bool),
-        )
-        for array in vars(view).values():
-            array.flags.writeable = False
-        return view
-
+    # Layouts are frozen, so each object runs its default-tolerance report
+    # once; dataclasses.replace makes a new object with an empty cache.
     @cached_property
     def validation(self) -> ValidationReport:
         """validate_layout at its default tolerance, run on first use."""
@@ -229,20 +246,13 @@ def build_linear_array(
     check_finite("base_length", base_length, "positive")
 
     n = 2 * n_pairs
-    elements = []
-    for i in range(n):
-        x = (i - (n - 1) / 2.0) * spacing
-        pair = min(i, n - 1 - i) + 1
-        elements.append(AntennaElement(id=i, position=(x, 0.0), pair_id=pair))
+    x = (np.arange(n) - (n - 1) / 2.0) * spacing
+    pairs = [*range(1, n_pairs + 1), *range(n_pairs, 0, -1)]
+    elements = map(AntennaElement, range(n), zip(x.tolist(), repeat(0.0)), pairs)
 
-    lines = [
-        TransmissionLine(
-            pair_id=k,
-            base_electrical_length=base_length + (n_pairs - k) * wavelength,
-            has_switch=k % 2 == 0,
-        )
-        for k in range(1, n_pairs + 1)
-    ]
+    length = base_length + np.arange(n_pairs - 1, -1, -1) * wavelength
+    # Pair ids run from 1 and the switches sit on the even ones.
+    lines = map(TransmissionLine, range(1, n_pairs + 1), length.tolist(), cycle((False, True)))
     return SurfaceLayout(
         elements=tuple(elements),
         lines=tuple(lines),
@@ -294,17 +304,6 @@ def _uniform_ring_count(base_radius: float, n_rings: int, wavelength: float) -> 
     return n
 
 
-def _ring_positions(radius: float, count: int, phase: float) -> list[tuple[float, float]]:
-    # First half explicitly, second half as exact negations so every pair is
-    # centrosymmetric to the bit.
-    pos = []
-    for j in range(count // 2):
-        a = phase + 2.0 * math.pi * j / count
-        pos.append((radius * math.cos(a), radius * math.sin(a)))
-    pos.extend((-x, -y) for x, y in pos[: count // 2])
-    return pos
-
-
 def build_concentric_surface(
     n_rings: int,
     base_radius: float,
@@ -342,21 +341,26 @@ def build_concentric_surface(
 
     count = _uniform_ring_count(base_radius, n_rings, wavelength)
     half = count // 2
-    elements: list[AntennaElement] = []
-    lines: list[TransmissionLine] = []
+    m = np.arange(n_rings)
+    radius = base_radius + m * wavelength / math.pi
+    phase = (math.pi / count) * (m % 2)
+    angle = phase[:, None] + 2.0 * math.pi * np.arange(half) / count
+    # math's cos and sin, not numpy's, whose last bits may differ.
+    cos = np.reshape(list(map(math.cos, angle.ravel().tolist())), angle.shape)
+    sin = np.reshape(list(map(math.sin, angle.ravel().tolist())), angle.shape)
+    x, y = radius[:, None] * cos, radius[:, None] * sin
+    # Per ring the first half of the elements explicitly, then the second
+    # half as exact negations so every pair is centrosymmetric to the bit.
+    # Ids run on across rings; element j of ring m and its negation form
+    # pair m * half + j + 1.
+    xs = np.concatenate((x, -x), axis=1).ravel().tolist()
+    ys = np.concatenate((y, -y), axis=1).ravel().tolist()
+    pairs = (m[:, None] * half + np.arange(count) % half + 1).ravel().tolist()
+    elements = map(AntennaElement, range(n_rings * count), zip(xs, ys), pairs)
 
-    # Ids run on across rings; element j of a ring and element j + half
-    # (its negation) form the ring's pair first + j.
-    for m in range(n_rings):
-        radius = base_radius + m * wavelength / math.pi
-        phase = (math.pi / count) * (m % 2)
-        first = len(lines) + 1
-        for j, position in enumerate(_ring_positions(radius, count, phase)):
-            elements.append(AntennaElement(len(elements), position, first + j % half))
-        lines.extend(
-            TransmissionLine(pid, math.pi * radius, has_switch=pid % 2 == 0)
-            for pid in range(first, first + half)
-        )
+    # Pair ids run from 1 and the switches sit on the even ones.
+    length = np.repeat(math.pi * radius, half).tolist()
+    lines = map(TransmissionLine, range(1, n_rings * half + 1), length, cycle((False, True)))
 
     return SurfaceLayout(
         elements=tuple(elements),
@@ -364,6 +368,23 @@ def build_concentric_surface(
         wavelength=wavelength,
         absorption_efficiency=absorption_efficiency,
     )
+
+
+def _sorted_window_pairs(order, start, stop):
+    """Index pairs (i, j), i < j, in row-major order: the items at sorted
+    positions k and m for every m in [start[k], stop[k]) with m > k, where
+    order[k] is the index of the item at sorted position k."""
+    n = order.size
+    start = np.maximum(start, np.arange(1, n + 1))
+    count = np.maximum(stop - start, 0)
+    if not count.any():  # the usual case: a valid layout has no candidates
+        return order[:0], order[:0]
+    k = np.repeat(np.arange(n), count)
+    m = np.arange(count.sum()) + np.repeat(start - np.cumsum(count) + count, count)
+    p, q = order[k], order[m]
+    i, j = np.minimum(p, q), np.maximum(p, q)
+    rank = np.lexsort((j, i))
+    return i[rank], j[rank]
 
 
 def validate_layout(layout: SurfaceLayout, tolerance: float = 1e-9) -> ValidationReport:
@@ -377,7 +398,38 @@ def validate_layout(layout: SurfaceLayout, tolerance: float = 1e-9) -> Validatio
 
     Deviations are in meters: the midpoint-sum offset |p_a + p_b - 2c| for
     centrosymmetry, the distance to the nearest wavelength multiple for
-    congruence, and the shortfall below wavelength/2 for spacing.
+    congruence, and the shortfall below wavelength/2 for spacing.  Pair
+    findings come in row-major (i, j) order of ascending pair id for
+    congruence and of layout.elements for spacing.
+
+    The pairwise rules evaluate their formula only on candidate pairs, the
+    pairs that rounding leaves able to break the rule; the others are proven
+    to pass.  With u = 2**-53 (the float64 unit roundoff) and tol the
+    tolerance:
+
+      min_spacing  a pair is a candidate when its x gap on the x-sorted
+          elements is below (wavelength/2 - tol) + slack, with slack =
+          2**-50 (|wavelength/2 - tol| + max|x|).  The computed hypot(dx, dy)
+          is at least |dx|; the slack covers the rounding of dx, of the
+          window bound and of hypot.
+      line_length_congruence  each length's residue fmod(l, wavelength) is
+          put on the circle [0, wavelength), and a pair is a candidate when
+          the circular distance of its residues, wrap at 0/wavelength
+          included, exceeds tol - slack, with slack = 2**-50 (wavelength +
+          tol + max(l) - min(l)).  The deviation min(f, wavelength - f) of f
+          = |fmod(l_i - l_j, wavelength)| is exactly the distance of the
+          rounded difference to the nearest wavelength multiple (fmod is
+          exact and wavelength - f is exact for f >= wavelength/2), so it
+          exceeds the residue distance by at most the rounding of l_i - l_j
+          (<= u (max(l) - min(l))), of a negative length's residue (<= u
+          wavelength each) and of the window bounds (<= 3u wavelength); the
+          slack covers their sum with room for the rounding of tol - slack.
+
+    Either way the work is O(n log n + candidates) in time and memory.  A
+    congruence candidate is a violation unless it lies within the slack of
+    the limit, and so is a spacing candidate on a linear layout; on a 2-D
+    layout the spacing candidates also hold the pairs closer than the floor
+    in x that clear it in y.
 
     Args:
         layout: surface to check.
@@ -397,22 +449,34 @@ def validate_layout(layout: SurfaceLayout, tolerance: float = 1e-9) -> Validatio
     for i in np.flatnonzero(dev > tolerance):
         violations.append(Violation("centrosymmetry", (int(view.pair_ids[i]),), float(dev[i])))
 
-    # Pairwise rules evaluate each unordered pair once, in row-major upper
-    # triangle order, so findings come out in (i, j) loop order.
     length = view.line_length
-    i, j = np.triu_indices(len(length), k=1)
-    frac = np.abs(np.fmod(length[i] - length[j], lam))
-    dev = np.minimum(frac, lam - frac)
-    for p in np.flatnonzero(dev > tolerance):
-        ids = (int(view.pair_ids[i[p]]), int(view.pair_ids[j[p]]))
-        violations.append(Violation("line_length_congruence", ids, float(dev[p])))
+    if length.size > 1:
+        residue = np.fmod(length, lam)
+        residue[residue < 0.0] += lam
+        order = np.argsort(residue, kind="stable")
+        ring = residue[order]
+        near = tolerance - 2.0**-50 * (lam + tolerance + (length.max() - length.min()))
+        start = np.searchsorted(ring, ring + near, side="right")
+        stop = np.searchsorted(ring, ring + (lam - near), side="left")
+        i, j = _sorted_window_pairs(order, start, stop)
+        frac = np.abs(np.fmod(length[i] - length[j], lam))
+        dev = np.minimum(frac, lam - frac)
+        for p in np.flatnonzero(dev > tolerance):
+            ids = (int(view.pair_ids[i[p]]), int(view.pair_ids[j[p]]))
+            violations.append(Violation("line_length_congruence", ids, float(dev[p])))
 
     floor = lam / 2.0
-    i, j = np.triu_indices(len(x), k=1)
-    dist = np.hypot(x[i] - x[j], y[i] - y[j])
-    for p in np.flatnonzero(dist < floor - tolerance):
-        ids = (int(view.ids[i[p]]), int(view.ids[j[p]]))
-        violations.append(Violation("min_spacing", ids, float(floor - dist[p])))
+    limit = floor - tolerance
+    if x.size > 1:
+        order = np.argsort(x, kind="stable")
+        xs = x[order]
+        reach = limit + 2.0**-50 * (abs(limit) + np.abs(x).max())
+        stop = np.searchsorted(xs, xs + reach, side="left")
+        i, j = _sorted_window_pairs(order, 0, stop)
+        dist = np.hypot(x[i] - x[j], y[i] - y[j])
+        for p in np.flatnonzero(dist < limit):
+            ids = (int(view.ids[i[p]]), int(view.ids[j[p]]))
+            violations.append(Violation("min_spacing", ids, float(floor - dist[p])))
 
     return ValidationReport(passed=not violations, violations=tuple(violations))
 
@@ -454,22 +518,20 @@ def load_layout(path) -> SurfaceLayout:
 
     with open(path) as fh:
         doc = json.load(fh)
-    elements = tuple(
-        AntennaElement(
-            id=int(e["id"]),
-            position=(float(e["x_m"]), float(e["y_m"])),
-            pair_id=int(e["pair_id"]),
-        )
-        for e in doc["elements"]
-    )
-    lines = tuple(
-        TransmissionLine(
-            pair_id=int(ln["pair_id"]),
-            base_electrical_length=float(ln["base_length_m"]),
-            has_switch=bool(ln["has_switch"]),
-        )
-        for ln in doc["lines"]
-    )
+    # Ids and switches must carry their JSON type: 1.7 or "false" is refused,
+    # not truncated to 1 or read as true.
+    elements, lines = doc["elements"], doc["lines"]
+    ids = check_integers("element ids", [e["id"] for e in elements])
+    pairs = check_integers("element pair_ids", [e["pair_id"] for e in elements])
+    positions = [(float(e["x_m"]), float(e["y_m"])) for e in elements]
+    line_pairs = check_integers("line pair_ids", [ln["pair_id"] for ln in lines])
+    lengths = [float(ln["base_length_m"]) for ln in lines]
+    switches = [ln["has_switch"] for ln in lines]
+    for switch in switches:
+        if not isinstance(switch, bool):
+            raise ConfigurationError(f"line has_switch must be true or false, got {switch!r}")
+    elements = tuple(map(AntennaElement, ids, positions, pairs))
+    lines = tuple(map(TransmissionLine, line_pairs, lengths, switches))
     return SurfaceLayout(
         elements=elements,
         lines=lines,

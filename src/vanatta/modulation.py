@@ -135,9 +135,12 @@ def config_at(schedule: SwitchSchedule, t: float) -> SwitchConfig:
     if t < 0.0:
         raise ValueError(f"t must be non-negative, got {t}")
     idx = int(math.floor(t / dt))
-    # Guard against the quotient landing one ulp below an exact boundary.
+    # The rounded quotient may land on either side of a boundary i * dt:
+    # step to the interval whose rounded bounds hold t.
     if (idx + 1) * dt <= t:
         idx += 1
+    elif idx * dt > t:
+        idx -= 1
     if idx >= len(schedule.states):
         raise ValueError(f"t={t} s is past the schedule end {schedule.duration} s")
     return schedule.states[idx]

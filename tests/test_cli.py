@@ -751,3 +751,26 @@ def test_layout_file_round_trip_through_cli(tmp_path):
     assert run_cli("validate", "--config", cfg_path, "--out", str(out)) == 0
     doc = json.loads((tmp_path / "layout.json").read_text())
     assert len(doc["elements"]) == 6
+
+
+@pytest.mark.parametrize("command", ["validate", "pattern"])
+@pytest.mark.parametrize(
+    "section, field, value, message",
+    [
+        ("elements", "x_m", math.nan, "element 2 position must be finite, got (nan, 0.0)"),
+        ("lines", "base_length_m", math.inf, "pair 2 line length must be finite, got inf"),
+    ],
+    ids=["nan-x", "inf-length"],
+)
+def test_non_finite_layout_file_exits_one(
+    tmp_path, capsys, command, section, field, value, message
+):
+    """A NaN or infinite coordinate is refused by name, not reported valid
+    (NaN deviations never exceed the tolerance) or as a field overflow."""
+    save_layout(build_linear_array(2, LAM / 2.0, LAM), tmp_path / "layout.json")
+    doc = json.loads((tmp_path / "layout.json").read_text())
+    doc[section][2 if section == "elements" else 1][field] = value
+    (tmp_path / "layout.json").write_text(json.dumps(doc))
+    cfg_path = write_config(tmp_path, "layout.builder = file\nlayout.path = layout.json\n")
+    assert run_cli(command, "--config", cfg_path, "--out", str(tmp_path / "out")) == 1
+    assert capsys.readouterr().err == f"constraint error: {message}\n"

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from vanatta import (
     validate_layout,
     wavelength_of,
 )
-from vanatta.geometry import Violation
+from vanatta.geometry import AntennaElement, SurfaceLayout, TransmissionLine, Violation
 
 LAM = 0.012491352416666667  # wavelength at 24 GHz
 
@@ -391,3 +392,171 @@ def test_array_view_is_read_only_and_follows_pair_order():
         line = lines[pid]
         assert view.line_length[i] == line.base_electrical_length
         assert view.has_switch[i] == line.has_switch
+
+
+def layout_of(points, lengths, center=(0.0, 0.0)):
+    """A layout whose element 2k and 2k + 1 form pair k + 1 with line lengths[k]."""
+    elements = tuple(
+        AntennaElement(i, (float(x), float(y)), i // 2 + 1) for i, (x, y) in enumerate(points)
+    )
+    lines = tuple(
+        TransmissionLine(k + 1, float(length), has_switch=False) for k, length in enumerate(lengths)
+    )
+    return SurfaceLayout(elements, lines, LAM, center=center)
+
+
+def with_lines(layout, lengths):
+    lines = tuple(
+        dataclasses.replace(ln, base_electrical_length=float(length))
+        for ln, length in zip(layout.lines, lengths)
+    )
+    return dataclasses.replace(layout, lines=lines)
+
+
+def assert_matches_reference(layout, tolerance=1e-9):
+    """Rule, ids, order and deviation bits equal the loop-by-loop oracle's."""
+    report = validate_layout(layout, tolerance)
+    got = [(v.rule, v.ids, v.deviation.hex()) for v in report.violations]
+    want = [
+        (v.rule, v.ids, float(v.deviation).hex())
+        for v in reference_validate_layout(layout, tolerance)
+    ]
+    assert got == want
+    return got
+
+
+def far_points(n):
+    """n element positions 3 wavelengths apart: no spacing finding among them."""
+    return [(3.0 * LAM * k, 0.0) for k in range(n)]
+
+
+def test_congruence_window_minds_the_wrap_at_zero_and_wavelength():
+    # The builder's lengths are 10, 11, ... wavelengths: their residues
+    # straddle 0 and the wavelength.
+    layout = build_linear_array(4, LAM / 2.0, LAM)
+    residues = np.fmod(layout.arrays.line_length, LAM)
+    assert (residues < LAM / 2).any() and (residues > LAM / 2).any()
+    lengths = [ln.base_electrical_length for ln in layout.lines]
+    almost = lengths[:2] + [lengths[2] + LAM * (1.0 - 1e-12)] + lengths[3:]
+    assert assert_matches_reference(with_lines(layout, almost)) == []
+    half = lengths[:2] + [lengths[2] + LAM / 2.0] + lengths[3:]
+    found = assert_matches_reference(with_lines(layout, half))
+    assert [ids for _, ids, _ in found] == [(1, 3), (2, 3), (3, 4)]
+
+
+def test_congruence_window_across_the_wrap_and_for_negative_lengths():
+    # Residues on both sides of 0: within 1e-9 of each other across the wrap,
+    # or not; negative lengths put their residue on the circle by adding
+    # one wavelength.
+    offsets = [4e-10, -4e-10, 7e-10, -7e-10, 0.3 * LAM, -0.45 * LAM]
+    for signs in ([1.0] * 6, [-1.0] * 6, [1.0, -1.0] * 3, [-1.0, 1.0] * 3):
+        lengths = [s * (10 + k) * LAM + d for k, (s, d) in enumerate(zip(signs, offsets))]
+        found = assert_matches_reference(layout_of(far_points(12), lengths))
+        rules = {rule for rule, _, _ in found}
+        assert rules == {"centrosymmetry", "line_length_congruence"}
+        flagged = {ids for rule, ids, _ in found if rule == "line_length_congruence"}
+        assert (1, 2) not in flagged and (3, 4) in flagged and (5, 6) in flagged
+
+
+def test_congruence_window_at_zero_tolerance_keeps_rounded_differences():
+    # Both residues are exactly 0, but 4 wavelengths minus one rounds off a
+    # multiple of the wavelength, so at tolerance 0 the pair is a finding.
+    found = assert_matches_reference(layout_of(far_points(4), [LAM, 4.0 * LAM]), 0.0)
+    assert [ids for rule, ids, _ in found if rule == "line_length_congruence"] == [(1, 2)]
+
+
+def test_spacing_window_at_the_floor():
+    limit = LAM / 2.0 - 1e-9
+    # Exactly floor - tol apart passes; one ulp closer is a finding.
+    for gap, flagged in ((limit, False), (math.nextafter(limit, 0.0), True)):
+        found = assert_matches_reference(layout_of([(-gap / 2, 0.0), (gap / 2, 0.0)], [LAM]))
+        assert bool(found) == flagged
+    # Far from the origin the sum x + (floor - tol) rounds down onto an
+    # element whose gap is still below the limit; the window's slack keeps it.
+    a = next(
+        a for a in 1.0 + np.arange(1, 4096) / 4096.0 if (a + limit) - a < limit
+    )
+    found = assert_matches_reference(layout_of([(a, 0.0), (a + limit, 0.0)], [LAM], (a, 0.0)))
+    assert [ids for rule, ids, _ in found if rule == "min_spacing"] == [(0, 1)]
+
+
+def test_spacing_window_for_shared_x_and_coincident_elements():
+    points = [(0.0, 0.0), (0.0, 0.4 * LAM), (0.0, 0.8 * LAM), (0.0, 0.8 * LAM)]
+    points += [(5 * LAM, 0.0), (-5 * LAM, 0.0)]
+    found = assert_matches_reference(layout_of(points, [LAM, 2 * LAM, 3 * LAM]))
+    spacing = [(ids, dev) for rule, ids, dev in found if rule == "min_spacing"]
+    assert [ids for ids, _ in spacing] == [(0, 1), (1, 2), (1, 3), (2, 3)]
+    assert float.fromhex(spacing[-1][1]) == LAM / 2.0  # coincident: the whole floor
+
+
+@pytest.mark.parametrize(
+    "layout",
+    [build_concentric_surface(8, 0.05, LAM), build_linear_array(256, LAM / 2.0, LAM)],
+    ids=["8-rings", "256-pairs"],
+)
+def test_large_layouts_match_reference_as_built_and_squeezed(layout):
+    assert assert_matches_reference(layout) == []
+    squeezed = dataclasses.replace(
+        layout,
+        elements=tuple(
+            dataclasses.replace(e, position=(0.9 * e.position[0], 0.9 * e.position[1]))
+            for e in layout.elements
+        ),
+    )
+    found = assert_matches_reference(squeezed)
+    assert {rule for rule, _, _ in found} == {"min_spacing"}
+
+
+def test_builder_layouts_leave_no_candidate_pairs(monkeypatch):
+    """A valid layout costs no pairwise evaluation: the residues near 0 and
+    near the wavelength are neighbours across the wrap, and no two elements
+    sit within the spacing window."""
+    from vanatta import geometry
+
+    sizes = []
+    window = geometry._sorted_window_pairs
+
+    def counted(*args):
+        pairs = window(*args)
+        sizes.append(pairs[0].size)
+        return pairs
+
+    monkeypatch.setattr(geometry, "_sorted_window_pairs", counted)
+    validate_layout(build_linear_array(256, LAM / 2.0, LAM))
+    assert sizes == [0, 0]
+
+
+def test_layout_refuses_non_finite_values_by_id():
+    layout = build_linear_array(2, LAM / 2.0, LAM)
+    element = dataclasses.replace(layout.elements[3], position=(0.0, math.inf))
+    message = r"^element 3 position must be finite, got \(0.0, inf\)"
+    with pytest.raises(ConfigurationError, match=message):
+        dataclasses.replace(layout, elements=layout.elements[:3] + (element,))
+    line = dataclasses.replace(layout.lines[1], base_electrical_length=math.nan)
+    with pytest.raises(ConfigurationError, match="^pair 2 line length must be finite, got nan"):
+        dataclasses.replace(layout, lines=(layout.lines[0], line))
+    with pytest.raises(ConfigurationError, match=r"^center must be finite, got \(nan, 0.0\)"):
+        dataclasses.replace(layout, center=(math.nan, 0.0))
+
+
+@pytest.mark.parametrize(
+    "section, field, value, message",
+    [
+        ("elements", "id", 1.7, "element ids must be integers, got 1.7"),
+        ("elements", "pair_id", "2", "element pair_ids must be integers, got '2'"),
+        ("lines", "pair_id", 2.5, "line pair_ids must be integers, got 2.5"),
+        ("lines", "has_switch", "false", "line has_switch must be true or false, got 'false'"),
+        ("lines", "has_switch", 0, "line has_switch must be true or false, got 0"),
+    ],
+    ids=["float-id", "text-pair-id", "float-line-pair-id", "text-switch", "int-switch"],
+)
+def test_load_layout_refuses_mistyped_fields(tmp_path, section, field, value, message):
+    import json
+
+    path = tmp_path / "layout.json"
+    save_layout(build_linear_array(2, LAM / 2.0, LAM), path)
+    doc = json.loads(path.read_text())
+    doc[section][1][field] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+        load_layout(path)

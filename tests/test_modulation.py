@@ -143,6 +143,22 @@ def test_config_at_survives_float_quotient_noise():
         assert config_at(schedule, (i + 1) * dt - 1e-12) is schedule.states[i]
 
 
+def test_config_at_just_below_the_end_is_the_last_interval():
+    schedule = encode_bits((1, 0) * 16 + (1,), LAYOUT2, 0.9e-3, 0.45e-3)
+    t = math.nextafter(schedule.duration, 0.0)
+    assert t / schedule.switch_interval == 33.0  # the quotient rounds up to the end
+    assert config_at(schedule, t) is schedule.states[32]
+
+
+def test_config_at_just_below_an_interior_boundary_is_the_earlier_interval():
+    schedule = encode_bits((1, 0, 1, 0), LAYOUT2, 0.3e-3, 0.3e-3)
+    dt = schedule.switch_interval
+    t = math.nextafter(3 * dt, 0.0)
+    assert t / dt == 3.0  # the quotient rounds up onto boundary 3
+    assert config_at(schedule, t) is schedule.states[2]
+    assert config_at(schedule, 3 * dt) is schedule.states[3]
+
+
 def test_encode_config_at_left_inverse():
     bits = [1, 0, 0, 1, 1, 0, 1, 0]
     schedule = encode_bits(bits, LAYOUT4, 1e-3)
