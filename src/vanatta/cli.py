@@ -431,12 +431,13 @@ def cmd_link(cfg: dict, out_dir: str, config_dir: str, seed: int) -> int:
     layout = _resolve_layout(cfg, config_dir)
     params = _chirp_params(cfg)
     n_random = cfg["link.random_bits"]
+    check_finite("link.random_bits", n_random, "non-negative")
     if n_random > 0:
         rng = np.random.default_rng(seed)
         bits = tuple(int(b) for b in rng.integers(0, 2, n_random))
     else:
         bits = _bits_of(cfg["link.bits"])
-    schedule = encode_bits(bits, layout, cfg["link.switch_interval_s"], params.chirp_duration)
+    schedule = encode_bits(bits, layout, cfg["link.switch_interval_s"])
     scenario = LinkScenario(
         layout=layout,
         schedule=schedule,

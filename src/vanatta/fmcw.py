@@ -5,16 +5,16 @@ range r returns a dechirped beat tone at
 
     f_beat = 2 * B * r / (c * T)
 
-sampled at sample_rate for each of chirps_per_frame chirps.  The tone's
-phase advances chirp to chirp by 2 pi * (2 v / lambda) * T (stop-and-hop:
-range migration inside a frame is ignored).  Echo amplitudes come from a
-reflector model evaluated at the 1 m reference distance and are scaled to
-the target range with the one-way 1/r far-field convention.
+sampled at sample_rate, one frame row per chirp (the row count is the chirp
+count).  The tone's phase advances chirp to chirp by 2 pi * (2 v / lambda)
+* T (stop-and-hop: range migration inside a frame is ignored).  Echo
+amplitudes come from a reflector read at the 1 m reference distance and are
+scaled to the target range with the one-way 1/r far-field convention.
 
 Range processing is a Hann-windowed DFT per chirp, scaled so a bin-centered
 tone of amplitude A reads magnitude A; bin i of an unpadded profile maps to
-range i * c / (2 * B).  Doppler processing is an unwindowed DFT across
-chirps, scaled by the chirp count.
+range i * c / (2 * B).  Doppler processing is an unwindowed DFT across the
+signal's rows, scaled by their count.
 """
 
 from __future__ import annotations
@@ -56,8 +56,8 @@ class ChirpParams:
     """Sawtooth chirp timing and sampling.
 
     Defaults follow the 24 GHz operating point used throughout: 250 MHz
-    sweep over 0.5 ms, sampled at 2 MHz.  Set nonstandard_band_ok to skip
-    the automotive-band warning.
+    sweep over 0.5 ms, sampled at 2 MHz.  chirps_per_frame sizes the frames
+    of synthesize_beat; a link frame has as many chirps as its bits need.
     """
 
     start_frequency: float = 24e9
@@ -65,7 +65,6 @@ class ChirpParams:
     chirp_duration: float = 0.5e-3
     sample_rate: float = 2e6
     chirps_per_frame: int = 64
-    nonstandard_band_ok: bool = False
 
     def __post_init__(self):
         for name in ("start_frequency", "bandwidth", "chirp_duration", "sample_rate"):
@@ -76,9 +75,7 @@ class ChirpParams:
             raise ConfigurationError(
                 f"chirp_duration * sample_rate must be an integer >= 2, got {n}"
             )
-        if not self.nonstandard_band_ok and not any(
-            lo <= self.start_frequency <= hi for lo, hi in _AUTOMOTIVE_BANDS
-        ):
+        if not any(lo <= self.start_frequency <= hi for lo, hi in _AUTOMOTIVE_BANDS):
             warnings.warn(
                 f"start_frequency {self.start_frequency:.4g} Hz is outside the "
                 f"common automotive bands (24 GHz, 76-81 GHz)",
@@ -109,9 +106,6 @@ class ChirpParams:
 
     def beat_frequency(self, range_m: float) -> float:
         return 2.0 * self.bandwidth * range_m / (C0 * self.chirp_duration)
-
-    def chirp_times(self) -> np.ndarray:
-        return np.arange(self.chirps_per_frame) * self.chirp_duration
 
 
 @dataclass(frozen=True)
@@ -181,7 +175,7 @@ class Target:
 
 @dataclass(frozen=True)
 class BeatSignal:
-    """Dechirped samples, chirps_per_frame x samples_per_chirp."""
+    """Dechirped samples, one row per chirp: chirps x samples_per_chirp."""
 
     params: ChirpParams
     samples: np.ndarray
@@ -231,12 +225,12 @@ def _chirp_blocks(n_chirps: int) -> list[tuple[int, int]]:
     return list(zip(edges[:-1], edges[1:]))
 
 
-def _tones(params: ChirpParams, targets) -> list[tuple[np.ndarray, float, np.ndarray]]:
-    """(per-chirp amplitudes, beat frequency, per-chirp phases) per target;
+def _tones(params: ChirpParams, n_chirps: int, targets) -> list[tuple[np.ndarray, float, np.ndarray]]:
+    """(amplitudes, beat frequency, phases) per target, over n_chirps chirps;
     raises ConfigurationError as _beat_blocks documents.  Reflectors are
     read at chirp midpoints, half a chirp from any bit boundary."""
     nyquist = params.sample_rate / 2.0
-    times = (np.arange(params.chirps_per_frame) + 0.5) * params.chirp_duration
+    times = (np.arange(n_chirps) + 0.5) * params.chirp_duration
     tones = []
     for index, target in enumerate(targets):
         where = f"target {index} at {target.range_m} m"
@@ -256,7 +250,7 @@ def _tones(params: ChirpParams, targets) -> list[tuple[np.ndarray, float, np.nda
             * params.chirp_duration
         )
         with np.errstate(invalid="ignore"):  # inf * 0 at chirp 0; refused below
-            phases = phase0 + phase_step * np.arange(params.chirps_per_frame)
+            phases = phase0 + phase_step * np.arange(n_chirps)
         for name, values in (("amplitudes", amps), ("phases", phases)):
             if not np.isfinite(values).all():
                 raise ConfigurationError(f"{where}: per-chirp {name} are not finite")
@@ -283,8 +277,8 @@ def _noise_draws(seed, sigma: float, blocks, free, full) -> None:
         full.put(exc)
 
 
-def _beat_blocks(params: ChirpParams, targets, noise_power: float, seed: int | None):
-    """Yield (lo, block): rows lo:lo + len(block) of the noisy beat frame.
+def _beat_blocks(params: ChirpParams, n_chirps: int, targets, noise_power: float, seed: int | None):
+    """Yield (lo, block): rows lo:lo + len(block) of a noisy n_chirps frame.
 
     This is the only code that synthesizes frame rows.  Each target's
     per-chirp amplitudes and start phases are computed once for the whole
@@ -309,7 +303,7 @@ def _beat_blocks(params: ChirpParams, targets, noise_power: float, seed: int | N
             phases are not finite (the error names the target).
     """
     check_finite("noise_power", noise_power, "non-negative")
-    blocks = _chirp_blocks(params.chirps_per_frame)
+    blocks = _chirp_blocks(n_chirps)
     shape = (max(hi - lo for lo, hi in blocks), params.samples_per_chirp)
     worker = None
     if noise_power > 0.0:
@@ -327,7 +321,7 @@ def _beat_blocks(params: ChirpParams, targets, noise_power: float, seed: int | N
         )
         worker.start()
     try:
-        tones = _tones(params, targets)
+        tones = _tones(params, n_chirps, targets)
         buffer = np.empty(shape)
         dt = 1.0 / params.sample_rate
         for lo, hi in blocks:
@@ -372,7 +366,7 @@ def synthesize_beat(
             phases are not finite (the error names the target).
     """
     samples = np.empty((params.chirps_per_frame, params.samples_per_chirp))
-    for lo, block in _beat_blocks(params, targets, noise_power, seed):
+    for lo, block in _beat_blocks(params, len(samples), targets, noise_power, seed):
         samples[lo : lo + len(block)] = block
     return BeatSignal(params=params, samples=samples)
 
@@ -392,11 +386,7 @@ def _range_window(n: int) -> np.ndarray:
 
 
 def _profile_matrix(signal: BeatSignal, zero_pad: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """Scaled range DFT of every chirp: (ranges, complex matrix C x bins).
-
-    Only len(signal.samples) rows are transformed, so a BeatSignal holding
-    one block of a frame gives that block's spectra.
-    """
+    """Scaled range DFT of every row: (ranges, complex matrix rows x bins)."""
     if zero_pad < 1:
         raise ValueError("zero_pad must be >= 1")
     params = signal.params
@@ -415,21 +405,22 @@ def _profile_matrix(signal: BeatSignal, zero_pad: int = 1) -> tuple[np.ndarray, 
 
 
 def range_profile(signal: BeatSignal, chirp_index: int = 0, zero_pad: int = 1) -> RangeProfile:
-    """Range spectrum of one chirp.
+    """Range spectrum of one chirp, the signal's row chirp_index.
 
     zero_pad > 1 interpolates the spectrum for finer peak estimates; bin i
     of the unpadded profile maps to range i * c / (2 * bandwidth).
     """
-    if not 0 <= chirp_index < signal.params.chirps_per_frame:
+    if not 0 <= chirp_index < len(signal.samples):
         raise ValueError(f"chirp_index {chirp_index} out of range")
-    ranges, spectra = _profile_matrix(signal, zero_pad)
-    return RangeProfile(ranges_m=ranges, values=spectra[chirp_index])
+    row = BeatSignal(params=signal.params, samples=signal.samples[chirp_index : chirp_index + 1])
+    ranges, spectra = _profile_matrix(row, zero_pad)
+    return RangeProfile(ranges_m=ranges, values=spectra[0])
 
 
 def range_doppler(signal: BeatSignal) -> RangeDopplerMap:
-    """Range-Doppler map of a frame; velocity 0 is centered."""
+    """Range-Doppler map of a frame's rows; velocity 0 is centered."""
     params = signal.params
-    c = params.chirps_per_frame
+    c = len(signal.samples)
     if c < 2:
         raise ValueError("range_doppler needs at least 2 chirps per frame")
     ranges, spectra = _profile_matrix(signal)
@@ -536,13 +527,11 @@ def max_detection_range(
     check_finite("noise_power", noise_power, "positive")
     min_range, rel_tol = 1.0, 1e-6
     sigma = bin_noise_sigma(params, noise_power)
-    # params warned about their band when built; the probe copy does not.
-    probe_params = replace(params, chirps_per_frame=1, nonstandard_band_ok=True)
 
     def clears(range_m: float) -> bool:
         probe = replace(target, range_m=range_m)
-        signal = synthesize_beat(probe_params, [probe], 0.0, None)
-        profile = range_profile(signal, 0, zero_pad=8)
+        [(_, chirp)] = _beat_blocks(params, 1, [probe], 0.0, None)
+        profile = range_profile(BeatSignal(params=params, samples=chirp), 0, zero_pad=8)
         amp = _interpolated_peak_amplitude(profile)
         if amp == 0.0:
             return False

@@ -512,30 +512,55 @@ def save_layout(layout: SurfaceLayout, path) -> None:
         fh.write("\n")
 
 
+def _json(record, key: str, where: str, number: bool = False):
+    """record[key]; ConfigurationError naming the field unless record is a
+    JSON object that holds key and, if number, the value is a JSON number
+    ("0.001" and true are refused, not coerced)."""
+    if not isinstance(record, dict) or key not in record:
+        raise ConfigurationError(f"layout {where} has no {key}")
+    value = record[key]
+    if number and type(value) not in (int, float):
+        raise ConfigurationError(f"layout {where} {key} must be a number, got {value!r}")
+    return float(value) if number else value
+
+
 def load_layout(path) -> SurfaceLayout:
-    """Read a layout written by save_layout."""
+    """Read a layout written by save_layout.
+
+    A file that lacks a key save_layout writes, whose center_xy_m is not two
+    numbers, or whose lengths or coordinates are not JSON numbers raises
+    ConfigurationError naming the field, as do ids that are not integers
+    and a has_switch that is not true or false.
+    """
     import json
 
     with open(path) as fh:
         doc = json.load(fh)
+    center = _json(doc, "center_xy_m", "file")
+    if not (isinstance(center, list) and len(center) == 2 and {*map(type, center)} <= {int, float}):
+        raise ConfigurationError(f"layout center_xy_m must be two numbers, got {center!r}")
+
+    def column(section: str, key: str, number: bool = False) -> list:
+        records = _json(doc, section, "file")
+        if not isinstance(records, list):
+            raise ConfigurationError(f"layout {section} must be a list, got {records!r}")
+        return [_json(r, key, f"{section}[{i}]", number) for i, r in enumerate(records)]
+
     # Ids and switches must carry their JSON type: 1.7 or "false" is refused,
     # not truncated to 1 or read as true.
-    elements, lines = doc["elements"], doc["lines"]
-    ids = check_integers("element ids", [e["id"] for e in elements])
-    pairs = check_integers("element pair_ids", [e["pair_id"] for e in elements])
-    positions = [(float(e["x_m"]), float(e["y_m"])) for e in elements]
-    line_pairs = check_integers("line pair_ids", [ln["pair_id"] for ln in lines])
-    lengths = [float(ln["base_length_m"]) for ln in lines]
-    switches = [ln["has_switch"] for ln in lines]
+    ids = check_integers("element ids", column("elements", "id"))
+    pairs = check_integers("element pair_ids", column("elements", "pair_id"))
+    positions = zip(column("elements", "x_m", True), column("elements", "y_m", True))
+    line_pairs = check_integers("line pair_ids", column("lines", "pair_id"))
+    lengths = column("lines", "base_length_m", True)
+    switches = column("lines", "has_switch")
     for switch in switches:
         if not isinstance(switch, bool):
             raise ConfigurationError(f"line has_switch must be true or false, got {switch!r}")
-    elements = tuple(map(AntennaElement, ids, positions, pairs))
-    lines = tuple(map(TransmissionLine, line_pairs, lengths, switches))
     return SurfaceLayout(
-        elements=elements,
-        lines=lines,
-        wavelength=float(doc["wavelength_m"]),
-        center=tuple(float(v) for v in doc["center_xy_m"]),
-        absorption_efficiency=float(doc["absorption_efficiency"]),
+        elements=tuple(map(AntennaElement, ids, positions, pairs)),
+        lines=tuple(map(TransmissionLine, line_pairs, lengths, switches)),
+        wavelength=_json(doc, "wavelength_m", "file", True),
+        center=(float(center[0]), float(center[1])),
+        absorption_efficiency=_json(doc, "absorption_efficiency", "file", True),
     )

@@ -16,7 +16,7 @@ range DFT then adds its processing gain before decoding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,9 +44,9 @@ def whole_chirps(switch_interval: float, chirp_duration: float) -> int:
 class LinkScenario:
     """Everything needed to run one modulated frame.
 
-    The switch interval must be an integer number of chirps; the frame
-    length is derived from the schedule (chirps_per_frame in params is
-    ignored here).
+    The switch interval must be a whole number of chirps (whole_chirps);
+    the frame has that many chirps per bit, and chirps_per_frame in params
+    is not read.
     """
 
     layout: SurfaceLayout
@@ -144,18 +144,17 @@ def decode_ook(per_chirp_amplitudes, chirps_per_bit: int, threshold: float | Non
     return BitFrame(bits)
 
 
-def _extract_bin_amplitudes(params: ChirpParams, targets, noise_power: float, seed) -> np.ndarray:
-    """Per-chirp magnitudes at the strongest range bin of the noisy frame.
+def _extract_bin_amplitudes(params: ChirpParams, n_chirps: int, targets, noise_power, seed):
+    """Per-chirp magnitudes at the strongest range bin of a noisy n_chirps frame.
 
     The frame is synthesized and range-transformed one block of chirps at a
     time; only the chirps x bins magnitude matrix is held whole, never the
     frame or its complex spectrum.  The strongest bin is the one with the
     largest mean magnitude over the chirps.
     """
-    mags = np.empty((params.chirps_per_frame, params.samples_per_chirp // 2 + 1))
-    for lo, block in _beat_blocks(params, targets, noise_power, seed):
-        # The block's BeatSignal keeps the frame's params; _profile_matrix
-        # reads only the sampling from them and transforms the block's rows.
+    mags = np.empty((n_chirps, params.samples_per_chirp // 2 + 1))
+    for lo, block in _beat_blocks(params, n_chirps, targets, noise_power, seed):
+        # A BeatSignal's rows are its chirps: this one is the block's.
         _, spectra = _profile_matrix(BeatSignal(params=params, samples=block))
         np.abs(spectra, out=mags[lo : lo + len(block)])
     bin_index = int(np.argmax(mags.mean(axis=0)))
@@ -175,16 +174,15 @@ def _measured_snr_db(amps: np.ndarray, threshold: float, c_lo: float, c_hi: floa
 
 def _run_frame(params: ChirpParams, target: Target, bits, chirps_per_bit: int, noise_power, seed):
     """LinkResult of sending bits, chirps_per_bit chirps each, off one target."""
-    # The caller's params warned about their band when built; the copy does not.
-    params = replace(params, chirps_per_frame=len(bits) * chirps_per_bit, nonstandard_band_ok=True)
-    amps = _extract_bin_amplitudes(params, [target], noise_power, seed)
+    n_chirps = len(bits) * chirps_per_bit
+    amps = _extract_bin_amplitudes(params, n_chirps, [target], noise_power, seed)
     c_lo, c_hi = two_cluster_centers(amps)
     threshold = 0.5 * (c_lo + c_hi)
     decoded = decode_ook(amps, chirps_per_bit, threshold)
     errors = sum(d != s for d, s in zip(decoded.bits, bits))
     return LinkResult(
         per_chirp_amplitudes=amps,
-        chirp_times=params.chirp_times(),
+        chirp_times=np.arange(n_chirps) * params.chirp_duration,
         transmitted=bits,
         decoded=decoded,
         ber=errors / len(bits),

@@ -14,13 +14,8 @@ import math
 from dataclasses import dataclass
 
 from .emfield import SwitchConfig
-from .errors import ConfigurationError, SchedulingError, check_finite, check_integers
+from .errors import ConfigurationError, check_finite, check_integers
 from .geometry import SurfaceLayout
-
-# Defaults matching the radar timing used throughout: the state is held for
-# two chirps.
-DEFAULT_SWITCH_INTERVAL = 1e-3
-DEFAULT_CHIRP_DURATION = 0.5e-3
 
 
 @dataclass(frozen=True)
@@ -94,32 +89,20 @@ def destructive_config(layout: SurfaceLayout) -> SwitchConfig:
     return SwitchConfig(frozenset(toggled.tolist()))
 
 
-def encode_bits(
-    bits,
-    layout: SurfaceLayout,
-    switch_interval: float = DEFAULT_SWITCH_INTERVAL,
-    chirp_duration: float = DEFAULT_CHIRP_DURATION,
-) -> SwitchSchedule:
+def encode_bits(bits, layout: SurfaceLayout, switch_interval: float) -> SwitchSchedule:
     """On-off keying: bit 1 -> constructive state, bit 0 -> destructive.
 
     Args:
         bits: BitFrame or iterable of 0/1.
         layout: surface the schedule drives (fixes the destructive state).
-        switch_interval: hold time per bit in seconds.
-        chirp_duration: radar chirp length; the interval must not be shorter
-            (the radar needs at least one whole chirp per state).
+        switch_interval: hold time per bit in seconds, positive and finite.
+            The schedule knows no radar: the link (link.whole_chirps) is
+            what requires a whole number of chirps per bit.
 
     Returns:
         SwitchSchedule covering the bits in order.
     """
     frame = bits if isinstance(bits, BitFrame) else BitFrame(tuple(bits))
-    check_finite("switch_interval", switch_interval, "positive")
-    check_finite("chirp_duration", chirp_duration, "positive")
-    if switch_interval < chirp_duration:
-        raise SchedulingError(
-            f"switch interval {switch_interval} s is shorter than one chirp "
-            f"({chirp_duration} s)"
-        )
     on = constructive_config()
     off = destructive_config(layout)
     states = tuple(on if b == 1 else off for b in frame.bits)

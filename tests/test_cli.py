@@ -83,6 +83,23 @@ def test_config_parse_errors():
         parse_config_text("this is not a key value line")
 
 
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        ("validate", "layout builder = linear\n", "line 1: bad key 'layout builder'"),
+        ("link", "link.bits = 0120\n", "link.bits must be a string of 0/1, got '0120'"),
+        ("validate", "layout.builder = file\n", "layout.builder = file needs layout.path"),
+        ("validate", "layout.builder = spiral\n", "unknown layout.builder 'spiral'"),
+    ],
+    ids=["key-with-space", "bits-not-binary", "file-without-path", "unknown-builder"],
+)
+def test_config_refusals_exit_two(tmp_path, capsys, command, text, message):
+    out = tmp_path / "out"
+    assert run_cli(command, "--config", write_config(tmp_path, text), "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_validate_defaults_pass(tmp_path, capsys):
     out = tmp_path / "out"
     assert run_cli("validate", "--out", str(out)) == 0
@@ -626,6 +643,8 @@ def test_pattern_rejects_infinite_amplitude(tmp_path, capsys):
         ("target.velocity_mps", "nan", "velocity_mps"),
         ("noise.power", "inf", "noise_power"),
         ("noise.power", "nan", "noise_power"),
+        # A negative count once sent link.bits and exited 0.
+        ("link.random_bits", "-5", "link.random_bits"),
     ],
 )
 def test_link_rejects_non_finite_inputs(tmp_path, capsys, key, value, field):
@@ -774,3 +793,41 @@ def test_non_finite_layout_file_exits_one(
     cfg_path = write_config(tmp_path, "layout.builder = file\nlayout.path = layout.json\n")
     assert run_cli(command, "--config", cfg_path, "--out", str(tmp_path / "out")) == 1
     assert capsys.readouterr().err == f"constraint error: {message}\n"
+
+
+def _drop(record, key):
+    del record[key]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: _drop(doc["elements"][1], "x_m"), "layout elements[1] has no x_m"),
+        (lambda doc: _drop(doc, "lines"), "layout file has no lines"),
+        (
+            lambda doc: doc.update(center_xy_m=[0.0, 0.0, 0.0]),
+            "layout center_xy_m must be two numbers, got [0.0, 0.0, 0.0]",
+        ),
+        (
+            lambda doc: doc["elements"][1].update(x_m="0.001"),
+            "layout elements[1] x_m must be a number, got '0.001'",
+        ),
+        (
+            lambda doc: doc["lines"][0].update(base_length_m=True),
+            "layout lines[0] base_length_m must be a number, got True",
+        ),
+    ],
+    ids=["no-x", "no-lines", "three-center-values", "text-x", "bool-length"],
+)
+def test_malformed_layout_file_exits_one(tmp_path, capsys, edit, message):
+    """A layout file of the wrong shape is refused by field: no KeyError
+    traceback, no unpacking error, and no string coerced to a number."""
+    save_layout(build_linear_array(2, LAM / 2.0, LAM), tmp_path / "layout.json")
+    doc = json.loads((tmp_path / "layout.json").read_text())
+    edit(doc)
+    (tmp_path / "layout.json").write_text(json.dumps(doc))
+    cfg_path = write_config(tmp_path, "layout.builder = file\nlayout.path = layout.json\n")
+    assert run_cli("validate", "--config", cfg_path, "--out", str(tmp_path / "out")) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"constraint error: {message}\n"
+    assert "layout valid" not in captured.out

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vanatta import (
+    BeatSignal,
     ChirpParams,
     ConfigurationError,
     DesignMismatchWarning,
@@ -129,7 +130,6 @@ def test_chirp_params_band_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         default_params(start_frequency=77e9)
-        default_params(start_frequency=50e9, nonstandard_band_ok=True)
 
 
 def test_empty_scene_is_silent():
@@ -312,6 +312,52 @@ def test_range_doppler_needs_two_chirps():
         range_doppler(signal)
 
 
+def _mislabelled_block():
+    """128 rows of a noisy frame in a BeatSignal whose params say 2048
+    chirps, as a block of a long frame is; and the same rows labelled 128."""
+    rows = synthesize_beat(
+        default_params(chirps_per_frame=128), [surface_target(50.0, velocity=3.0)], 1e-6, 5
+    )
+    return BeatSignal(params=default_params(chirps_per_frame=2048), samples=rows.samples), rows
+
+
+def test_range_doppler_takes_its_length_and_scale_from_the_rows():
+    block, rows = _mislabelled_block()
+    rd = range_doppler(block)
+    assert rd.values.shape == (501, 128)
+    assert len(rd.velocities_mps) == 128
+    bin_width = default_params(chirps_per_frame=128).velocity_bin_mps
+    np.testing.assert_allclose(np.diff(rd.velocities_mps), bin_width, rtol=1e-12)
+    # Velocity 0 sits at column 64: the spectra summed over the rows, / 128.
+    _, spectra = fmcw._profile_matrix(rows)
+    np.testing.assert_allclose(
+        rd.values[:, 64], spectra.mean(axis=0), rtol=0, atol=1e-12 * np.abs(spectra).max()
+    )
+    expected = range_doppler(rows)
+    assert np.array_equal(rd.velocities_mps, expected.velocities_mps)
+    assert np.array_equal(rd.values, expected.values)
+
+
+def test_range_profile_transforms_one_row_and_refuses_one_past_the_last(monkeypatch):
+    block, rows = _mislabelled_block()
+    transformed, profile_matrix = [], fmcw._profile_matrix
+
+    def counted(signal, zero_pad=1):
+        transformed.append(len(signal.samples))
+        return profile_matrix(signal, zero_pad)
+
+    monkeypatch.setattr(fmcw, "_profile_matrix", counted)
+    profile = range_profile(block, 127, zero_pad=8)
+    assert transformed == [1]
+    monkeypatch.undo()
+    ranges, spectra = fmcw._profile_matrix(rows, 8)
+    assert np.array_equal(profile.ranges_m, ranges)
+    assert np.array_equal(profile.values, spectra[127])
+    for index in (128, 500, -1):
+        with pytest.raises(ValueError, match=f"chirp_index {index} out of range"):
+            range_profile(block, index)
+
+
 def test_noise_only_scene_stays_clean_at_13db():
     params = default_params(chirps_per_frame=1)
     clean = 0
@@ -399,7 +445,7 @@ def _whole_frame_beat(params, targets, noise_power, seed):
     """The frame built whole: zeros, one whole-frame accumulate_beat per
     target, then normal(0, sigma) noise over the whole frame."""
     samples = np.zeros((params.chirps_per_frame, params.samples_per_chirp))
-    times = params.chirp_times() + 0.5 * params.chirp_duration
+    times = np.arange(params.chirps_per_frame) * params.chirp_duration + 0.5 * params.chirp_duration
     for target in targets:
         amps = target.reflector.amplitudes(times, params.start_frequency)
         amps = amps * (REFERENCE_DISTANCE / target.range_m)
@@ -457,7 +503,8 @@ def test_blocked_frame_matches_whole_frame_construction(chirps, samples, targets
     w = np.hanning(params.samples_per_chirp)
     mags = np.abs(np.fft.rfft(expected * w, axis=1) * (2.0 / w.sum()))
     column = mags[:, int(np.argmax(mags.mean(axis=0)))]
-    assert np.array_equal(_extract_bin_amplitudes(params, scene, noise_power, seed), column)
+    amps = _extract_bin_amplitudes(params, chirps, scene, noise_power, seed)
+    assert np.array_equal(amps, column)
 
 
 @settings(max_examples=12, deadline=None)
@@ -507,7 +554,7 @@ def test_noise_worker_is_joined_when_the_frame_completes():
 
 def test_noise_worker_is_joined_when_the_consumer_stops_early():
     baseline = threading.active_count()
-    blocks = _beat_blocks(NOISY, [Target(50.0, 0.0, PLATE)], 1e-6, 1)
+    blocks = _beat_blocks(NOISY, NOISY.chirps_per_frame, [Target(50.0, 0.0, PLATE)], 1e-6, 1)
     next(blocks)
     assert threading.active_count() == baseline + 1
     blocks.close()
@@ -545,7 +592,7 @@ def test_concurrent_noisy_frames_keep_their_seeded_draws():
     # threads often: a noise buffer refilled before its block had been
     # summed would change that block's bits.  With no target each block is
     # its noise alone, checked against the consumer's own serial draw.
-    params = default_params(chirps_per_frame=16 * _FFT_BLOCK)
+    params = default_params()
     sigma = math.sqrt(1e-2)
     mismatched = {}
 
@@ -553,7 +600,7 @@ def test_concurrent_noisy_frames_keep_their_seeded_draws():
         rng = np.random.default_rng(seed)
         mismatched[seed] = sum(
             not np.array_equal(block, rng.normal(0.0, sigma, block.shape))
-            for _, block in _beat_blocks(params, [], 1e-2, seed)
+            for _, block in _beat_blocks(params, 16 * _FFT_BLOCK, [], 1e-2, seed)
         )
 
     interval = sys.getswitchinterval()
@@ -572,7 +619,7 @@ def test_concurrent_noisy_frames_keep_their_seeded_draws():
 
 def test_noiseless_frame_starts_no_thread():
     baseline = threading.active_count()
-    blocks = _beat_blocks(NOISY, [Target(50.0, 0.0, PLATE)], 0.0, None)
+    blocks = _beat_blocks(NOISY, NOISY.chirps_per_frame, [Target(50.0, 0.0, PLATE)], 0.0, None)
     next(blocks)
     assert threading.active_count() == baseline
     blocks.close()
@@ -655,17 +702,17 @@ def test_every_chirp_carries_its_own_bits_level(chirp_s):
     # Chirp c starts at c*T; where that rounds just below a bit boundary, a
     # reflector read at start times puts the chirp in the previous bit.
     bits = tuple(int(b) for b in np.random.default_rng(11).integers(0, 2, 2048))
+    params = default_params(chirp_duration=chirp_s)
     for per_bit in range(1, 8):
-        params = default_params(chirp_duration=chirp_s, chirps_per_frame=len(bits) * per_bit)
         interval = per_bit * chirp_s
-        schedule = encode_bits(bits, LAYOUT, interval, chirp_s)
+        schedule = encode_bits(bits, LAYOUT, interval)
         reflectors = (
             SurfaceReflector(LAYOUT, schedule=schedule),
             _TwoStateReflector(bits, interval, on_amplitude=1.0, off_amplitude=0.25),
         )
         sent = np.repeat(bits, per_bit) == 1
         for reflector in reflectors:
-            [(amps, _, _)] = fmcw._tones(params, [Target(10.0, 0.0, reflector)])
+            [(amps, _, _)] = fmcw._tones(params, len(sent), [Target(10.0, 0.0, reflector)])
             levels = np.where(sent, amps.max(), amps.min())
             assert amps.max() > amps.min()
             assert np.array_equal(amps, levels), (
@@ -677,7 +724,7 @@ def test_every_chirp_carries_its_own_bits_level(chirp_s):
 def test_surface_reflector_holds_the_last_state_past_the_schedule_end():
     # The float just below the end of 33 bits of 0.9 ms divides back to
     # 33.0, which config_at would put past the end.
-    schedule = encode_bits((1,) * 32 + (0,), LAYOUT, 0.9e-3, 0.3e-3)
+    schedule = encode_bits((1,) * 32 + (0,), LAYOUT, 0.9e-3)
     reflector = SurfaceReflector(LAYOUT, schedule=schedule)
     amps = reflector.amplitudes(np.array([0.0, 29.0e-3, 29.7e-3, 33e-3]), 24e9)
     assert amps[0] > amps[1]

@@ -539,6 +539,19 @@ def test_layout_refuses_non_finite_values_by_id():
         dataclasses.replace(layout, center=(math.nan, 0.0))
 
 
+def test_layout_refuses_a_broken_pairing():
+    layout = build_linear_array(2, LAM / 2.0, LAM)
+    first, second, *rest = layout.elements  # pairs 1 and 2
+    twin = dataclasses.replace(second, id=first.id)
+    with pytest.raises(ConstraintError, match="^element ids must be unique$"):
+        dataclasses.replace(layout, elements=(first, twin, *rest))
+    alone = dataclasses.replace(first, pair_id=9)
+    with pytest.raises(ConstraintError, match=r"^pairs must have exactly two elements, bad: \[1, 9\]$"):
+        dataclasses.replace(layout, elements=(alone, second, *rest))
+    with pytest.raises(ConstraintError, match="^pair_ids of lines and element pairs must match$"):
+        dataclasses.replace(layout, lines=layout.lines[:1])
+
+
 @pytest.mark.parametrize(
     "section, field, value, message",
     [
@@ -547,8 +560,13 @@ def test_layout_refuses_non_finite_values_by_id():
         ("lines", "pair_id", 2.5, "line pair_ids must be integers, got 2.5"),
         ("lines", "has_switch", "false", "line has_switch must be true or false, got 'false'"),
         ("lines", "has_switch", 0, "line has_switch must be true or false, got 0"),
+        ("elements", "y_m", "0", "layout elements[1] y_m must be a number, got '0'"),
+        ("lines", "base_length_m", None, "layout lines[1] base_length_m must be a number, got None"),
     ],
-    ids=["float-id", "text-pair-id", "float-line-pair-id", "text-switch", "int-switch"],
+    ids=[
+        "float-id", "text-pair-id", "float-line-pair-id", "text-switch", "int-switch",
+        "text-y", "null-length",
+    ],
 )
 def test_load_layout_refuses_mistyped_fields(tmp_path, section, field, value, message):
     import json

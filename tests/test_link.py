@@ -58,13 +58,29 @@ def test_noiseless_eight_bit_round_trip():
 def test_link_timing_two_chirps_per_bit():
     scenario = scenario_for((1, 0, 1))
     assert scenario.chirps_per_bit == 2
-    with pytest.raises(SchedulingError):
-        LinkScenario(
-            layout=LAYOUT,
-            schedule=encode_bits((1, 0), LAYOUT, 0.8e-3),
-            params=ChirpParams(),
-            range_m=25.0,
-        )
+    # 0.4 ms is below one 0.5 ms chirp; the link, not the schedule, refuses it.
+    for interval in (0.8e-3, 0.4e-3):
+        with pytest.raises(SchedulingError, match=f"switch interval {interval} s must be a whole"):
+            LinkScenario(
+                layout=LAYOUT,
+                schedule=encode_bits((1, 0), LAYOUT, interval),
+                params=ChirpParams(),
+                range_m=25.0,
+            )
+
+
+def test_link_with_short_chirps_decodes_at_two_chirps_per_bit():
+    # 0.2 ms chirps (400 samples at 2 MHz) at 0.4 ms per bit: a switch
+    # interval shorter than the default 0.5 ms chirp is a whole 2 of these.
+    bits = tuple(int(b) for b in np.random.default_rng(8).integers(0, 2, 24))
+    params = ChirpParams(chirp_duration=0.2e-3)
+    scenario = replace(scenario_for(bits), schedule=encode_bits(bits, LAYOUT, 0.4e-3), params=params)
+    result = run_link(scenario)
+    assert result.chirps_per_bit == 2
+    assert result.decoded.bits == bits
+    assert result.ber == 0.0
+    assert len(result.per_chirp_amplitudes) == 48
+    np.testing.assert_array_equal(result.chirp_times, np.arange(48) * 0.2e-3)
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,6 @@ from vanatta import (
     BitFrame,
     ConfigurationError,
     PlaneWave,
-    SchedulingError,
     SwitchSchedule,
     build_linear_array,
     config_at,
@@ -112,15 +111,20 @@ def test_encode_accepts_bit_frames():
 def test_non_finite_or_non_positive_timing_rejected(value):
     with pytest.raises(ConfigurationError, match="switch_interval must be positive and finite"):
         encode_bits((1, 0), LAYOUT2, value)
-    with pytest.raises(ConfigurationError, match="chirp_duration must be positive and finite"):
-        encode_bits((1, 0), LAYOUT2, 1e-3, chirp_duration=value)
     with pytest.raises(ConfigurationError, match="switch_interval must be positive and finite"):
         SwitchSchedule(value, (constructive_config(),))
 
 
-def test_encode_rejects_interval_below_chirp():
-    with pytest.raises(SchedulingError):
-        encode_bits((1, 0), LAYOUT2, 0.4e-3, chirp_duration=0.5e-3)
+def test_encode_takes_an_interval_shorter_than_a_default_chirp():
+    # A schedule knows no radar: 0.3 ms is one chirp of a 0.3 ms radar.
+    schedule = encode_bits((1, 0, 1), LAYOUT2, 0.3e-3)
+    assert schedule.switch_interval == 0.3e-3
+    assert schedule.bits == (1, 0, 1)
+
+
+def test_schedule_refuses_no_states():
+    with pytest.raises(ValueError, match="schedule is empty"):
+        SwitchSchedule(1e-3, ())
 
 
 def test_config_at_boundaries():
@@ -136,7 +140,7 @@ def test_config_at_boundaries():
 
 def test_config_at_survives_float_quotient_noise():
     # intervals whose boundaries are not exactly representable
-    schedule = encode_bits((1, 0, 1, 0, 1, 0, 1), LAYOUT2, 0.7e-3, 0.35e-3)
+    schedule = encode_bits((1, 0, 1, 0, 1, 0, 1), LAYOUT2, 0.7e-3)
     dt = schedule.switch_interval
     for i in range(schedule.n_bits):
         assert config_at(schedule, i * dt) is schedule.states[i]
@@ -144,19 +148,29 @@ def test_config_at_survives_float_quotient_noise():
 
 
 def test_config_at_just_below_the_end_is_the_last_interval():
-    schedule = encode_bits((1, 0) * 16 + (1,), LAYOUT2, 0.9e-3, 0.45e-3)
+    schedule = encode_bits((1, 0) * 16 + (1,), LAYOUT2, 0.9e-3)
     t = math.nextafter(schedule.duration, 0.0)
     assert t / schedule.switch_interval == 33.0  # the quotient rounds up to the end
     assert config_at(schedule, t) is schedule.states[32]
 
 
 def test_config_at_just_below_an_interior_boundary_is_the_earlier_interval():
-    schedule = encode_bits((1, 0, 1, 0), LAYOUT2, 0.3e-3, 0.3e-3)
+    schedule = encode_bits((1, 0, 1, 0), LAYOUT2, 0.3e-3)
     dt = schedule.switch_interval
     t = math.nextafter(3 * dt, 0.0)
     assert t / dt == 3.0  # the quotient rounds up onto boundary 3
     assert config_at(schedule, t) is schedule.states[2]
     assert config_at(schedule, 3 * dt) is schedule.states[3]
+
+
+def test_config_at_on_a_boundary_whose_quotient_rounds_down_is_the_later_interval():
+    schedule = encode_bits((1, 0) * 13, LAYOUT2, 0.7e-3)
+    dt = schedule.switch_interval
+    t = 25 * dt
+    assert t / dt < 25.0  # the quotient rounds down below boundary 25
+    assert config_at(schedule, t) is schedule.states[25]
+    assert config_at(schedule, math.nextafter(t, 0.0)) is schedule.states[24]
+    assert schedule.states[24] != schedule.states[25]
 
 
 def test_encode_config_at_left_inverse():
