@@ -262,13 +262,16 @@ def _resolve_layout(cfg: dict, config_dir: str):
             absorption,
         )
     if builder == "file":
+        import json  # as load_layout does: only a layout file needs it
+
         path = cfg["layout.path"]
         if path is None:
             raise ConfigFileError("layout.builder = file needs layout.path")
         full = os.path.join(config_dir, str(path))
         try:
             return load_layout(full)
-        except OSError as exc:
+        # A file that is not UTF-8 JSON is a parse error, not a bad layout.
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigFileError(f"cannot read layout {full}: {exc}") from exc
     raise ConfigFileError(f"unknown layout.builder {builder!r}")
 

@@ -390,8 +390,9 @@ def magnitude_db(values) -> np.ndarray:
 
 
 # CSV number formatting.  Each number becomes one fixed-width cell of bytes
-# that holds NUL where no character goes; a table's cells are laid side by
-# side and one bytes.translate drops the NULs.  A %.12g cell has the slots
+# that holds NUL where no character goes; the cells of a block of rows are
+# laid side by side and one bytes.translate drops the NULs.  A %.12g cell
+# has the slots
 #   0 sign | 1-5 "0.000" | 8-31 twelve digits, each followed by a slot for
 #   the decimal point | 32 'e' | 33 exponent sign | 36-38 exponent digits
 #   | 39 the separator after the cell, set by write_csv
@@ -411,6 +412,8 @@ _TIE_MARGIN = 1e-3
 # fast path covers 1e-290 <= |x| < 1e290.
 _P10_BIAS = 301
 _FAST_RANGE = (1e-290, 1e290)
+# Most values write_csv formats at a time: whole rows, at least one.
+_CSV_BLOCK = 4096
 
 
 @functools.cache
@@ -505,8 +508,10 @@ def _g_cells(x: np.ndarray) -> np.ndarray:
 
 
 def write_csv(path, header: str, *columns) -> None:
-    """Header line, then one line per row of the columns, written in one
-    call: each value as ``%.12g``, joined by ``,``.
+    """Header line, then one line per row of the columns: each value as
+    ``%.12g``, joined by ``,``.  Rows are formatted and written in blocks
+    of at most _CSV_BLOCK values, so the cells of one block are held at a
+    time.
 
     Each row reads exactly as Python's ``%`` prints the row's values with
     that format, integers taken as float64: below 1e12 in magnitude an
@@ -531,12 +536,21 @@ def write_csv(path, header: str, *columns) -> None:
         a.ndim != 1 or len(a) != len(arrays[0]) or a.dtype.kind not in "biuf" for a in arrays
     ):
         raise ValueError("columns must be one or more 1-D arrays of real numbers of one length")
-    values = np.stack(arrays, axis=1, dtype=np.float64)
+    rows = max(1, _CSV_BLOCK // len(arrays))
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n")
+        for lo in range(0, len(arrays[0]), rows):
+            fh.write(_csv_lines([a[lo : lo + rows] for a in arrays]))
+
+
+def _csv_lines(columns) -> bytes:
+    """The CSV lines of the rows of columns, which write_csv checked.  A
+    call per block frees the block's cells before the next block's."""
+    values = np.stack(columns, axis=1, dtype=np.float64)
     cells = _g_cells(values.ravel()).reshape(values.shape + (_G_WIDTH,))
     cells[..., -1] = ord(",")
     cells[:, -1, -1] = ord("\n")
-    with open(path, "wb") as fh:
-        fh.write(header.encode() + b"\n" + cells.tobytes().translate(None, b"\0"))
+    return cells.tobytes().translate(None, b"\0")
 
 
 def write_pattern_csv(pattern: FieldPattern, path) -> None:

@@ -19,6 +19,7 @@ signal's rows, scaled by their count.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 import warnings
@@ -45,10 +46,10 @@ DEFAULT_THRESHOLD_DB = 13.0
 
 _AUTOMOTIVE_BANDS = ((23e9, 25e9), (76e9, 81e9))
 
-# Most chirps per block of beat synthesis and range FFT: the block buffers,
-# the windowed copy and the raw spectrum exist for one block at a time, not
-# for the whole frame.
-_FFT_BLOCK = 128
+# Most chirps per block of beat synthesis and range FFT: the noise and beat
+# buffers and the windowed rows exist for one block at a time, not for the
+# whole frame.
+_FFT_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -371,8 +372,10 @@ def synthesize_beat(
     return BeatSignal(params=params, samples=samples)
 
 
+@functools.cache
 def _range_window(n: int) -> np.ndarray:
-    """The Hann window of the range DFT; the profile scaling divides by its sum.
+    """The Hann window of the range DFT, built once per n and read-only; the
+    profile scaling divides by its sum.
 
     Raises:
         ConfigurationError: n < 3, whose Hann window is all zeros.
@@ -382,11 +385,17 @@ def _range_window(n: int) -> np.ndarray:
             f"range processing needs at least 3 samples per chirp, got {n}: "
             f"a {n}-point Hann window is all zeros"
         )
-    return np.hanning(n)
+    window = np.hanning(n)
+    window.flags.writeable = False  # shared by every later call
+    return window
 
 
 def _profile_matrix(signal: BeatSignal, zero_pad: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """Scaled range DFT of every row: (ranges, complex matrix rows x bins)."""
+    """Scaled range DFT of every row: (ranges, complex matrix rows x bins).
+
+    The rows are windowed one block at a time into one buffer, transformed
+    straight into their rows of the result and scaled there.
+    """
     if zero_pad < 1:
         raise ValueError("zero_pad must be >= 1")
     params = signal.params
@@ -396,9 +405,12 @@ def _profile_matrix(signal: BeatSignal, zero_pad: int = 1) -> tuple[np.ndarray, 
     scale = 2.0 / w.sum()
     samples = signal.samples
     spectra = np.empty((len(samples), nfft // 2 + 1), dtype=np.complex128)
-    for lo, hi in _chirp_blocks(len(samples)):
-        block = np.fft.rfft(samples[lo:hi] * w, nfft, axis=1)
-        np.multiply(block, scale, out=spectra[lo:hi])
+    blocks = _chirp_blocks(len(samples))
+    windowed = np.empty((max(hi - lo for lo, hi in blocks), n))
+    for lo, hi in blocks:
+        rows = np.multiply(samples[lo:hi], w, out=windowed[: hi - lo])
+        np.fft.rfft(rows, nfft, axis=1, out=spectra[lo:hi])
+        spectra[lo:hi] *= scale
     freqs = np.fft.rfftfreq(nfft, d=1.0 / params.sample_rate)
     ranges = freqs * C0 * params.chirp_duration / (2.0 * params.bandwidth)
     return ranges, spectra

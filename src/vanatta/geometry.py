@@ -31,7 +31,7 @@ from itertools import cycle, repeat
 
 import numpy as np
 
-from .errors import ConfigurationError, ConstraintError, check_count, check_finite, check_integers
+from .errors import ConfigurationError, ConstraintError, check_count, check_finite
 
 # Vacuum speed of light, m/s.
 C0 = 299_792_458.0
@@ -529,8 +529,9 @@ def load_layout(path) -> SurfaceLayout:
 
     A file that lacks a key save_layout writes, whose center_xy_m is not two
     numbers, or whose lengths or coordinates are not JSON numbers raises
-    ConfigurationError naming the field, as do ids that are not integers
-    and a has_switch that is not true or false.
+    ConfigurationError naming the field, as do ids that are not JSON
+    integers (true and false included) and a has_switch that is not true or
+    false.
     """
     import json
 
@@ -546,12 +547,19 @@ def load_layout(path) -> SurfaceLayout:
             raise ConfigurationError(f"layout {section} must be a list, got {records!r}")
         return [_json(r, key, f"{section}[{i}]", number) for i, r in enumerate(records)]
 
-    # Ids and switches must carry their JSON type: 1.7 or "false" is refused,
-    # not truncated to 1 or read as true.
-    ids = check_integers("element ids", column("elements", "id"))
-    pairs = check_integers("element pair_ids", column("elements", "pair_id"))
+    def integers(name: str, values: list) -> list:
+        # A JSON integer, not any Integral: a bool is no id.
+        for value in values:
+            if type(value) is not int:
+                raise ConfigurationError(f"{name} must be integers, got {value!r}")
+        return values
+
+    # Ids and switches must carry their JSON type: 1.7, true or "false" is
+    # refused, not truncated to 1 or read as true.
+    ids = integers("element ids", column("elements", "id"))
+    pairs = integers("element pair_ids", column("elements", "pair_id"))
     positions = zip(column("elements", "x_m", True), column("elements", "y_m", True))
-    line_pairs = check_integers("line pair_ids", column("lines", "pair_id"))
+    line_pairs = integers("line pair_ids", column("lines", "pair_id"))
     lengths = column("lines", "base_length_m", True)
     switches = column("lines", "has_switch")
     for switch in switches:

@@ -45,9 +45,9 @@ def pair_path_response(x_in, x_out, path_extra, wavenumber, sin_incidence, sin_o
 
     where P_g sums the inbound factors of row g's traversals and Q_g sums
     them times rho.  So cos and sin run once per distinct row x distinct
-    column into two real tables, and the sum takes two real products per
-    config, [Re P; Im P] @ cos and [Re Q; Im Q] @ sin: the parts of U = P
-    cos and V = Q sin.  Each observation takes U + jV or U - jV at its
+    column, in turn into one real table, and the sum takes two real
+    products per config, [Re P; Im P] @ cos and [Re Q; Im Q] @ sin: the
+    parts of U = P cos and V = Q sin.  Each observation takes U + jV or U - jV at its
     column, as its tau says.
 
     The row sums use np.add.reduceat, not BLAS, so their order is fixed.
@@ -65,12 +65,14 @@ def pair_path_response(x_in, x_out, path_extra, wavenumber, sin_incidence, sin_o
     q = np.add.reduceat(grouped, starts, axis=-1)
 
     columns, column_of, column_flipped = _distinct_magnitudes(sin_obs)
-    phase = np.outer(rows, columns)
-    phase *= -wavenumber
-    cos = np.cos(phase)
-    sin = np.sin(phase, out=phase)
-    u = np.concatenate((p.real, p.imag), axis=-2) @ cos
-    v = np.concatenate((q.real, q.imag), axis=-2) @ sin
+    # One table holds cos theta, then sin theta: theta is computed again in
+    # between, to the same bits, so only one rows x columns table is held.
+    table = np.outer(rows, columns)
+    table *= -wavenumber
+    u = np.concatenate((p.real, p.imag), axis=-2) @ np.cos(table, out=table)
+    np.outer(rows, columns, out=table)
+    table *= -wavenumber
+    v = np.concatenate((q.real, q.imag), axis=-2) @ np.sin(table, out=table)
     # U + jV for tau = 1, then U - jV for tau = -1, per distinct column.
     n, d = len(sin_incidence), len(columns)
     both = np.empty((len(path_extra), n, 2 * d), dtype=np.complex128)

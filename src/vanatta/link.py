@@ -154,9 +154,10 @@ def _extract_bin_amplitudes(params: ChirpParams, n_chirps: int, targets, noise_p
     """
     mags = np.empty((n_chirps, params.samples_per_chirp // 2 + 1))
     for lo, block in _beat_blocks(params, n_chirps, targets, noise_power, seed):
-        # A BeatSignal's rows are its chirps: this one is the block's.
-        _, spectra = _profile_matrix(BeatSignal(params=params, samples=block))
-        np.abs(spectra, out=mags[lo : lo + len(block)])
+        # A BeatSignal's rows are its chirps: this one is the block's.  The
+        # spectrum is not named, so it is freed before the next block's.
+        rows = mags[lo : lo + len(block)]
+        np.abs(_profile_matrix(BeatSignal(params=params, samples=block))[1], out=rows)
     bin_index = int(np.argmax(mags.mean(axis=0)))
     return mags[:, bin_index].copy()
 

@@ -816,8 +816,9 @@ def _drop(record, key):
             lambda doc: doc["lines"][0].update(base_length_m=True),
             "layout lines[0] base_length_m must be a number, got True",
         ),
+        (lambda doc: doc["elements"][1].update(id=True), "element ids must be integers, got True"),
     ],
-    ids=["no-x", "no-lines", "three-center-values", "text-x", "bool-length"],
+    ids=["no-x", "no-lines", "three-center-values", "text-x", "bool-length", "bool-id"],
 )
 def test_malformed_layout_file_exits_one(tmp_path, capsys, edit, message):
     """A layout file of the wrong shape is refused by field: no KeyError
@@ -831,3 +832,14 @@ def test_malformed_layout_file_exits_one(tmp_path, capsys, edit, message):
     captured = capsys.readouterr()
     assert captured.err == f"constraint error: {message}\n"
     assert "layout valid" not in captured.out
+
+
+@pytest.mark.parametrize("text", [b"{not json", b"\xff\xfe"], ids=["not-json", "not-utf8"])
+def test_unparseable_layout_file_exits_two_naming_it(tmp_path, capsys, text):
+    """A layout file that is not JSON is a parse error (exit 2), as a config
+    file is, and the message names the file."""
+    (tmp_path / "broken.json").write_bytes(text)
+    cfg_path = write_config(tmp_path, "layout.builder = file\nlayout.path = broken.json\n")
+    assert run_cli("validate", "--config", cfg_path, "--out", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot read layout {tmp_path / 'broken.json'}: ")

@@ -605,6 +605,28 @@ def test_csv_g_matches_percent_on_ties_and_powers_of_ten(tmp_path, digits):
     assert (tmp_path / "ties.csv").read_bytes() == _percent_csv(values)
 
 
+def test_write_csv_matches_percent_across_block_edges(tmp_path):
+    """Rows are formatted a block at a time: the rows on both sides of a
+    block edge and a last short block read as % prints them, and a table of
+    no rows is its header alone."""
+    from vanatta.emfield import _CSV_BLOCK
+
+    rows = _CSV_BLOCK // 3  # rows per block of a three-column table
+    index = np.arange(2 * rows + 5)
+    values = np.random.default_rng(23).standard_normal((len(index), 2)) * 1e3
+    # nan, both infinities, the least subnormal, a near-tie (13th digit 5)
+    # and both zeros, in the four rows before the first edge and, reversed,
+    # in the four after it.
+    special = [math.nan, math.inf, -math.inf, 5e-324, 0.1234567890125, -0.0, 0.0, 1.0]
+    values[rows - 4 : rows + 4] = np.reshape(special + special[::-1], (8, 2))
+    write_csv(tmp_path / "edges.csv", "h", index, values[:, 0], values[:, 1])
+    expected = _percent_csv(index, values[:, 0], values[:, 1])
+    assert (tmp_path / "edges.csv").read_bytes() == expected
+    assert expected.count(b"\n") == 2 * rows + 6
+    write_csv(tmp_path / "none.csv", "h", np.empty(0), np.empty(0, dtype=np.int64))
+    assert (tmp_path / "none.csv").read_bytes() == b"h\n"
+
+
 def test_write_csv_refuses_columns_of_different_lengths(tmp_path):
     path = tmp_path / "short.csv"
     with pytest.raises(ValueError, match="one length"):

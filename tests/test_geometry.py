@@ -558,14 +558,17 @@ def test_layout_refuses_a_broken_pairing():
         ("elements", "id", 1.7, "element ids must be integers, got 1.7"),
         ("elements", "pair_id", "2", "element pair_ids must be integers, got '2'"),
         ("lines", "pair_id", 2.5, "line pair_ids must be integers, got 2.5"),
+        ("elements", "id", True, "element ids must be integers, got True"),
+        ("elements", "pair_id", False, "element pair_ids must be integers, got False"),
+        ("lines", "pair_id", True, "line pair_ids must be integers, got True"),
         ("lines", "has_switch", "false", "line has_switch must be true or false, got 'false'"),
         ("lines", "has_switch", 0, "line has_switch must be true or false, got 0"),
         ("elements", "y_m", "0", "layout elements[1] y_m must be a number, got '0'"),
         ("lines", "base_length_m", None, "layout lines[1] base_length_m must be a number, got None"),
     ],
     ids=[
-        "float-id", "text-pair-id", "float-line-pair-id", "text-switch", "int-switch",
-        "text-y", "null-length",
+        "float-id", "text-pair-id", "float-line-pair-id", "bool-id", "bool-pair-id",
+        "bool-line-pair-id", "text-switch", "int-switch", "text-y", "null-length",
     ],
 )
 def test_load_layout_refuses_mistyped_fields(tmp_path, section, field, value, message):

@@ -1,0 +1,76 @@
+"""Working sets of the hot stages, pinned by their traced peaks.
+
+numpy reports its data allocations to tracemalloc, so the traced peak of a
+warm call counts the arrays it holds at once, the same on every run.  Each
+bound sits between the peak of one block per stage and the peak of the
+designs these stages replaced: 128-chirp frame blocks with two spectra per
+block (15.5 MB per link op), two pair-path tables and a whole-table CSV
+write (3.5 MB per 4-ring pattern op, 3.2 MB per 3,601-row CSV).
+"""
+
+import random
+import tracemalloc
+
+import numpy as np
+
+from vanatta import FieldPattern, write_pattern_csv
+from vanatta.cli import main
+
+MB = 1e6
+
+
+def _traced_peak(run) -> float:
+    """Traced peak in bytes of a second call of run; the first fills caches."""
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _op(tmp_path, command, config, *argv):
+    """One run of a CLI command on config, which must exit 0."""
+    cfg = tmp_path / f"{command}.cfg"
+    cfg.write_text(config)
+
+    def run():
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / command), *argv]) == 0
+
+    return run
+
+
+def test_link_op_holds_its_magnitudes_and_one_block(tmp_path):
+    # 1024 bits at two 0.5 ms chirps each: 2048 chirps x 1000 samples, whose
+    # 2048 x 501 magnitude matrix alone is 8.2 MB.
+    bits = format(random.Random(23).getrandbits(1024), "01024b")
+    config = (
+        "layout.builder = linear\nlayout.n_pairs = 2\nabsorption_efficiency = 0.82\n"
+        f'link.bits = "{bits}"\nlink.switch_interval_s = 1e-3\nradar.chirp_s = 0.5e-3\n'
+        "noise.power = 1e-6\n"
+    )
+    peak = _traced_peak(_op(tmp_path, "link", config, "--seed", "2323"))
+    assert peak <= 11.5 * MB, f"link op traced peak {peak / MB:.2f} MB"
+    assert f"decoded_bits = {bits}\n" in (tmp_path / "link" / "link_report.txt").read_text()
+
+
+def test_ring_pattern_op_holds_one_table_and_one_csv_block(tmp_path):
+    # 128 elements, 3,601 angles at 0.05 deg, three CSVs.
+    config = (
+        "layout.builder = concentric\nlayout.n_rings = 4\nlayout.base_radius_m = 0.05\n"
+        "absorption_efficiency = 0.82\nincidence_angle_deg = 17.35\n"
+        "pattern.grid_step_deg = 0.05\n"
+    )
+    peak = _traced_peak(_op(tmp_path, "pattern", config))
+    assert peak <= 1.6 * MB, f"pattern op traced peak {peak / MB:.2f} MB"
+
+
+def test_pattern_csv_holds_one_block_of_cells(tmp_path):
+    grid = np.linspace(-90.0, 90.0, 3601)
+    rng = np.random.default_rng(23)
+    pattern = FieldPattern(grid, rng.standard_normal(3601) + 1j * rng.standard_normal(3601))
+    path = tmp_path / "pattern.csv"
+    peak = _traced_peak(lambda: write_pattern_csv(pattern, path))
+    assert peak <= 1.0 * MB, f"write_pattern_csv traced peak {peak / MB:.2f} MB"
+    assert len(path.read_text().splitlines()) == 3602
