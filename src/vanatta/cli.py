@@ -344,7 +344,7 @@ def _emit(out_dir: str, name: str, text: str) -> None:
         fh.write(text)
 
 
-def cmd_validate(cfg: dict, out_dir: str, config_dir: str) -> int:
+def cmd_validate(cfg: dict, out_dir: str, config_dir: str, seed: int, grid_step: float | None) -> int:
     layout = _resolve_layout(cfg, config_dir)
     report = validate_layout(layout, cfg["validate.tolerance_m"])
     summary = report.summary()
@@ -361,7 +361,7 @@ def _both_states(layout, wave: PlaneWave, angles) -> np.ndarray:
     return response_matrix(layout, configs, wave.frequency, theta, angles, wave.amplitude)[:, 0]
 
 
-def cmd_pattern(cfg: dict, out_dir: str, config_dir: str, grid_step: float | None) -> int:
+def cmd_pattern(cfg: dict, out_dir: str, config_dir: str, seed: int, grid_step: float | None) -> int:
     layout = _resolve_layout(cfg, config_dir)
     wave = _wave(cfg)
     grid = _angle_grid(cfg, grid_step)
@@ -389,7 +389,7 @@ def cmd_pattern(cfg: dict, out_dir: str, config_dir: str, grid_step: float | Non
     return 0
 
 
-def cmd_range(cfg: dict, out_dir: str, config_dir: str) -> int:
+def cmd_range(cfg: dict, out_dir: str, config_dir: str, seed: int, grid_step: float | None) -> int:
     layout = _resolve_layout(cfg, config_dir)
     wave = _wave(cfg)
     theta = wave.incidence_angle_deg
@@ -401,20 +401,23 @@ def cmd_range(cfg: dict, out_dir: str, config_dir: str) -> int:
         check_finite("range.gain_db", gain_db)
     else:
         gain_db = gain_over_plate(amp_on, amp_plate)
+    try:
+        factor = range_extension(gain_db)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"range.gain_db: {exc}") from None
 
     distances = _floats("range.distances_m", cfg["range.distances_m"])
     mags = ([far_field_amplitude(a, d) for d in distances] for a in (amp_plate, amp_on, amp_off))
     header = "distance_m,mag_plate,mag_constructive,mag_destructive"
     write_csv(os.path.join(out_dir, "range_amplitudes.csv"), header, distances, *mags)
 
-    factor = range_extension(gain_db)
     summary = f"gain_db={gain_db:.6g} range_extension={factor:.6g}"
     _emit(out_dir, "range_summary.txt", summary + "\n")
     print(summary)
     return 0
 
 
-def cmd_scale(cfg: dict, out_dir: str, config_dir: str) -> int:
+def cmd_scale(cfg: dict, out_dir: str, config_dir: str, seed: int, grid_step: float | None) -> int:
     wave = _wave(cfg)
     lam = wave.wavelength
     spacing = cfg["layout.spacing_m"]
@@ -428,7 +431,7 @@ def cmd_scale(cfg: dict, out_dir: str, config_dir: str) -> int:
     return 0
 
 
-def cmd_link(cfg: dict, out_dir: str, config_dir: str, seed: int) -> int:
+def cmd_link(cfg: dict, out_dir: str, config_dir: str, seed: int, grid_step: float | None) -> int:
     from .link import LinkScenario, run_link, write_link_report, write_per_chirp_csv
 
     layout = _resolve_layout(cfg, config_dir)
@@ -511,13 +514,14 @@ def cmd_sweep(cfg: dict, out_dir: str, config_dir: str, seed: int, grid_step: fl
     raise ConfigFileError(f"unknown sweep.parameter {parameter!r}")
 
 
+# name -> (handler(cfg, out_dir, config_dir, seed, grid_step) -> exit code, help)
 _COMMANDS = {
-    "validate": "check layout constraints",
-    "pattern": "angle patterns for both states and the plate",
-    "range": "amplitude vs distance and range extension",
-    "scale": "retro gain vs element count",
-    "link": "run one modulated frame",
-    "sweep": "incidence-angle or SNR sweep",
+    "validate": (cmd_validate, "check layout constraints"),
+    "pattern": (cmd_pattern, "angle patterns for both states and the plate"),
+    "range": (cmd_range, "amplitude vs distance and range extension"),
+    "scale": (cmd_scale, "retro gain vs element count"),
+    "link": (cmd_link, "run one modulated frame"),
+    "sweep": (cmd_sweep, "incidence-angle or SNR sweep"),
 }
 
 
@@ -529,7 +533,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vanatta",
         description="Retrodirective reflective surface simulator",
-        epilog="commands:\n" + "".join(f"  {n:<10}{doc}\n" for n, doc in _COMMANDS.items()),
+        epilog="commands:\n" + "".join(f"  {n:<10}{doc}\n" for n, (_, doc) in _COMMANDS.items()),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("command", choices=_COMMANDS, help="what to run (see below)")
@@ -557,19 +561,7 @@ def main(argv=None) -> int:
         cfg = _coerce(cfg)
         seed = args.seed if args.seed is not None else cfg["seed"]
         os.makedirs(args.out, exist_ok=True)
-        if args.command == "validate":
-            return cmd_validate(cfg, args.out, config_dir)
-        if args.command == "pattern":
-            return cmd_pattern(cfg, args.out, config_dir, args.grid_step_deg)
-        if args.command == "range":
-            return cmd_range(cfg, args.out, config_dir)
-        if args.command == "scale":
-            return cmd_scale(cfg, args.out, config_dir)
-        if args.command == "link":
-            return cmd_link(cfg, args.out, config_dir, seed)
-        if args.command == "sweep":
-            return cmd_sweep(cfg, args.out, config_dir, seed, args.grid_step_deg)
-        raise AssertionError(f"unhandled command {args.command}")
+        return _COMMANDS[args.command][0](cfg, args.out, config_dir, seed, args.grid_step_deg)
     except ConfigFileError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -350,8 +350,16 @@ def gain_over_plate(surface: float, plate: float) -> float:
 
 
 def range_extension(gain_db: float) -> float:
-    """Detection-range multiplier implied by an amplitude gain in dB."""
-    return 10.0 ** (gain_db / 20.0)
+    """Detection-range multiplier implied by an amplitude gain in dB.
+
+    Raises:
+        ConfigurationError: the multiplier overflows a float (a gain above
+            about 6165 dB).
+    """
+    try:
+        return 10.0 ** (gain_db / 20.0)
+    except OverflowError:
+        raise ConfigurationError(f"gain {gain_db} dB overflows the range extension") from None
 
 
 def scaling_sweep(n_elements, spacing: float, wave: PlaneWave) -> list[tuple[int, float]]:

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 import warnings
 from dataclasses import dataclass, replace
 
@@ -259,23 +258,14 @@ def _tones(params: ChirpParams, n_chirps: int, targets) -> list[tuple[np.ndarray
     return tones
 
 
-def _noise_draws(seed, sigma: float, blocks, free, full) -> None:
-    """Worker: draw each block's noise into a buffer taken from free and put
-    (buffer, draw) on full, or the exception raised; a None on free stops
-    it.  Calls numpy only."""
-    try:
-        rng = np.random.default_rng(seed)
-        for lo, hi in blocks:
-            buffer = free.get()
-            if buffer is None:
-                return
-            # standard_normal scaled in place draws the same bits as
-            # normal(0, sigma), without its per-element loc + scale * z.
-            draw = rng.standard_normal(out=buffer[: hi - lo])
-            draw *= sigma
-            full.put((buffer, draw))
-    except Exception as exc:  # re-raised by the consumer of the blocks
-        full.put(exc)
+def _noise_draws(rng, sigma: float, out: np.ndarray) -> np.ndarray:
+    """Fill out with the next normal(0, sigma) draws of rng and return it.
+    Calls numpy only."""
+    # standard_normal scaled in place draws the same bits as
+    # normal(0, sigma), without its per-element loc + scale * z.
+    rng.standard_normal(out=out)
+    out *= sigma
+    return out
 
 
 def _beat_blocks(params: ChirpParams, n_chirps: int, targets, noise_power: float, seed: int | None):
@@ -287,16 +277,16 @@ def _beat_blocks(params: ChirpParams, n_chirps: int, targets, noise_power: float
     buffer: a consumer copies what it keeps before asking for the next
     block.
 
-    A noisy frame's noise comes from one worker thread, started before the
-    targets' amplitudes, so the draw overlaps the reflector, the beat
-    products and the consumer's range FFT (numpy's random fill, BLAS and
-    pocketfft release the GIL).  It owns the frame's only default_rng(seed)
-    and draws in row order, so the blocks hold the bits of one whole-frame
-    draw; with two buffers it runs at most two blocks ahead.  It calls
-    numpy only: a tracer that wraps this package's functions keeps one span
-    stack, which is not thread-safe.  The worker is joined when the
-    generator ends, is closed or raises, and its errors are re-raised here.
-    A noiseless frame starts no thread.
+    A noisy frame's noise is drawn on a one-thread executor, and its first
+    two blocks are submitted before the targets' amplitudes, so the draw
+    overlaps the reflector, the beat products and the consumer's range FFT
+    (numpy's random fill, BLAS and pocketfft release the GIL).  The frame's
+    only default_rng(seed) is made here; its one worker draws the blocks in
+    row order, so they hold the bits of one whole-frame draw, and with two
+    buffers it runs at most two blocks ahead.  The draw calls numpy only: a
+    tracer that wraps this package's functions keeps one span stack, which
+    is not thread-safe.  The executor is shut down when the generator ends,
+    is closed or raises.  A noiseless frame starts no thread.
 
     Raises:
         ConfigurationError: a target lies past max_unambiguous_range (its
@@ -306,42 +296,37 @@ def _beat_blocks(params: ChirpParams, n_chirps: int, targets, noise_power: float
     check_finite("noise_power", noise_power, "non-negative")
     blocks = _chirp_blocks(n_chirps)
     shape = (max(hi - lo for lo, hi in blocks), params.samples_per_chirp)
-    worker = None
+    pool = None
     if noise_power > 0.0:
-        from queue import SimpleQueue  # imported here: only noisy frames need it
+        from concurrent.futures import ThreadPoolExecutor  # only noisy frames need it
 
-        free, full = SimpleQueue(), SimpleQueue()
-        for _ in range(2):
-            free.put(np.empty(shape))
-        # daemon: a generator that is dropped unclosed, so never stops its
-        # worker, must not keep the interpreter from exiting.
-        worker = threading.Thread(
-            target=_noise_draws,
-            args=(seed, math.sqrt(noise_power), blocks, free, full),
-            daemon=True,
-        )
-        worker.start()
+        rng = np.random.default_rng(seed)
+        sigma = math.sqrt(noise_power)
+        buffers = (np.empty(shape), np.empty(shape))
+        pool = ThreadPoolExecutor(1)
+
+        def draw(k):
+            lo, hi = blocks[k]
+            return pool.submit(_noise_draws, rng, sigma, buffers[k % 2][: hi - lo])
+
+        pending = [draw(k) for k in range(min(2, len(blocks)))]
     try:
         tones = _tones(params, n_chirps, targets)
         buffer = np.empty(shape)
         dt = 1.0 / params.sample_rate
-        for lo, hi in blocks:
+        for k, (lo, hi) in enumerate(blocks):
             block = buffer[: hi - lo]
             block.fill(0.0)
             for amps, f_beat, phases in tones:
                 kernels.accumulate_beat(block, amps[lo:hi], f_beat, phases[lo:hi], 0.0, dt)
-            if worker is not None:
-                drawn = full.get()
-                if isinstance(drawn, Exception):
-                    raise drawn
-                noise, draw = drawn
-                block += draw
-                free.put(noise)
+            if pool is not None:
+                block += pending[k].result()
+                if k + 2 < len(blocks):
+                    pending.append(draw(k + 2))
             yield lo, block
     finally:
-        if worker is not None:
-            free.put(None)
-            worker.join()
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
 
 def synthesize_beat(

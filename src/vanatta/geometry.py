@@ -261,46 +261,31 @@ def build_linear_array(
     )
 
 
-def _max_even_count(radius: float, wavelength: float) -> int:
-    # Largest even element count whose same-ring chord stays >= wavelength/2.
-    ratio = wavelength / (4.0 * radius)
-    if ratio > 1.0:
-        raise ConstraintError(
-            f"ring radius {radius} m too small for half-wavelength spacing"
-        )
-    n = int(math.pi / math.asin(ratio)) if ratio > 0.0 else 10**9
-    n -= n % 2
-    while n >= 2 and 2.0 * radius * math.sin(math.pi / n) < wavelength / 2.0:
-        n -= 2
-    if n < 2:
-        raise ConstraintError(
-            f"ring radius {radius} m too small for half-wavelength spacing"
-        )
-    return n
-
-
-def _uniform_ring_count(base_radius: float, n_rings: int, wavelength: float) -> int:
+def _ring_count(base_radius: float, n_rings: int, wavelength: float) -> int:
     """Even per-ring count satisfying same-ring and adjacent-ring spacing.
 
     Rings sit only wavelength/pi apart radially, closer than the
     wavelength/2 floor, so adjacent rings must interleave: all rings share
     one count, alternate rings are offset by half an angular step, and the
-    count is capped so the worst-case (innermost) cross-ring distance still
-    clears the floor.
+    count is the largest even one whose innermost same-ring chord and (with
+    more than one ring) innermost cross-ring distance clear the floor.  The
+    search steps down from the chord's asin estimate and stops at 2, which
+    clears both once base_radius >= wavelength/4: the chord is then
+    2 * base_radius, and r0^2 + r1^2 alone exceeds the floor squared.
     """
-    n = _max_even_count(base_radius, wavelength)
-    if n_rings > 1:
-        r0 = base_radius
-        r1 = base_radius + wavelength / math.pi
-        floor_sq = (wavelength / 2.0) ** 2
-        while n > 2:
-            gap = math.pi / n
-            d_sq = r0 * r0 + r1 * r1 - 2.0 * r0 * r1 * math.cos(gap)
-            if d_sq >= floor_sq:
-                break
-            n -= 2
-        # n = 2 always clears: r0^2 + r1^2 alone exceeds the floor once
-        # base_radius >= wavelength/4.
+    ratio = wavelength / (4.0 * base_radius)
+    # Only an absurd radius underflows the ratio to 0, where asin would give a zero divisor.
+    n = int(math.pi / math.asin(ratio)) if ratio > 0.0 else 10**9
+    n -= n % 2
+    r0, r1 = base_radius, base_radius + wavelength / math.pi
+    floor_sq = (wavelength / 2.0) ** 2
+    while n > 2:
+        gap = math.pi / n
+        chord_ok = 2.0 * r0 * math.sin(gap) >= wavelength / 2.0
+        cross_sq = r0 * r0 + r1 * r1 - 2.0 * r0 * r1 * math.cos(gap)
+        if chord_ok and (n_rings == 1 or cross_sq >= floor_sq):
+            break
+        n -= 2
     return n
 
 
@@ -333,13 +318,13 @@ def build_concentric_surface(
     check_count("n_rings", n_rings)
     check_finite("wavelength", wavelength, "positive")
     check_finite("base_radius", base_radius)
-    if base_radius < wavelength / 4.0:
+    if 4.0 * base_radius < wavelength:  # exact, unlike wavelength / 4.0 when subnormal
         raise ConstraintError(
             f"base_radius {base_radius} m gives a diametric pair closer than "
             f"wavelength/2; need at least {wavelength / 4.0} m"
         )
 
-    count = _uniform_ring_count(base_radius, n_rings, wavelength)
+    count = _ring_count(base_radius, n_rings, wavelength)
     half = count // 2
     m = np.arange(n_rings)
     radius = base_radius + m * wavelength / math.pi

@@ -132,6 +132,14 @@ def test_missing_layout_file_is_io_error(tmp_path):
     assert run_cli("validate", "--config", cfg_path, "--out", str(tmp_path / "o")) == 2
 
 
+def test_out_naming_an_existing_file_is_io_error(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert run_cli("validate", "--out", str(taken)) == 2
+    assert capsys.readouterr().err.startswith("i/o error: ")
+    assert taken.read_text() == ""
+
+
 def test_missing_config_file_is_io_error(tmp_path):
     assert run_cli("validate", "--config", str(tmp_path / "nope.cfg")) == 2
 
@@ -269,6 +277,18 @@ def test_range_gain_override_must_be_finite(tmp_path, capsys, value):
     assert run_cli("range", "--config", cfg_path, "--out", str(out)) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("constraint error: range.gain_db must be finite")
+    assert "range_extension" not in captured.out
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("value", ["6200", "1e308"])
+def test_range_gain_override_must_not_overflow_the_extension(tmp_path, capsys, value):
+    cfg_path = write_config(tmp_path, f"range.gain_db = {value}\n")
+    out = tmp_path / "out"
+    assert run_cli("range", "--config", cfg_path, "--out", str(out)) == 1
+    captured = capsys.readouterr()
+    message = f"constraint error: range.gain_db: gain {float(value)} dB overflows the range extension\n"
+    assert captured.err == message
     assert "range_extension" not in captured.out
     assert list(out.iterdir()) == []
 

@@ -167,6 +167,23 @@ def test_field_pattern_peaks_at_incidence():
     assert abs(pattern.peak_angle() - 30.0) <= 0.5
 
 
+def test_field_pattern_value_at_refuses_an_angle_off_the_grid():
+    grid = np.arange(-90.0, 90.0 + 0.25, 0.5)
+    pattern = field_pattern(build_linear_array(2, LAM / 2.0, LAM), constructive_config(), WAVE30, grid)
+    assert pattern.value_at(30.0) == pattern.values[240]
+    with pytest.raises(KeyError, match="angle 30.25 deg not on the pattern grid"):
+        pattern.value_at(30.25)
+
+
+@pytest.mark.parametrize("kind", ["incidence", "observation"])
+def test_response_matrix_refuses_two_dimensional_angles(kind):
+    layout = build_linear_array(2, LAM / 2.0, LAM)
+    angles = {"incidence": 30.0, "observation": 0.0}
+    angles[kind] = [[0.0, 10.0]]
+    with pytest.raises(ValueError, match=f"^{kind} angles must be a scalar or a 1-D array$"):
+        response_matrix(layout, (constructive_config(),), 24e9, angles["incidence"], angles["observation"])
+
+
 def test_destructive_pattern_null_at_incidence():
     grid = np.arange(-90.0, 90.0 + 0.25, 0.5)
     layout = build_linear_array(2, LAM / 2.0, LAM)
@@ -344,6 +361,13 @@ def test_range_extension_values():
     assert math.isclose(range_extension(11.2), 3.63, abs_tol=0.005)
     assert range_extension(0.0) == 1.0
     assert math.isclose(range_extension(20.0), 10.0, rel_tol=1e-15)
+
+
+@pytest.mark.parametrize("gain_db", [6200.0, 1e308])
+def test_range_extension_refuses_a_factor_past_the_float_range(gain_db):
+    with pytest.raises(ConfigurationError) as raised:
+        range_extension(gain_db)
+    assert str(raised.value) == f"gain {gain_db} dB overflows the range extension"
 
 
 def test_scaling_sweep_is_exactly_linear():

@@ -731,6 +731,18 @@ def test_surface_reflector_holds_the_last_state_past_the_schedule_end():
     assert np.array_equal(amps[1:], np.full(3, amps[1]))
 
 
+def test_surface_reflector_refuses_a_schedule_and_a_config_together():
+    schedule = encode_bits((1, 0), LAYOUT, 1e-3)
+    with pytest.raises(ConfigurationError, match="^give either a schedule or a static config$"):
+        SurfaceReflector(LAYOUT, schedule=schedule, config=constructive_config())
+
+
+def test_range_profile_refuses_a_zero_pad_below_one():
+    signal = synthesize_beat(default_params(chirps_per_frame=1), [Target(50.0, 0.0, PLATE)])
+    with pytest.raises(ValueError, match="^zero_pad must be >= 1$"):
+        range_profile(signal, zero_pad=0)
+
+
 def test_surface_reflector_evaluates_its_states_in_one_field_call(monkeypatch):
     calls = {"response_matrix": 0, "config_at": 0}
 

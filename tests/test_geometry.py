@@ -257,6 +257,13 @@ def test_concentric_base_radius_floor():
         build_concentric_surface(1, 0.2 * LAM, LAM)
 
 
+def test_concentric_base_radius_floor_holds_for_a_subnormal_wavelength():
+    # wavelength / 4 rounds down to 5e-324 here, yet four times that radius
+    # is still below the wavelength: the diametric pair is too close.
+    with pytest.raises(ConstraintError, match="^base_radius 5e-324 m gives a diametric pair"):
+        build_concentric_surface(1, 5e-324, 2.5e-323)
+
+
 @pytest.mark.parametrize("n_pairs", [1, 2, 3, 5])
 @pytest.mark.parametrize("spacing_factor", [0.5, 0.63])
 def test_linear_builder_always_validates(n_pairs, spacing_factor):
@@ -552,6 +559,14 @@ def test_layout_refuses_a_broken_pairing():
         dataclasses.replace(layout, lines=layout.lines[:1])
 
 
+@pytest.mark.parametrize("efficiency", [0.0, 1.5])
+def test_layout_refuses_absorption_outside_zero_to_one(efficiency):
+    layout = build_linear_array(2, LAM / 2.0, LAM)
+    message = rf"^absorption_efficiency must be in \(0, 1\], got {efficiency}$"
+    with pytest.raises(ConstraintError, match=message):
+        dataclasses.replace(layout, absorption_efficiency=efficiency)
+
+
 @pytest.mark.parametrize(
     "section, field, value, message",
     [
@@ -580,4 +595,16 @@ def test_load_layout_refuses_mistyped_fields(tmp_path, section, field, value, me
     doc[section][1][field] = value
     path.write_text(json.dumps(doc))
     with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+        load_layout(path)
+
+
+def test_load_layout_refuses_elements_that_are_not_a_list(tmp_path):
+    import json
+
+    path = tmp_path / "layout.json"
+    save_layout(build_linear_array(2, LAM / 2.0, LAM), path)
+    doc = json.loads(path.read_text())
+    doc["elements"] = {}
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigurationError, match=r"^layout elements must be a list, got \{\}$"):
         load_layout(path)

@@ -132,6 +132,11 @@ def test_decode_ook_rejects_degenerate_input():
         decode_ook([1.0, 0.0, 1.0], 2)
 
 
+def test_decode_ook_refuses_zero_chirps_per_bit():
+    with pytest.raises(ValueError, match="^chirps_per_bit must be >= 1$"):
+        decode_ook([1.0, 0.0], 0)
+
+
 def test_two_cluster_centers_split():
     lo, hi = two_cluster_centers([0.1, 0.11, 0.09, 1.9, 2.0, 2.1])
     assert math.isclose(lo, 0.1, rel_tol=1e-9)
@@ -184,6 +189,11 @@ def test_ber_trial_reproducible():
     a = ook_ber_trial(params, -20.0, 12.2, 128, seed=7)
     b = ook_ber_trial(params, -20.0, 12.2, 128, seed=7)
     assert a == b
+
+
+def test_ber_trial_refuses_a_single_bit():
+    with pytest.raises(ValueError, match="^need at least 2 bits for a trial$"):
+        ook_ber_trial(ChirpParams(), 20.0, 12.2, 1, seed=1)
 
 
 @pytest.mark.parametrize(
