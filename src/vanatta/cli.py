@@ -443,6 +443,11 @@ def cmd_link(cfg: dict, out_dir: str, config_dir: str, seed: int, grid_step: flo
         bits = tuple(int(b) for b in rng.integers(0, 2, n_random))
     else:
         bits = _bits_of(cfg["link.bits"])
+    if len(set(bits)) < 2:  # the decoder's threshold splits a frame into two levels
+        key = "link.random_bits" if n_random > 0 else "link.bits"
+        raise ConfigurationError(
+            f"{key}: on-off keying needs both a 0 and a 1, but all {len(bits)} bits are {bits[0]}"
+        )
     schedule = encode_bits(bits, layout, cfg["link.switch_interval_s"])
     scenario = LinkScenario(
         layout=layout,

@@ -181,10 +181,10 @@ def _traversal_arrays(layout: SurfaceLayout, configs):
     lengths = np.tile(view.line_length, (len(configs), 1))
     for row, config in zip(lengths, configs):
         toggled = np.array(sorted(config.toggled), dtype=np.int64)
-        known = np.isin(toggled, view.pair_ids)
+        index = np.searchsorted(view.pair_ids, toggled)
+        known = view.pair_ids[np.minimum(index, view.pair_ids.size - 1)] == toggled
         if not known.all():
             raise ConfigurationError(f"toggled pair {toggled[~known][0]} does not exist")
-        index = np.searchsorted(view.pair_ids, toggled)
         fixed = ~view.has_switch[index]
         if fixed.any():
             raise ConfigurationError(f"pair {toggled[fixed][0]} has no switch")

@@ -24,10 +24,8 @@ consecutive rings differ by exactly one wavelength.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import cycle, repeat
 
 import numpy as np
 
@@ -124,9 +122,12 @@ class SurfaceLayout:
 
     absorption_efficiency is the fraction of incident power captured by an
     element and re-emitted after the line round trip; it enters field
-    amplitudes once as its square root.  Construction checks the pairing
-    (ConstraintError) and refuses a non-finite center, element position or
-    line length, naming the element or pair (ConfigurationError).
+    amplitudes once as its square root.  Construction refuses a layout with
+    no elements or a broken pairing (ConstraintError) and a non-finite
+    center, element position or line length, naming the element or pair
+    (ConfigurationError).  The layout is its arrays: this constructor reads
+    them out of the tuples, while the builders and load_layout fill them
+    directly and build the tuples (lines in pair id order) on first read.
     """
 
     elements: tuple[AntennaElement, ...]
@@ -139,66 +140,36 @@ class SurfaceLayout:
     arrays: LayoutArrays = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        check_finite("wavelength", self.wavelength, "positive")
-        if not 0.0 < self.absorption_efficiency <= 1.0:
-            raise ConstraintError(
-                f"absorption_efficiency must be in (0, 1], got {self.absorption_efficiency}"
-            )
-        if not all(map(math.isfinite, self.center)):
-            raise ConfigurationError(f"center must be finite, got {self.center}")
-        elements = self.elements
-        ids = [e.id for e in elements]
-        if len(set(ids)) != len(ids):
-            raise ConstraintError("element ids must be unique")
-        pairs = [e.pair_id for e in elements]
-        members = Counter(pairs)
-        bad = sorted(p for p, n in members.items() if n != 2)
-        if bad:
-            raise ConstraintError(f"pairs must have exactly two elements, bad: {bad}")
-        lines = sorted(self.lines, key=lambda ln: ln.pair_id)
-        if [ln.pair_id for ln in lines] != sorted(members):
-            raise ConstraintError("pair_ids of lines and element pairs must match")
-
-        x = np.array([e.position[0] for e in elements], dtype=np.float64)
-        y = np.array([e.position[1] for e in elements], dtype=np.float64)
-        finite = np.isfinite(x) & np.isfinite(y)
-        if not finite.all():
-            e = elements[np.flatnonzero(~finite)[0]]
-            raise ConfigurationError(f"element {e.id} position must be finite, got {e.position}")
-        length = np.array([ln.base_electrical_length for ln in lines], dtype=np.float64)
-        finite = np.isfinite(length)
-        if not finite.all():
-            ln = lines[np.flatnonzero(~finite)[0]]
-            raise ConfigurationError(
-                f"pair {ln.pair_id} line length must be finite, got {ln.base_electrical_length}"
-            )
-
-        ids = np.array(ids, dtype=np.int64)
-        pairs = np.array(pairs, dtype=np.int64)
-        # Every pair has exactly two elements, so sorting by (pair, id) puts
-        # each pair's members next to each other.
-        order = np.lexsort((ids, pairs))
-        view = LayoutArrays(
-            ids=ids,
-            x=x,
-            y=y,
-            pair_ids=pairs[order[0::2]],
-            a=order[0::2],
-            b=order[1::2],
-            line_length=length,
-            has_switch=np.array([ln.has_switch for ln in lines], dtype=bool),
+        es, ls = self.elements, self.lines
+        _attach_arrays(
+            self,
+            [e.id for e in es], [e.position[0] for e in es], [e.position[1] for e in es],
+            [e.pair_id for e in es],
+            [ln.pair_id for ln in ls], [ln.base_electrical_length for ln in ls],
+            [ln.has_switch for ln in ls],
         )
-        for array in vars(view).values():
-            array.flags.writeable = False
-        object.__setattr__(self, "arrays", view)
+
+    def __getattr__(self, name):
+        # Normal lookup failed: the first read of an array-built layout's tuples.
+        if name not in ("elements", "lines"):
+            raise AttributeError(f"'SurfaceLayout' object has no attribute {name!r}")
+        v = self.arrays
+        pairs = np.empty_like(v.ids)
+        pairs[v.a] = pairs[v.b] = v.pair_ids
+        positions = zip(v.x.tolist(), v.y.tolist())
+        elements = map(AntennaElement, v.ids.tolist(), positions, pairs.tolist())
+        columns = (v.pair_ids, v.line_length, v.has_switch)
+        lines = map(TransmissionLine, *(column.tolist() for column in columns))
+        vars(self).update(elements=tuple(elements), lines=tuple(lines))
+        return vars(self)[name]
 
     @property
     def n_elements(self) -> int:
-        return len(self.elements)
+        return self.arrays.ids.size
 
     @property
     def n_pairs(self) -> int:
-        return len(self.lines)
+        return self.arrays.pair_ids.size
 
     # Layouts are frozen, so each object runs its default-tolerance report
     # once; dataclasses.replace makes a new object with an empty cache.
@@ -206,6 +177,79 @@ class SurfaceLayout:
     def validation(self) -> ValidationReport:
         """validate_layout at its default tolerance, run on first use."""
         return validate_layout(self)
+
+
+def _attach_arrays(layout: SurfaceLayout, ids, x, y, pairs, line_pairs, length, switch) -> None:
+    """Check a layout's scalars and columns, in a fixed order, and give it its
+    array view.  ids, x, y and pairs are per element; line_pairs, length and
+    switch per line, in any order."""
+    check_finite("wavelength", layout.wavelength, "positive")
+    if not 0.0 < layout.absorption_efficiency <= 1.0:
+        raise ConstraintError(
+            f"absorption_efficiency must be in (0, 1], got {layout.absorption_efficiency}"
+        )
+    if not all(map(math.isfinite, layout.center)):
+        raise ConfigurationError(f"center must be finite, got {layout.center}")
+    ids = np.asarray(ids, dtype=np.int64)
+    if ids.size == 0:
+        raise ConstraintError("layout has no elements")
+    sorted_ids = np.sort(ids)
+    if (sorted_ids[1:] == sorted_ids[:-1]).any():
+        raise ConstraintError("element ids must be unique")
+    pairs = np.asarray(pairs, dtype=np.int64)
+    # Sorting by (pair, id) runs each pair's members together: a valid
+    # layout has runs of two, lower id first.
+    order = np.lexsort((ids, pairs))
+    run = pairs[order]
+    edge = np.flatnonzero(np.concatenate(([True], run[1:] != run[:-1], [True])))
+    pair_ids, members = run[edge[:-1]], edge[1:] - edge[:-1]
+    if (members != 2).any():
+        raise ConstraintError(
+            f"pairs must have exactly two elements, bad: {pair_ids[members != 2].tolist()}"
+        )
+    line_pairs = np.asarray(line_pairs, dtype=np.int64)
+    by_pair = np.argsort(line_pairs, kind="stable")
+    if not np.array_equal(line_pairs[by_pair], pair_ids):
+        raise ConstraintError("pair_ids of lines and element pairs must match")
+
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    finite = np.isfinite(x) & np.isfinite(y)
+    if not finite.all():
+        i = np.flatnonzero(~finite)[0]
+        position = (float(x[i]), float(y[i]))
+        raise ConfigurationError(f"element {ids[i]} position must be finite, got {position}")
+    length = np.asarray(length, dtype=np.float64)[by_pair]
+    finite = np.isfinite(length)
+    if not finite.all():
+        i = np.flatnonzero(~finite)[0]
+        raise ConfigurationError(
+            f"pair {pair_ids[i]} line length must be finite, got {float(length[i])}"
+        )
+
+    view = LayoutArrays(
+        ids=ids,
+        x=x,
+        y=y,
+        pair_ids=pair_ids,
+        a=order[0::2],
+        b=order[1::2],
+        line_length=length,
+        has_switch=np.asarray(switch, dtype=bool)[by_pair],
+    )
+    for array in vars(view).values():
+        array.flags.writeable = False
+    vars(layout)["arrays"] = view
+
+
+def _layout(wavelength, center, absorption_efficiency, *columns) -> SurfaceLayout:
+    """A SurfaceLayout of _attach_arrays' columns, whose tuples wait for a read."""
+    layout = object.__new__(SurfaceLayout)
+    vars(layout).update(
+        wavelength=wavelength, center=center, absorption_efficiency=absorption_efficiency
+    )
+    _attach_arrays(layout, *columns)
+    return layout
 
 
 def build_linear_array(
@@ -247,17 +291,12 @@ def build_linear_array(
 
     n = 2 * n_pairs
     x = (np.arange(n) - (n - 1) / 2.0) * spacing
-    pairs = [*range(1, n_pairs + 1), *range(n_pairs, 0, -1)]
-    elements = map(AntennaElement, range(n), zip(x.tolist(), repeat(0.0)), pairs)
-
-    length = base_length + np.arange(n_pairs - 1, -1, -1) * wavelength
+    pair = np.arange(1, n_pairs + 1)
     # Pair ids run from 1 and the switches sit on the even ones.
-    lines = map(TransmissionLine, range(1, n_pairs + 1), length.tolist(), cycle((False, True)))
-    return SurfaceLayout(
-        elements=tuple(elements),
-        lines=tuple(lines),
-        wavelength=wavelength,
-        absorption_efficiency=absorption_efficiency,
+    return _layout(
+        wavelength, (0.0, 0.0), absorption_efficiency,
+        np.arange(n), x, np.zeros(n), np.concatenate((pair, pair[::-1])),
+        pair, base_length + (n_pairs - pair) * wavelength, pair % 2 == 0,
     )
 
 
@@ -338,20 +377,15 @@ def build_concentric_surface(
     # half as exact negations so every pair is centrosymmetric to the bit.
     # Ids run on across rings; element j of ring m and its negation form
     # pair m * half + j + 1.
-    xs = np.concatenate((x, -x), axis=1).ravel().tolist()
-    ys = np.concatenate((y, -y), axis=1).ravel().tolist()
-    pairs = (m[:, None] * half + np.arange(count) % half + 1).ravel().tolist()
-    elements = map(AntennaElement, range(n_rings * count), zip(xs, ys), pairs)
-
+    xs = np.concatenate((x, -x), axis=1).ravel()
+    ys = np.concatenate((y, -y), axis=1).ravel()
+    pairs = (m[:, None] * half + np.arange(count) % half + 1).ravel()
+    pair = np.arange(1, n_rings * half + 1)
     # Pair ids run from 1 and the switches sit on the even ones.
-    length = np.repeat(math.pi * radius, half).tolist()
-    lines = map(TransmissionLine, range(1, n_rings * half + 1), length, cycle((False, True)))
-
-    return SurfaceLayout(
-        elements=tuple(elements),
-        lines=tuple(lines),
-        wavelength=wavelength,
-        absorption_efficiency=absorption_efficiency,
+    return _layout(
+        wavelength, (0.0, 0.0), absorption_efficiency,
+        np.arange(n_rings * count), xs, ys, pairs,
+        pair, np.repeat(math.pi * radius, half), pair % 2 == 0,
     )
 
 
@@ -435,33 +469,31 @@ def validate_layout(layout: SurfaceLayout, tolerance: float = 1e-9) -> Validatio
         violations.append(Violation("centrosymmetry", (int(view.pair_ids[i]),), float(dev[i])))
 
     length = view.line_length
-    if length.size > 1:
-        residue = np.fmod(length, lam)
-        residue[residue < 0.0] += lam
-        order = np.argsort(residue, kind="stable")
-        ring = residue[order]
-        near = tolerance - 2.0**-50 * (lam + tolerance + (length.max() - length.min()))
-        start = np.searchsorted(ring, ring + near, side="right")
-        stop = np.searchsorted(ring, ring + (lam - near), side="left")
-        i, j = _sorted_window_pairs(order, start, stop)
-        frac = np.abs(np.fmod(length[i] - length[j], lam))
-        dev = np.minimum(frac, lam - frac)
-        for p in np.flatnonzero(dev > tolerance):
-            ids = (int(view.pair_ids[i[p]]), int(view.pair_ids[j[p]]))
-            violations.append(Violation("line_length_congruence", ids, float(dev[p])))
+    residue = np.fmod(length, lam)
+    residue[residue < 0.0] += lam
+    order = np.argsort(residue, kind="stable")
+    ring = residue[order]
+    near = tolerance - 2.0**-50 * (lam + tolerance + (length.max() - length.min()))
+    start = np.searchsorted(ring, ring + near, side="right")
+    stop = np.searchsorted(ring, ring + (lam - near), side="left")
+    i, j = _sorted_window_pairs(order, start, stop)
+    frac = np.abs(np.fmod(length[i] - length[j], lam))
+    dev = np.minimum(frac, lam - frac)
+    for p in np.flatnonzero(dev > tolerance):
+        ids = (int(view.pair_ids[i[p]]), int(view.pair_ids[j[p]]))
+        violations.append(Violation("line_length_congruence", ids, float(dev[p])))
 
     floor = lam / 2.0
     limit = floor - tolerance
-    if x.size > 1:
-        order = np.argsort(x, kind="stable")
-        xs = x[order]
-        reach = limit + 2.0**-50 * (abs(limit) + np.abs(x).max())
-        stop = np.searchsorted(xs, xs + reach, side="left")
-        i, j = _sorted_window_pairs(order, 0, stop)
-        dist = np.hypot(x[i] - x[j], y[i] - y[j])
-        for p in np.flatnonzero(dist < limit):
-            ids = (int(view.ids[i[p]]), int(view.ids[j[p]]))
-            violations.append(Violation("min_spacing", ids, float(floor - dist[p])))
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    reach = limit + 2.0**-50 * (abs(limit) + np.abs(x).max())
+    stop = np.searchsorted(xs, xs + reach, side="left")
+    i, j = _sorted_window_pairs(order, 0, stop)
+    dist = np.hypot(x[i] - x[j], y[i] - y[j])
+    for p in np.flatnonzero(dist < limit):
+        ids = (int(view.ids[i[p]]), int(view.ids[j[p]]))
+        violations.append(Violation("min_spacing", ids, float(floor - dist[p])))
 
     return ValidationReport(passed=not violations, violations=tuple(violations))
 
@@ -543,17 +575,16 @@ def load_layout(path) -> SurfaceLayout:
     # refused, not truncated to 1 or read as true.
     ids = integers("element ids", column("elements", "id"))
     pairs = integers("element pair_ids", column("elements", "pair_id"))
-    positions = zip(column("elements", "x_m", True), column("elements", "y_m", True))
+    x, y = column("elements", "x_m", True), column("elements", "y_m", True)
     line_pairs = integers("line pair_ids", column("lines", "pair_id"))
     lengths = column("lines", "base_length_m", True)
     switches = column("lines", "has_switch")
     for switch in switches:
         if not isinstance(switch, bool):
             raise ConfigurationError(f"line has_switch must be true or false, got {switch!r}")
-    return SurfaceLayout(
-        elements=tuple(map(AntennaElement, ids, positions, pairs)),
-        lines=tuple(map(TransmissionLine, line_pairs, lengths, switches)),
-        wavelength=_json(doc, "wavelength_m", "file", True),
-        center=(float(center[0]), float(center[1])),
-        absorption_efficiency=_json(doc, "absorption_efficiency", "file", True),
+    return _layout(
+        _json(doc, "wavelength_m", "file", True),
+        (float(center[0]), float(center[1])),
+        _json(doc, "absorption_efficiency", "file", True),
+        ids, x, y, pairs, line_pairs, lengths, switches,
     )

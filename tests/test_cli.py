@@ -351,6 +351,41 @@ def test_link_noise_swamped_ber_near_half(tmp_path):
     assert abs(ber - 0.5) <= 0.05
 
 
+@pytest.mark.parametrize(
+    "text, key, message",
+    [
+        ('link.bits = "1111"\n', "link.bits", "all 4 bits are 1"),
+        ('link.bits = "00"\n', "link.bits", "all 2 bits are 0"),
+        ("link.random_bits = 1\n", "link.random_bits", "all 1 bits are 1"),
+    ],
+    ids=["ones", "zeros", "one-random-bit"],
+)
+def test_single_valued_payload_exits_one_before_writing(tmp_path, capsys, text, key, message):
+    """With noise the two-level threshold splits a one-valued frame anyway
+    (1111 decoded as 1100, ber=0.5); the payload is refused by its key."""
+    cfg_path = write_config(tmp_path, "noise.power = 1e-6\n" + text)
+    out = tmp_path / "out"
+    assert run_cli("link", "--config", cfg_path, "--out", str(out), "--seed", "3") == 1
+    captured = capsys.readouterr()
+    want = f"constraint error: {key}: on-off keying needs both a 0 and a 1, but {message}\n"
+    assert captured.err == want
+    assert captured.out == ""
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["validate", "pattern", "range", "link"])
+def test_empty_layout_file_exits_one(tmp_path, capsys, command):
+    """A layout with no elements is refused by name, not reported valid or
+    failed deep in numpy."""
+    doc = {"wavelength_m": LAM, "center_xy_m": [0.0, 0.0], "absorption_efficiency": 0.82}
+    (tmp_path / "empty.json").write_text(json.dumps({**doc, "elements": [], "lines": []}))
+    cfg_path = write_config(tmp_path, "layout.builder = file\nlayout.path = empty.json\n")
+    out = tmp_path / "out"
+    assert run_cli(command, "--config", cfg_path, "--out", str(out)) == 1
+    assert capsys.readouterr().err == "constraint error: layout has no elements\n"
+    assert list(out.iterdir()) == []
+
+
 def test_link_with_two_samples_per_chirp_exits_one(tmp_path, capsys):
     # a 2-point Hann window is all zeros: the range profile would be NaN
     cfg_path = write_config(tmp_path, "radar.sample_rate_hz = 4000\ntarget.range_m = 0.3\n")

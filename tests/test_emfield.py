@@ -232,6 +232,32 @@ def test_config_must_match_layout_switches():
         roundtrip_response(layout, SwitchConfig(frozenset({1})), WAVE30, 0.0)
 
 
+@pytest.mark.parametrize(
+    "toggled, message",
+    [
+        ({0}, "toggled pair 0 does not exist"),
+        ({3}, "toggled pair 3 does not exist"),
+        ({9}, "toggled pair 9 does not exist"),
+        ({2, 7}, "toggled pair 7 does not exist"),
+        ({2}, "pair 2 has no switch"),
+    ],
+    ids=["below", "between", "above", "unknown-before-unswitched", "unswitched"],
+)
+def test_config_names_an_unknown_or_unswitched_pair(toggled, message):
+    """Pairs 2 and 4: unknown ids below, between and above them are refused
+    before a known pair without a switch."""
+    layout = build_linear_array(2, LAM / 2.0, LAM)
+    renumber = {1: 2, 2: 4}
+    layout = dataclasses.replace(
+        layout,
+        elements=tuple(dataclasses.replace(e, pair_id=renumber[e.pair_id]) for e in layout.elements),
+        lines=tuple(dataclasses.replace(ln, pair_id=renumber[ln.pair_id]) for ln in layout.lines),
+    )
+    with pytest.raises(ConfigurationError, match=f"^{message}$"):
+        roundtrip_response(layout, SwitchConfig(frozenset(toggled)), WAVE30, 0.0)
+    assert roundtrip_response(layout, SwitchConfig(frozenset({4})), WAVE30, 0.0) is not None
+
+
 @pytest.mark.parametrize("pair_id", [2.5, "2", math.nan])
 def test_switch_config_refuses_non_integral_pair_ids(pair_id):
     # int() would truncate 2.5 and parse "2" into pair 2, and fail on nan

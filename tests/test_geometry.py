@@ -7,6 +7,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vanatta import (
     ConfigurationError,
@@ -608,3 +610,204 @@ def test_load_layout_refuses_elements_that_are_not_a_list(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ConfigurationError, match=r"^layout elements must be a list, got \{\}$"):
         load_layout(path)
+
+
+def reference_linear_array(n_pairs, spacing, lam):
+    """build_linear_array element by element, through the public constructor."""
+    n = 2 * n_pairs
+    elements = tuple(
+        AntennaElement(i, ((i - (n - 1) / 2.0) * spacing, 0.0), min(i, n - 1 - i) + 1)
+        for i in range(n)
+    )
+    base = 10.0 * lam
+    lines = tuple(
+        TransmissionLine(k, base + (n_pairs - k) * lam, k % 2 == 0) for k in range(1, n_pairs + 1)
+    )
+    return SurfaceLayout(elements, lines, lam)
+
+
+def reference_concentric_surface(n_rings, base_radius, lam):
+    """build_concentric_surface element by element, through the public
+    constructor; the per-ring count comes from the builder's own search."""
+    from vanatta.geometry import _ring_count
+
+    count = _ring_count(base_radius, n_rings, lam)
+    half = count // 2
+    elements, lines = [], []
+    for m in range(n_rings):
+        radius = base_radius + m * lam / math.pi
+        phase = (math.pi / count) * (m % 2)
+        points = []
+        for j in range(half):
+            angle = phase + 2.0 * math.pi * j / count
+            points.append((radius * math.cos(angle), radius * math.sin(angle)))
+        points += [(-x, -y) for x, y in points]
+        for k, point in enumerate(points):
+            elements.append(AntennaElement(m * count + k, point, m * half + k % half + 1))
+        for j in range(half):
+            pair = m * half + j + 1
+            lines.append(TransmissionLine(pair, math.pi * radius, pair % 2 == 0))
+    return SurfaceLayout(tuple(elements), tuple(lines), lam)
+
+
+def assert_array_built_equals_object_built(built, reference, tmp_path):
+    assert "elements" not in vars(built) and "lines" not in vars(built)
+    for name, array in vars(built.arrays).items():
+        want = getattr(reference.arrays, name)
+        assert array.dtype == want.dtype and array.tobytes() == want.tobytes(), name
+    assert built.n_elements == reference.n_elements and built.n_pairs == reference.n_pairs
+    assert validate_layout(built) == validate_layout(reference)
+    assert built.elements == reference.elements and built.lines == reference.lines
+    assert built == reference and repr(built) == repr(reference)
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    save_layout(built, first)
+    loaded = load_layout(first)
+    save_layout(loaded, second)
+    assert first.read_bytes() == second.read_bytes()
+    assert loaded == reference
+
+
+WAVELENGTHS = st.floats(1e-3, 1.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 300), st.floats(0.5, 3.0), WAVELENGTHS)
+def test_linear_arrays_match_the_element_by_element_build(tmp_path_factory, n_pairs, spacing, lam):
+    built = build_linear_array(n_pairs, spacing * lam, lam)
+    reference = reference_linear_array(n_pairs, spacing * lam, lam)
+    assert_array_built_equals_object_built(built, reference, tmp_path_factory.mktemp("layout"))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 4), st.floats(0.25, 8.0), WAVELENGTHS)
+def test_concentric_surfaces_match_the_element_by_element_build(
+    tmp_path_factory, n_rings, radius, lam
+):
+    built = build_concentric_surface(n_rings, radius * lam, lam)
+    reference = reference_concentric_surface(n_rings, radius * lam, lam)
+    assert_array_built_equals_object_built(built, reference, tmp_path_factory.mktemp("layout"))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_replacing_one_element_of_an_array_built_layout_is_flagged(data):
+    layout = data.draw(
+        st.one_of(
+            st.builds(build_linear_array, st.integers(1, 64), st.just(LAM / 2.0), st.just(LAM)),
+            st.builds(build_concentric_surface, st.integers(1, 3), st.just(LAM), st.just(LAM)),
+        )
+    )
+    idx = data.draw(st.integers(0, layout.n_elements - 1))
+    angle = data.draw(st.floats(0.0, 2.0 * math.pi))
+    elements = list(layout.elements)
+    x, y = elements[idx].position
+    move = (x + LAM / 10.0 * math.cos(angle), y + LAM / 10.0 * math.sin(angle))
+    elements[idx] = dataclasses.replace(elements[idx], position=move)
+    moved = dataclasses.replace(layout, elements=tuple(elements))
+    assert moved.arrays.x[idx] == move[0] and moved.arrays.y[idx] == move[1]
+    pair = elements[idx].pair_id
+    assert ("centrosymmetry", (pair,)) in [(v.rule, v.ids) for v in moved.validation.violations]
+    assert layout.validation.passed
+
+
+def _set(record, key, value):
+    record[key] = value
+
+
+@pytest.mark.parametrize(
+    "edit, error, message",
+    [
+        (lambda doc: doc.update(elements=[], lines=[]), ConstraintError, "layout has no elements"),
+        (lambda doc: doc.update(elements=[]), ConstraintError, "layout has no elements"),
+        (lambda doc: _set(doc["elements"][1], "id", 0), ConstraintError, "element ids must be unique"),
+        (
+            lambda doc: _set(doc["elements"][1], "pair_id", 9),
+            ConstraintError,
+            "pairs must have exactly two elements, bad: [2, 9]",
+        ),
+        (
+            lambda doc: doc["lines"].pop(1),
+            ConstraintError,
+            "pair_ids of lines and element pairs must match",
+        ),
+        (
+            lambda doc: _set(doc["elements"][2], "x_m", math.nan),
+            ConfigurationError,
+            "element 2 position must be finite, got (nan, 0.0)",
+        ),
+        (
+            lambda doc: _set(doc["lines"][1], "base_length_m", math.inf),
+            ConfigurationError,
+            "pair 2 line length must be finite, got inf",
+        ),
+        (
+            lambda doc: doc.update(center_xy_m=[math.nan, 0.0]),
+            ConfigurationError,
+            "center must be finite, got (nan, 0.0)",
+        ),
+        (
+            lambda doc: doc.update(absorption_efficiency=0.0),
+            ConstraintError,
+            "absorption_efficiency must be in (0, 1], got 0.0",
+        ),
+        (
+            lambda doc: doc.update(wavelength_m=-1.0),
+            ConfigurationError,
+            "wavelength must be positive and finite, got -1.0",
+        ),
+        # With two faults the earlier check reports: ids before positions,
+        # the center before an empty layout.
+        (
+            lambda doc: (_set(doc["elements"][1], "id", 0), _set(doc["elements"][2], "x_m", math.inf)),
+            ConstraintError,
+            "element ids must be unique",
+        ),
+        (
+            lambda doc: doc.update(elements=[], center_xy_m=[0.0, math.inf]),
+            ConfigurationError,
+            "center must be finite, got (0.0, inf)",
+        ),
+    ],
+    ids=[
+        "empty", "no-elements", "duplicate-id", "lone-members", "missing-line", "nan-x",
+        "inf-length", "nan-center", "zero-absorption", "negative-wavelength", "id-before-x",
+        "center-before-empty",
+    ],
+)
+def test_each_refusal_is_the_same_through_the_constructor_and_a_file(
+    tmp_path, edit, error, message
+):
+    import json
+
+    path = tmp_path / "layout.json"
+    save_layout(build_linear_array(2, LAM / 2.0, LAM), path)
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        load_layout(path)
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        SurfaceLayout(
+            tuple(AntennaElement(e["id"], (e["x_m"], e["y_m"]), e["pair_id"]) for e in doc["elements"]),
+            tuple(
+                TransmissionLine(ln["pair_id"], ln["base_length_m"], ln["has_switch"])
+                for ln in doc["lines"]
+            ),
+            doc["wavelength_m"],
+            tuple(doc["center_xy_m"]),
+            doc["absorption_efficiency"],
+        )
+
+
+def test_a_loaded_layout_lists_its_lines_in_pair_order(tmp_path):
+    import json
+
+    path = tmp_path / "layout.json"
+    layout = build_linear_array(3, LAM / 2.0, LAM)
+    save_layout(layout, path)
+    doc = json.loads(path.read_text())
+    doc["lines"].reverse()
+    path.write_text(json.dumps(doc))
+    loaded = load_layout(path)
+    assert loaded.lines == layout.lines
+    assert loaded == layout
