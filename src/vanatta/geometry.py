@@ -547,8 +547,8 @@ def load_layout(path) -> SurfaceLayout:
     A file that lacks a key save_layout writes, whose center_xy_m is not two
     numbers, or whose lengths or coordinates are not JSON numbers raises
     ConfigurationError naming the field, as do ids that are not JSON
-    integers (true and false included) and a has_switch that is not true or
-    false.
+    integers (true and false included) or lie outside int64, and a
+    has_switch that is not true or false.
     """
     import json
 
@@ -565,10 +565,13 @@ def load_layout(path) -> SurfaceLayout:
         return [_json(r, key, f"{section}[{i}]", number) for i, r in enumerate(records)]
 
     def integers(name: str, values: list) -> list:
-        # A JSON integer, not any Integral: a bool is no id.
+        # A JSON integer, not any Integral: a bool is no id.  Ids are held
+        # as int64.
         for value in values:
             if type(value) is not int:
                 raise ConfigurationError(f"{name} must be integers, got {value!r}")
+            if not -(2**63) <= value < 2**63:
+                raise ConfigurationError(f"{name} must fit in int64, got {value!r}")
         return values
 
     # Ids and switches must carry their JSON type: 1.7, true or "false" is

@@ -872,8 +872,19 @@ def _drop(record, key):
             "layout lines[0] base_length_m must be a number, got True",
         ),
         (lambda doc: doc["elements"][1].update(id=True), "element ids must be integers, got True"),
+        (
+            lambda doc: doc["elements"][1].update(id=2**70),
+            f"element ids must fit in int64, got {2**70}",
+        ),
+        (
+            lambda doc: doc["lines"][0].update(pair_id=-(2**70)),
+            f"line pair_ids must fit in int64, got {-(2**70)}",
+        ),
     ],
-    ids=["no-x", "no-lines", "three-center-values", "text-x", "bool-length", "bool-id"],
+    ids=[
+        "no-x", "no-lines", "three-center-values", "text-x", "bool-length", "bool-id",
+        "huge-id", "huge-line-pair-id",
+    ],
 )
 def test_malformed_layout_file_exits_one(tmp_path, capsys, edit, message):
     """A layout file of the wrong shape is refused by field: no KeyError
@@ -887,6 +898,7 @@ def test_malformed_layout_file_exits_one(tmp_path, capsys, edit, message):
     captured = capsys.readouterr()
     assert captured.err == f"constraint error: {message}\n"
     assert "layout valid" not in captured.out
+    assert not (tmp_path / "out" / "validation.txt").exists()
 
 
 @pytest.mark.parametrize("text", [b"{not json", b"\xff\xfe"], ids=["not-json", "not-utf8"])

@@ -582,10 +582,14 @@ def test_layout_refuses_absorption_outside_zero_to_one(efficiency):
         ("lines", "has_switch", 0, "line has_switch must be true or false, got 0"),
         ("elements", "y_m", "0", "layout elements[1] y_m must be a number, got '0'"),
         ("lines", "base_length_m", None, "layout lines[1] base_length_m must be a number, got None"),
+        ("elements", "id", 2**70, f"element ids must fit in int64, got {2**70}"),
+        ("elements", "pair_id", 2**63, f"element pair_ids must fit in int64, got {2**63}"),
+        ("lines", "pair_id", -(2**63) - 1, f"line pair_ids must fit in int64, got {-(2**63) - 1}"),
     ],
     ids=[
         "float-id", "text-pair-id", "float-line-pair-id", "bool-id", "bool-pair-id",
         "bool-line-pair-id", "text-switch", "int-switch", "text-y", "null-length",
+        "huge-id", "huge-pair-id", "huge-negative-line-pair-id",
     ],
 )
 def test_load_layout_refuses_mistyped_fields(tmp_path, section, field, value, message):
@@ -598,6 +602,19 @@ def test_load_layout_refuses_mistyped_fields(tmp_path, section, field, value, me
     path.write_text(json.dumps(doc))
     with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
         load_layout(path)
+
+
+def test_load_layout_takes_ids_at_the_int64_limits(tmp_path):
+    import json
+
+    path = tmp_path / "layout.json"
+    save_layout(build_linear_array(2, LAM / 2.0, LAM), path)
+    doc = json.loads(path.read_text())
+    doc["elements"][0]["id"] = 2**63 - 1
+    doc["elements"][1]["id"] = -(2**63)
+    path.write_text(json.dumps(doc))
+    layout = load_layout(path)
+    assert [e.id for e in layout.elements[:2]] == [2**63 - 1, -(2**63)]
 
 
 def test_load_layout_refuses_elements_that_are_not_a_list(tmp_path):

@@ -26,6 +26,8 @@ from vanatta import (
     write_link_report,
     write_per_chirp_csv,
 )
+from vanatta import fmcw, link
+from vanatta.fmcw import BeatSignal, Target, _beat_blocks, _profile_matrix
 
 LAM = wavelength_of(24e9)
 LAYOUT = build_linear_array(2, LAM / 2.0, LAM)
@@ -234,6 +236,88 @@ def test_link_peak_memory_stays_below_one_frame():
         tracemalloc.stop()
     assert result.decoded.bits == bits
     assert peak < frame_bytes, f"peak {peak / 1e6:.1f} MB, one frame {frame_bytes / 1e6:.1f} MB"
+
+
+def _full_magnitudes(params, n_chirps, targets, noise_power, seed):
+    """The frame's chirps x bins magnitude matrix, held whole: the reference
+    that the streamed bin choice must match bit for bit."""
+    mags = np.empty((n_chirps, params.samples_per_chirp // 2 + 1))
+    for lo, block in _beat_blocks(params, n_chirps, targets, noise_power, seed):
+        spectra = _profile_matrix(BeatSignal(params=params, samples=block))[1]
+        np.abs(spectra, out=mags[lo : lo + len(block)])
+    return mags
+
+
+def _reference_amplitudes(*frame):
+    mags = _full_magnitudes(*frame)
+    return mags[:, np.argmax(mags.mean(axis=0))]
+
+
+@pytest.mark.parametrize("block", [1, 7, 64, 130])
+def test_streamed_bin_means_equal_the_full_matrix_mean(monkeypatch, block):
+    # Blocks of 1, 7, 64 and the whole 130-chirp frame; the beat rows of a
+    # block size differ in their last bits, so the reference uses the same.
+    monkeypatch.setattr(fmcw, "_FFT_BLOCK", block)
+    monkeypatch.setattr(link, "_FFT_BLOCK", block)
+    bits = tuple(int(b) for b in np.random.default_rng(26).integers(0, 2, 65))
+    schedule = encode_bits(bits, LAYOUT, 1e-3)
+    reflector = fmcw.SurfaceReflector(LAYOUT, schedule, incidence_angle_deg=30.0)
+    frame = (ChirpParams(), 130, [Target(25.0, 0.0, reflector)], 1e-4, 26)
+    mags = _full_magnitudes(*frame)
+    keep = [0, 41, 42, 500]
+    means, columns = link._bin_columns(*frame, keep)
+    np.testing.assert_array_equal(means, mags.mean(axis=0))
+    np.testing.assert_array_equal(columns, mags[:, keep])
+
+
+def _recorded_extractions(monkeypatch):
+    """Record (frame, amplitudes, seed of each pass) of every bin extraction."""
+    calls, seeds = [], []
+    extract = link._extract_bin_amplitudes
+
+    def counted_blocks(*frame):
+        seeds.append(frame[4])
+        return _beat_blocks(*frame)
+
+    def recorded(*frame):
+        seeds.clear()
+        amps = extract(*frame)
+        calls.append((frame, amps, list(seeds)))
+        return amps
+
+    monkeypatch.setattr(link, "_beat_blocks", counted_blocks)
+    monkeypatch.setattr(link, "_extract_bin_amplitudes", recorded)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "run, passes",
+    [
+        (lambda: run_link(scenario_for((1, 0, 1, 1, 0, 0, 1, 0), noise_power=1e-6, seed=3)), 1),
+        (lambda: run_link(scenario_for((0, 0, 0, 0), noise_power=1e-8, seed=5)), 2),
+        # The default SNR sweep's -30 dB point: the noise outshines the tag.
+        (lambda: ook_ber_trial(ChirpParams(), -30.0, 12.2, 256, 2, 12345), 2),
+    ],
+    ids=["tag", "all-zero", "swamped"],
+)
+def test_bin_extraction_equals_the_full_matrix_choice(monkeypatch, run, passes):
+    calls = _recorded_extractions(monkeypatch)
+    run()
+    [(frame, amps, seeds)] = calls
+    assert len(seeds) == passes
+    np.testing.assert_array_equal(amps, _reference_amplitudes(*frame))
+
+
+@pytest.mark.parametrize("seed", [np.random.SeedSequence(0x2626), None], ids=["fixed-entropy", "none"])
+def test_second_pass_redraws_the_first_pass_noise(monkeypatch, seed):
+    # No target, so no bin is kept in the first pass.
+    calls = _recorded_extractions(monkeypatch)
+    frame = (ChirpParams(), 96, [], 1e-6, seed)
+    link._extract_bin_amplitudes(*frame)
+    [(_, amps, seeds)] = calls
+    assert len(seeds) == 2 and seeds[0] is seeds[1]
+    assert isinstance(seeds[0], np.random.SeedSequence)
+    np.testing.assert_array_equal(amps, _reference_amplitudes(*frame[:4], seeds[0]))
 
 
 def test_link_report_and_csv(tmp_path):

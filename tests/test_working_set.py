@@ -5,7 +5,9 @@ warm call counts the arrays it holds at once, the same on every run.  Each
 bound sits between the peak of one block per stage and the peak of the
 designs these stages replaced: 128-chirp frame blocks with two spectra per
 block (15.5 MB per link op), two pair-path tables and a whole-table CSV
-write (3.5 MB per 4-ring pattern op, 3.2 MB per 3,601-row CSV).
+write (3.5 MB per 4-ring pattern op, 3.2 MB per 3,601-row CSV).  The link
+op's peak is also bounded in how it grows with the frame: a whole chirps x
+bins magnitude matrix made it grow by 25 MB from 2048 to 8192 chirps.
 """
 
 import random
@@ -53,6 +55,25 @@ def test_link_op_holds_its_magnitudes_and_one_block(tmp_path):
     peak = _traced_peak(_op(tmp_path, "link", config, "--seed", "2323"))
     assert peak <= 11.5 * MB, f"link op traced peak {peak / MB:.2f} MB"
     assert f"decoded_bits = {bits}\n" in (tmp_path / "link" / "link_report.txt").read_text()
+
+
+def test_link_op_peak_does_not_grow_with_the_frame(tmp_path):
+    # 2048 and 8192 chirps x 1000 samples.  Per-chirp arrays (amplitudes,
+    # phases, lobe columns, times) grow by under 0.1 KB a chirp; a held
+    # chirps x bins magnitude matrix would grow by 24.6 MB.
+    def peak(n_bits):
+        bits = format(random.Random(26).getrandbits(n_bits), f"0{n_bits}b")
+        config = (
+            "layout.builder = linear\nlayout.n_pairs = 2\nabsorption_efficiency = 0.82\n"
+            f'link.bits = "{bits}"\nlink.switch_interval_s = 1e-3\nradar.chirp_s = 0.5e-3\n'
+            "noise.power = 1e-6\n"
+        )
+        work_dir = tmp_path / str(n_bits)
+        work_dir.mkdir()
+        return _traced_peak(_op(work_dir, "link", config, "--seed", "2626"))
+
+    small, large = peak(1024), peak(4096)
+    assert large - small <= 1.0 * MB, f"link op traced peak {small / MB:.2f} -> {large / MB:.2f} MB"
 
 
 def test_ring_pattern_op_holds_one_table_and_one_csv_block(tmp_path):
