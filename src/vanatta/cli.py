@@ -86,7 +86,6 @@ DEFAULTS: dict[str, object] = {
     "radar.bandwidth_hz": 250e6,
     "radar.chirp_s": 0.5e-3,
     "radar.sample_rate_hz": 2e6,
-    "radar.chirps_per_frame": 64,
     "target.range_m": 50.0,
     "target.velocity_mps": 0.0,
     "noise.power": 0.0,
@@ -292,7 +291,6 @@ def _chirp_params(cfg: dict):
         bandwidth=cfg["radar.bandwidth_hz"],
         chirp_duration=cfg["radar.chirp_s"],
         sample_rate=cfg["radar.sample_rate_hz"],
-        chirps_per_frame=cfg["radar.chirps_per_frame"],
     )
 
 

@@ -5,9 +5,9 @@ range r returns a dechirped beat tone at
 
     f_beat = 2 * B * r / (c * T)
 
-sampled at sample_rate, one frame row per chirp (the row count is the chirp
-count).  The tone's phase advances chirp to chirp by 2 pi * (2 v / lambda)
-* T (stop-and-hop: range migration inside a frame is ignored).  Echo
+sampled at sample_rate, one row per chirp; the caller sets the chirp count.
+The tone's phase advances chirp to chirp by 2 pi * (2 v / lambda) * T
+(stop-and-hop: range migration inside a frame is ignored).  Echo
 amplitudes come from a reflector read at the 1 m reference distance and are
 scaled to the target range with the one-way 1/r far-field convention.
 
@@ -56,20 +56,17 @@ class ChirpParams:
     """Sawtooth chirp timing and sampling.
 
     Defaults follow the 24 GHz operating point used throughout: 250 MHz
-    sweep over 0.5 ms, sampled at 2 MHz.  chirps_per_frame sizes the frames
-    of synthesize_beat; a link frame has as many chirps as its bits need.
+    sweep over 0.5 ms, sampled at 2 MHz.  Each frame sets its chirp count.
     """
 
     start_frequency: float = 24e9
     bandwidth: float = 250e6
     chirp_duration: float = 0.5e-3
     sample_rate: float = 2e6
-    chirps_per_frame: int = 64
 
     def __post_init__(self):
         for name in ("start_frequency", "bandwidth", "chirp_duration", "sample_rate"):
             check_finite(name, getattr(self, name), "positive")
-        check_count("chirps_per_frame", self.chirps_per_frame)
         n = self.chirp_duration * self.sample_rate
         if abs(n - round(n)) > 1e-6 or round(n) < 2:
             raise ConfigurationError(
@@ -94,10 +91,6 @@ class ChirpParams:
     @property
     def range_bin_m(self) -> float:
         return C0 / (2.0 * self.bandwidth)
-
-    @property
-    def velocity_bin_mps(self) -> float:
-        return self.wavelength / (2.0 * self.chirps_per_frame * self.chirp_duration)
 
     @property
     def max_unambiguous_range(self) -> float:
@@ -331,6 +324,7 @@ def _beat_blocks(params: ChirpParams, n_chirps: int, targets, noise_power: float
 
 def synthesize_beat(
     params: ChirpParams,
+    n_chirps: int,
     targets,
     noise_power: float = 0.0,
     seed: int | None = None,
@@ -339,20 +333,23 @@ def synthesize_beat(
 
     Args:
         params: chirp timing and sampling.
+        n_chirps: the frame's chirp count, its number of rows.
         targets: iterable of Target.
         noise_power: per-sample variance of the added real noise.
         seed: RNG seed; identical seeds give identical frames.
 
     Returns:
-        BeatSignal with shape (chirps_per_frame, samples_per_chirp).
+        BeatSignal with shape (n_chirps, samples_per_chirp).
 
     Raises:
-        ConfigurationError: a target lies past max_unambiguous_range (its
-            beat tone would exceed Nyquist), or its per-chirp amplitudes or
-            phases are not finite (the error names the target).
+        ConfigurationError: n_chirps is not an integer >= 1, a target lies
+            past max_unambiguous_range (its beat tone would exceed Nyquist),
+            or its per-chirp amplitudes or phases are not finite (the error
+            names the target).
     """
-    samples = np.empty((params.chirps_per_frame, params.samples_per_chirp))
-    for lo, block in _beat_blocks(params, len(samples), targets, noise_power, seed):
+    check_count("n_chirps", n_chirps)
+    samples = np.empty((n_chirps, params.samples_per_chirp))
+    for lo, block in _beat_blocks(params, n_chirps, targets, noise_power, seed):
         samples[lo : lo + len(block)] = block
     return BeatSignal(params=params, samples=samples)
 

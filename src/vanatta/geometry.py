@@ -123,11 +123,12 @@ class SurfaceLayout:
     absorption_efficiency is the fraction of incident power captured by an
     element and re-emitted after the line round trip; it enters field
     amplitudes once as its square root.  Construction refuses a layout with
-    no elements or a broken pairing (ConstraintError) and a non-finite
-    center, element position or line length, naming the element or pair
-    (ConfigurationError).  The layout is its arrays: this constructor reads
-    them out of the tuples, while the builders and load_layout fill them
-    directly and build the tuples (lines in pair id order) on first read.
+    no elements or a broken pairing (ConstraintError), a non-finite
+    center, element position or line length, naming the element or pair,
+    and an id outside int64, naming the field (ConfigurationError).  The
+    layout is its arrays: this constructor reads them out of the tuples,
+    while the builders and load_layout fill them directly and build the
+    tuples (lines in pair id order) on first read.
     """
 
     elements: tuple[AntennaElement, ...]
@@ -190,13 +191,13 @@ def _attach_arrays(layout: SurfaceLayout, ids, x, y, pairs, line_pairs, length, 
         )
     if not all(map(math.isfinite, layout.center)):
         raise ConfigurationError(f"center must be finite, got {layout.center}")
-    ids = np.asarray(ids, dtype=np.int64)
+    ids = _int64s("element ids", ids)
     if ids.size == 0:
         raise ConstraintError("layout has no elements")
     sorted_ids = np.sort(ids)
     if (sorted_ids[1:] == sorted_ids[:-1]).any():
         raise ConstraintError("element ids must be unique")
-    pairs = np.asarray(pairs, dtype=np.int64)
+    pairs = _int64s("element pair_ids", pairs)
     # Sorting by (pair, id) runs each pair's members together: a valid
     # layout has runs of two, lower id first.
     order = np.lexsort((ids, pairs))
@@ -207,7 +208,7 @@ def _attach_arrays(layout: SurfaceLayout, ids, x, y, pairs, line_pairs, length, 
         raise ConstraintError(
             f"pairs must have exactly two elements, bad: {pair_ids[members != 2].tolist()}"
         )
-    line_pairs = np.asarray(line_pairs, dtype=np.int64)
+    line_pairs = _int64s("line pair_ids", line_pairs)
     by_pair = np.argsort(line_pairs, kind="stable")
     if not np.array_equal(line_pairs[by_pair], pair_ids):
         raise ConstraintError("pair_ids of lines and element pairs must match")
@@ -240,6 +241,14 @@ def _attach_arrays(layout: SurfaceLayout, ids, x, y, pairs, line_pairs, length, 
     for array in vars(view).values():
         array.flags.writeable = False
     vars(layout)["arrays"] = view
+
+
+def _int64s(name: str, values) -> np.ndarray:
+    try:  # numpy's OverflowError would not name the field or the value
+        return np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        bad = next(v for v in values if not -(2**63) <= v < 2**63)
+        raise ConfigurationError(f"{name} must fit in int64, got {bad!r}") from None
 
 
 def _layout(wavelength, center, absorption_efficiency, *columns) -> SurfaceLayout:
@@ -565,13 +574,9 @@ def load_layout(path) -> SurfaceLayout:
         return [_json(r, key, f"{section}[{i}]", number) for i, r in enumerate(records)]
 
     def integers(name: str, values: list) -> list:
-        # A JSON integer, not any Integral: a bool is no id.  Ids are held
-        # as int64.
         for value in values:
             if type(value) is not int:
                 raise ConfigurationError(f"{name} must be integers, got {value!r}")
-            if not -(2**63) <= value < 2**63:
-                raise ConfigurationError(f"{name} must fit in int64, got {value!r}")
         return values
 
     # Ids and switches must carry their JSON type: 1.7, true or "false" is

@@ -55,8 +55,7 @@ class LinkScenario:
     """Everything needed to run one modulated frame.
 
     The switch interval must be a whole number of chirps (whole_chirps);
-    the frame has that many chirps per bit, and chirps_per_frame in params
-    is not read.
+    the frame has that many chirps per bit.
     """
 
     layout: SurfaceLayout

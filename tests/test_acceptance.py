@@ -117,7 +117,7 @@ def test_04_range_extension():
     t0 = time.perf_counter()
     factor = range_extension(11.2)
     arithmetic_ok = abs(factor - 3.63) <= 0.005
-    params = ChirpParams(chirps_per_frame=1)
+    params = ChirpParams()
 
     def plate_target(amplitude):
         return Target(
@@ -178,7 +178,7 @@ def test_06_fmcw_correctness():
     target = Target(
         50.0, 0.0, SurfaceReflector(layout=layout, config=constructive_config())
     )
-    signal = synthesize_beat(params, [target])
+    signal = synthesize_beat(params, 64, [target])
 
     chirp = signal.samples[0]
     bin_hz = params.sample_rate / len(chirp)

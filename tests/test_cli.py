@@ -100,6 +100,15 @@ def test_config_refusals_exit_two(tmp_path, capsys, command, text, message):
     assert not out.exists() or not any(out.iterdir())
 
 
+def test_a_frame_chirp_count_key_is_refused_as_unknown(tmp_path, capsys):
+    # Every frame takes its chirp count from its bits: no key sets it.
+    out = tmp_path / "out"
+    cfg_path = write_config(tmp_path, "radar.chirps_per_frame = 64\n")
+    assert run_cli("link", "--config", cfg_path, "--out", str(out)) == 2
+    assert capsys.readouterr().err == "config error: unknown config keys: radar.chirps_per_frame\n"
+    assert not out.exists()
+
+
 def test_validate_defaults_pass(tmp_path, capsys):
     out = tmp_path / "out"
     assert run_cli("validate", "--out", str(out)) == 0
@@ -490,7 +499,6 @@ def test_constraint_failures_exit_one(tmp_path):
     [
         ("layout.n_pairs", "2.7"),
         ("layout.n_rings", "1.5"),
-        ("radar.chirps_per_frame", "64.5"),
         ("link.random_bits", "nan"),
         ("sweep.bits_per_point", "inf"),
         ("seed", "0.5"),

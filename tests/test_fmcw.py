@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vanatta import (
-    BeatSignal,
     ChirpParams,
     ConfigurationError,
     DesignMismatchWarning,
@@ -68,17 +67,16 @@ def test_chirp_params_derived_values():
     assert params.samples_per_chirp == 1000
     assert params.range_bin_m == RANGE_BIN_M
     assert params.max_unambiguous_range == MAX_UNAMBIGUOUS_M
-    assert math.isclose(params.velocity_bin_mps, VELOCITY_BIN_64, rel_tol=1e-12)
     assert math.isclose(params.beat_frequency(50.0), BEAT_50M_HZ, rel_tol=1e-12)
     # the textbook c = 3e8 figure of 166.67 kHz sits within one 2 kHz bin
     assert abs(params.beat_frequency(50.0) - 166.67e3) < 2000.0
+    rd = range_doppler(synthesize_beat(params, 64, []))
+    np.testing.assert_allclose(np.diff(rd.velocities_mps), VELOCITY_BIN_64, rtol=1e-12)
 
 
 def test_chirp_params_validation():
     with pytest.raises(ConfigurationError):
         default_params(bandwidth=0.0)
-    with pytest.raises(ConfigurationError):
-        default_params(chirps_per_frame=0)
     with pytest.raises(ConfigurationError):
         default_params(chirp_duration=0.33333e-3)  # non-integer sample count
 
@@ -93,15 +91,19 @@ PLATE = PlateReflector(0.025)
         lambda: default_params(start_frequency=math.nan),
         lambda: default_params(chirp_duration=math.inf),
         lambda: default_params(sample_rate=-2e6),
-        lambda: default_params(chirps_per_frame=2.5),
+        lambda: synthesize_beat(default_params(), 2.5, []),
+        lambda: synthesize_beat(default_params(), 0, []),
+        lambda: synthesize_beat(default_params(), -1, [], noise_power=1e-6, seed=1),
+        lambda: synthesize_beat(default_params(), math.nan, []),
+        lambda: synthesize_beat(default_params(), 64.0, []),
         lambda: Target(math.nan, 0.0, PLATE),
         lambda: Target(math.inf, 0.0, PLATE),
         lambda: Target(50.0, math.nan, PLATE),
         lambda: PlateReflector(math.nan),
         lambda: PlateReflector(0.025, incident_amplitude=math.inf),
         lambda: SurfaceReflector(LAYOUT, incident_amplitude=math.nan),
-        lambda: synthesize_beat(default_params(), [], noise_power=math.inf),
-        lambda: synthesize_beat(default_params(), [], noise_power=math.nan),
+        lambda: synthesize_beat(default_params(), 64, [], noise_power=math.inf),
+        lambda: synthesize_beat(default_params(), 64, [], noise_power=math.nan),
     ],
     ids=[
         "bandwidth-nan",
@@ -109,6 +111,10 @@ PLATE = PlateReflector(0.025)
         "chirp-duration-inf",
         "sample-rate-negative",
         "chirps-per-frame-fractional",
+        "chirps-per-frame-zero",
+        "chirps-per-frame-negative-noisy",
+        "chirps-per-frame-nan",
+        "chirps-per-frame-integral-float",
         "target-range-nan",
         "target-range-inf",
         "target-velocity-nan",
@@ -133,7 +139,7 @@ def test_chirp_params_band_warning():
 
 
 def test_empty_scene_is_silent():
-    signal = synthesize_beat(default_params(chirps_per_frame=4), [])
+    signal = synthesize_beat(default_params(), 4, [])
     assert signal.samples.shape == (4, 1000)
     assert not signal.samples.any()
     profile = range_profile(signal)
@@ -141,9 +147,9 @@ def test_empty_scene_is_silent():
 
 
 def test_beat_tone_frequency_and_amplitude():
-    params = default_params(chirps_per_frame=1)
+    params = default_params()
     target = surface_target(50.0)
-    signal = synthesize_beat(params, [target])
+    signal = synthesize_beat(params, 1, [target])
     # dominant DFT frequency of the raw samples matches the beat oracle
     spectrum = np.abs(np.fft.rfft(signal.samples[0] * np.hanning(1000)))
     freqs = np.fft.rfftfreq(1000, d=0.5e-6)
@@ -155,7 +161,7 @@ def test_beat_tone_frequency_and_amplitude():
 
 
 def test_range_profile_peak_within_one_bin():
-    signal = synthesize_beat(default_params(chirps_per_frame=1), [surface_target(50.0)])
+    signal = synthesize_beat(default_params(), 1, [surface_target(50.0)])
     profile = range_profile(signal)
     peak_range = profile.ranges_m[int(np.argmax(profile.magnitudes()))]
     assert abs(peak_range - 50.0) <= RANGE_BIN_M
@@ -163,17 +169,17 @@ def test_range_profile_peak_within_one_bin():
 
 
 def test_range_estimate_error_below_one_bin_across_ranges():
-    params = default_params(chirps_per_frame=1)
+    params = default_params()
     for r in (10.0, 50.0, 80.0, 110.0):  # beats all below 0.4 * Nyquist
-        signal = synthesize_beat(params, [surface_target(r)])
+        signal = synthesize_beat(params, 1, [surface_target(r)])
         hits = detect(range_profile(signal))
         assert len(hits) == 1
         assert abs(hits[0].range_m - r) <= RANGE_BIN_M
 
 
 def test_two_targets_resolved():
-    params = default_params(chirps_per_frame=1)
-    signal = synthesize_beat(params, [surface_target(50.0), surface_target(55.0)])
+    params = default_params()
+    signal = synthesize_beat(params, 1, [surface_target(50.0), surface_target(55.0)])
     hits = detect(range_profile(signal))
     assert len(hits) == 2
     assert abs(hits[0].range_m - 50.0) <= RANGE_BIN_M
@@ -181,7 +187,7 @@ def test_two_targets_resolved():
 
 
 def test_detection_velocity_is_nan_from_single_profile():
-    signal = synthesize_beat(default_params(chirps_per_frame=1), [surface_target(50.0)])
+    signal = synthesize_beat(default_params(), 1, [surface_target(50.0)])
     hits = detect(range_profile(signal))
     assert len(hits) == 1
     assert math.isnan(hits[0].velocity_mps)
@@ -195,24 +201,24 @@ def test_nyquist_violation_names_target():
     good = surface_target(50.0)
     bad = surface_target(310.0)
     with pytest.raises(ConfigurationError, match="target 1"):
-        synthesize_beat(params, [good, bad])
+        synthesize_beat(params, 64, [good, bad])
 
 
 def test_target_exactly_at_the_unambiguous_range_synthesizes():
     # Here beat_frequency(max_unambiguous_range) rounds one ulp above
     # Nyquist; the range itself is what the bound is stated in.
-    params = default_params(chirps_per_frame=1, sample_rate=221 / 0.5e-3)
+    params = default_params(sample_rate=221 / 0.5e-3)
     limit = params.max_unambiguous_range
     assert params.beat_frequency(limit) > params.sample_rate / 2.0
-    assert synthesize_beat(params, [Target(limit, 0.0, PLATE)]).samples.shape == (1, 221)
+    assert synthesize_beat(params, 1, [Target(limit, 0.0, PLATE)]).samples.shape == (1, 221)
     beyond = Target(math.nextafter(limit, math.inf), 0.0, PLATE)
     with pytest.raises(ConfigurationError, match="target 0 .* exceeds Nyquist"):
-        synthesize_beat(params, [beyond])
+        synthesize_beat(params, 1, [beyond])
 
 
 def test_doppler_phase_step_matches_formula():
-    params = default_params(chirps_per_frame=8)
-    signal = synthesize_beat(params, [surface_target(50.0, velocity=10.0)])
+    params = default_params()
+    signal = synthesize_beat(params, 8, [surface_target(50.0, velocity=10.0)])
     _, spectra = _peak_series(signal)
     steps = np.angle(spectra[1:] * np.conj(spectra[:-1]))
     wrapped = PHASE_STEP_10MPS - 2.0 * math.pi  # step folded into (-pi, pi]
@@ -231,8 +237,8 @@ def _peak_series(signal):
 
 
 def test_static_target_maps_to_zero_velocity():
-    params = default_params(chirps_per_frame=16)
-    signal = synthesize_beat(params, [surface_target(50.0)])
+    params = default_params()
+    signal = synthesize_beat(params, 16, [surface_target(50.0)])
     rd = range_doppler(signal)
     i, j = np.unravel_index(int(np.argmax(rd.magnitudes())), rd.values.shape)
     assert rd.velocities_mps[j] == 0.0
@@ -241,35 +247,34 @@ def test_static_target_maps_to_zero_velocity():
 
 def test_moving_target_lands_in_its_velocity_bin():
     # shorter chirps so 10 m/s sits inside the unambiguous +-31 m/s span
-    params = default_params(chirp_duration=1e-4, chirps_per_frame=64)
-    signal = synthesize_beat(params, [surface_target(25.0, velocity=10.0)])
+    params = default_params(chirp_duration=1e-4)
+    signal = synthesize_beat(params, 64, [surface_target(25.0, velocity=10.0)])
     rd = range_doppler(signal)
     i, j = np.unravel_index(int(np.argmax(rd.magnitudes())), rd.values.shape)
-    assert abs(rd.velocities_mps[j] - 10.0) <= params.velocity_bin_mps / 2.0
+    assert abs(rd.velocities_mps[j] - 10.0) <= np.diff(rd.velocities_mps)[0] / 2.0
     assert abs(rd.ranges_m[i] - 25.0) <= params.range_bin_m
 
 
 def test_detect_on_map_reports_range_and_velocity():
-    params = default_params(chirps_per_frame=16)
-    static = detect(range_doppler(synthesize_beat(params, [surface_target(50.0)])))
+    static = detect(range_doppler(synthesize_beat(default_params(), 16, [surface_target(50.0)])))
     assert len(static) == 1
     assert static[0].velocity_mps == 0.0
     assert abs(static[0].range_m - 50.0) <= RANGE_BIN_M
 
-    params = default_params(chirp_duration=1e-4, chirps_per_frame=64)
-    signal = synthesize_beat(params, [surface_target(25.0, velocity=10.0)])
-    moving = detect(range_doppler(signal))
+    params = default_params(chirp_duration=1e-4)
+    rd = range_doppler(synthesize_beat(params, 64, [surface_target(25.0, velocity=10.0)]))
+    moving = detect(rd)
     assert len(moving) == 1
-    assert abs(moving[0].velocity_mps - 10.0) <= params.velocity_bin_mps / 2.0
+    assert abs(moving[0].velocity_mps - 10.0) <= np.diff(rd.velocities_mps)[0] / 2.0
     assert abs(moving[0].range_m - 25.0) <= params.range_bin_m
 
 
 def test_detect_on_map_sees_ook_sidebands():
     # the switching schedule gates the echo, so the detector reports the
     # carrier line plus the two modulation sidelines at +-16 of 64 bins
-    params = default_params(chirps_per_frame=64)
+    params = default_params()
     schedule = encode_bits((1, 0) * 16, LAYOUT, 1e-3)
-    signal = synthesize_beat(params, [surface_target(25.0, schedule=schedule)])
+    signal = synthesize_beat(params, 64, [surface_target(25.0, schedule=schedule)])
     hits = detect(range_doppler(signal))
     velocities = sorted(h.velocity_mps for h in hits)
     expected = [-16 * VELOCITY_BIN_64, 0.0, 16 * VELOCITY_BIN_64]
@@ -279,16 +284,16 @@ def test_detect_on_map_sees_ook_sidebands():
 
 
 def test_detect_on_map_too_small_returns_nothing():
-    params = default_params(chirps_per_frame=2)
-    signal = synthesize_beat(params, [surface_target(50.0)])
+    params = default_params()
+    signal = synthesize_beat(params, 2, [surface_target(50.0)])
     assert detect(range_doppler(signal)) == []
 
 
 def test_ook_modulation_splits_doppler_energy():
     # alternating bits at 2 chirps/bit gate the amplitude as 1,1,0,0,...
-    params = default_params(chirps_per_frame=64)
+    params = default_params()
     schedule = encode_bits((1, 0) * 16, LAYOUT, 1e-3)
-    signal = synthesize_beat(params, [surface_target(25.0, schedule=schedule)])
+    signal = synthesize_beat(params, 64, [surface_target(25.0, schedule=schedule)])
     rd = range_doppler(signal)
     i = int(np.argmin(np.abs(rd.ranges_m - 25.0)))
     column = rd.magnitudes()[i]
@@ -307,39 +312,32 @@ def test_ook_modulation_splits_doppler_energy():
 
 
 def test_range_doppler_needs_two_chirps():
-    signal = synthesize_beat(default_params(chirps_per_frame=1), [surface_target(50.0)])
+    signal = synthesize_beat(default_params(), 1, [surface_target(50.0)])
     with pytest.raises(ValueError):
         range_doppler(signal)
 
 
-def _mislabelled_block():
-    """128 rows of a noisy frame in a BeatSignal whose params say 2048
-    chirps, as a block of a long frame is; and the same rows labelled 128."""
-    rows = synthesize_beat(
-        default_params(chirps_per_frame=128), [surface_target(50.0, velocity=3.0)], 1e-6, 5
-    )
-    return BeatSignal(params=default_params(chirps_per_frame=2048), samples=rows.samples), rows
+def _noisy_rows():
+    """A noisy 128-chirp frame of a moving target."""
+    return synthesize_beat(default_params(), 128, [surface_target(50.0, velocity=3.0)], 1e-6, 5)
 
 
 def test_range_doppler_takes_its_length_and_scale_from_the_rows():
-    block, rows = _mislabelled_block()
-    rd = range_doppler(block)
+    rows = _noisy_rows()
+    rd = range_doppler(rows)
     assert rd.values.shape == (501, 128)
     assert len(rd.velocities_mps) == 128
-    bin_width = default_params(chirps_per_frame=128).velocity_bin_mps
+    bin_width = rows.params.wavelength / (2.0 * 128 * rows.params.chirp_duration)
     np.testing.assert_allclose(np.diff(rd.velocities_mps), bin_width, rtol=1e-12)
     # Velocity 0 sits at column 64: the spectra summed over the rows, / 128.
     _, spectra = fmcw._profile_matrix(rows)
     np.testing.assert_allclose(
         rd.values[:, 64], spectra.mean(axis=0), rtol=0, atol=1e-12 * np.abs(spectra).max()
     )
-    expected = range_doppler(rows)
-    assert np.array_equal(rd.velocities_mps, expected.velocities_mps)
-    assert np.array_equal(rd.values, expected.values)
 
 
 def test_range_profile_transforms_one_row_and_refuses_one_past_the_last(monkeypatch):
-    block, rows = _mislabelled_block()
+    rows = _noisy_rows()
     transformed, profile_matrix = [], fmcw._profile_matrix
 
     def counted(signal, zero_pad=1):
@@ -347,7 +345,7 @@ def test_range_profile_transforms_one_row_and_refuses_one_past_the_last(monkeypa
         return profile_matrix(signal, zero_pad)
 
     monkeypatch.setattr(fmcw, "_profile_matrix", counted)
-    profile = range_profile(block, 127, zero_pad=8)
+    profile = range_profile(rows, 127, zero_pad=8)
     assert transformed == [1]
     monkeypatch.undo()
     ranges, spectra = fmcw._profile_matrix(rows, 8)
@@ -355,42 +353,42 @@ def test_range_profile_transforms_one_row_and_refuses_one_past_the_last(monkeypa
     assert np.array_equal(profile.values, spectra[127])
     for index in (128, 500, -1):
         with pytest.raises(ValueError, match=f"chirp_index {index} out of range"):
-            range_profile(block, index)
+            range_profile(rows, index)
 
 
 def test_noise_only_scene_stays_clean_at_13db():
-    params = default_params(chirps_per_frame=1)
+    params = default_params()
     clean = 0
     for seed in range(100):
-        signal = synthesize_beat(params, [], noise_power=1e-6, seed=seed)
+        signal = synthesize_beat(params, 1, [], noise_power=1e-6, seed=seed)
         if not detect(range_profile(signal), threshold_db=13.0):
             clean += 1
     assert clean >= 99, f"false alarms in {100 - clean} of 100 trials"
 
 
 def test_constructive_detected_destructive_not():
-    params = default_params(chirps_per_frame=1)
+    params = default_params()
     noise = 1e-6
     on = surface_target(25.0, config=constructive_config())
     off = surface_target(25.0, config=destructive_config(LAYOUT))
-    hits_on = detect(range_profile(synthesize_beat(params, [on], noise, seed=3)))
-    hits_off = detect(range_profile(synthesize_beat(params, [off], noise, seed=3)))
+    hits_on = detect(range_profile(synthesize_beat(params, 1, [on], noise, seed=3)))
+    hits_off = detect(range_profile(synthesize_beat(params, 1, [off], noise, seed=3)))
     assert any(abs(h.range_m - 25.0) < 2 * RANGE_BIN_M for h in hits_on)
     assert not hits_off
 
 
 def test_deterministic_replay():
-    params = default_params(chirps_per_frame=4)
-    a = synthesize_beat(params, [surface_target(50.0)], noise_power=1e-4, seed=42)
-    b = synthesize_beat(params, [surface_target(50.0)], noise_power=1e-4, seed=42)
-    c = synthesize_beat(params, [surface_target(50.0)], noise_power=1e-4, seed=43)
+    params = default_params()
+    a = synthesize_beat(params, 4, [surface_target(50.0)], noise_power=1e-4, seed=42)
+    b = synthesize_beat(params, 4, [surface_target(50.0)], noise_power=1e-4, seed=42)
+    c = synthesize_beat(params, 4, [surface_target(50.0)], noise_power=1e-4, seed=43)
     assert np.array_equal(a.samples, b.samples)
     assert not np.array_equal(a.samples, c.samples)
 
 
 def test_parseval_consistency():
-    params = default_params(chirps_per_frame=1)
-    signal = synthesize_beat(params, [surface_target(50.0), surface_target(72.0)])
+    params = default_params()
+    signal = synthesize_beat(params, 1, [surface_target(50.0), surface_target(72.0)])
     w = np.hanning(params.samples_per_chirp)
     windowed_energy = float(np.sum((signal.samples[0] * w) ** 2))
     profile = range_profile(signal)
@@ -406,9 +404,9 @@ def test_parseval_consistency():
 
 
 def test_plate_reflector_amplitude():
-    params = default_params(chirps_per_frame=1)
+    params = default_params()
     target = Target(10.0, 0.0, PlateReflector(width=0.025))
-    signal = synthesize_beat(params, [target])
+    signal = synthesize_beat(params, 1, [target])
     expected = 2.0013845711889124 / 10.0  # normal-incidence plate over 1/r
     assert math.isclose(np.abs(signal.samples[0]).max(), expected, rel_tol=1e-3)
 
@@ -422,10 +420,10 @@ def test_plate_reflector_amplitude():
     with_target=st.booleans(),
 )
 def test_noise_is_the_seeded_normal_draw(seed, power, chirps, samples, with_target):
-    params = default_params(chirps_per_frame=chirps, sample_rate=samples / 0.5e-3)
+    params = default_params(sample_rate=samples / 0.5e-3)
     targets = [Target(0.5 * params.max_unambiguous_range, 0.0, PLATE)] if with_target else []
-    beat = synthesize_beat(params, targets).samples
-    noisy = synthesize_beat(params, targets, noise_power=power, seed=seed).samples
+    beat = synthesize_beat(params, chirps, targets).samples
+    noisy = synthesize_beat(params, chirps, targets, noise_power=power, seed=seed).samples
     shape = (chirps, samples)
     expected = beat + np.random.default_rng(seed).normal(0.0, math.sqrt(power), shape)
     assert np.array_equal(noisy, expected)
@@ -441,11 +439,11 @@ class _SeededReflector:
         return np.random.default_rng(self.seed).uniform(0.0, 2.0, len(chirp_times))
 
 
-def _whole_frame_beat(params, targets, noise_power, seed):
+def _whole_frame_beat(params, n_chirps, targets, noise_power, seed):
     """The frame built whole: zeros, one whole-frame accumulate_beat per
     target, then normal(0, sigma) noise over the whole frame."""
-    samples = np.zeros((params.chirps_per_frame, params.samples_per_chirp))
-    times = np.arange(params.chirps_per_frame) * params.chirp_duration + 0.5 * params.chirp_duration
+    samples = np.zeros((n_chirps, params.samples_per_chirp))
+    times = np.arange(n_chirps) * params.chirp_duration + 0.5 * params.chirp_duration
     for target in targets:
         amps = target.reflector.amplitudes(times, params.start_frequency)
         amps = amps * (REFERENCE_DISTANCE / target.range_m)
@@ -485,7 +483,7 @@ def _whole_frame_beat(params, targets, noise_power, seed):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_blocked_frame_matches_whole_frame_construction(chirps, samples, targets, noise_power, seed):
-    params = default_params(chirps_per_frame=chirps, sample_rate=samples / 0.5e-3)
+    params = default_params(sample_rate=samples / 0.5e-3)
     scene = [
         Target(
             fraction * params.max_unambiguous_range,
@@ -494,8 +492,8 @@ def test_blocked_frame_matches_whole_frame_construction(chirps, samples, targets
         )
         for fraction, speed, receding, varying, amp_seed in targets
     ]
-    expected = _whole_frame_beat(params, scene, noise_power, seed)
-    frame = synthesize_beat(params, scene, noise_power, seed).samples
+    expected = _whole_frame_beat(params, chirps, scene, noise_power, seed)
+    frame = synthesize_beat(params, chirps, scene, noise_power, seed).samples
     assert np.array_equal(frame, expected)
 
     # The link's per-chirp amplitudes: the column of the whole-frame range
@@ -522,10 +520,10 @@ def test_long_frames_match_whole_frame_construction_to_rounding(
     # BLAS picks its kernel by matrix size: a whole long frame's beat product
     # can take another path than its 128-chirp blocks, and then the last few
     # sample columns round one ulp apart.  Seen at 2048 x 999 and 2048 x 742.
-    params = default_params(chirps_per_frame=chirps, sample_rate=samples / 0.5e-3)
+    params = default_params(sample_rate=samples / 0.5e-3)
     scene = [Target(fraction * params.max_unambiguous_range, velocity, _SeededReflector(seed))]
-    expected = _whole_frame_beat(params, scene, noise_power, seed)
-    frame = synthesize_beat(params, scene, noise_power, seed).samples
+    expected = _whole_frame_beat(params, chirps, scene, noise_power, seed)
+    frame = synthesize_beat(params, chirps, scene, noise_power, seed).samples
     eps = np.finfo(np.float64).eps
     assert np.abs(frame - expected).max() <= 4.0 * eps * np.abs(expected).max()
 
@@ -543,18 +541,18 @@ def test_chirp_blocks_are_balanced():
 
 
 # A noisy frame of 3 blocks: the noise worker is still drawing after block 0.
-NOISY = default_params(chirps_per_frame=3 * _FFT_BLOCK)
+NOISY_CHIRPS = 3 * _FFT_BLOCK
 
 
 def test_noise_worker_is_joined_when_the_frame_completes():
     baseline = threading.active_count()
-    synthesize_beat(NOISY, [Target(50.0, 0.0, PLATE)], noise_power=1e-6, seed=1)
+    synthesize_beat(default_params(), NOISY_CHIRPS, [Target(50.0, 0.0, PLATE)], 1e-6, seed=1)
     assert threading.active_count() == baseline
 
 
 def test_noise_worker_is_joined_when_the_consumer_stops_early():
     baseline = threading.active_count()
-    blocks = _beat_blocks(NOISY, NOISY.chirps_per_frame, [Target(50.0, 0.0, PLATE)], 1e-6, 1)
+    blocks = _beat_blocks(default_params(), NOISY_CHIRPS, [Target(50.0, 0.0, PLATE)], 1e-6, 1)
     next(blocks)
     assert threading.active_count() == baseline + 1
     blocks.close()
@@ -570,9 +568,9 @@ def test_noise_worker_is_joined_after_a_target_error(monkeypatch):
 
     monkeypatch.setattr(fmcw, "_noise_draws", noise_draws)
     baseline = threading.active_count()
-    scene = [Target(50.0, 0.0, PLATE), Target(2.0 * NOISY.max_unambiguous_range, 0.0, PLATE)]
+    scene = [Target(50.0, 0.0, PLATE), Target(2.0 * MAX_UNAMBIGUOUS_M, 0.0, PLATE)]
     with pytest.raises(ConfigurationError, match="target 1 .* exceeds Nyquist"):
-        synthesize_beat(NOISY, scene, noise_power=1e-6, seed=1)
+        synthesize_beat(default_params(), NOISY_CHIRPS, scene, noise_power=1e-6, seed=1)
     assert started  # the second target is refused after the worker started
     assert threading.active_count() == baseline
 
@@ -582,7 +580,7 @@ def test_noise_worker_error_reaches_the_caller():
         np.random.default_rng(-1)
     baseline = threading.active_count()
     with pytest.raises(ValueError) as raised:
-        synthesize_beat(default_params(), [], 1e-6, seed=-1)
+        synthesize_beat(default_params(), 64, [], 1e-6, seed=-1)
     assert str(raised.value) == str(expected.value)
     assert threading.active_count() == baseline
 
@@ -619,7 +617,7 @@ def test_concurrent_noisy_frames_keep_their_seeded_draws():
 
 def test_noiseless_frame_starts_no_thread():
     baseline = threading.active_count()
-    blocks = _beat_blocks(NOISY, NOISY.chirps_per_frame, [Target(50.0, 0.0, PLATE)], 0.0, None)
+    blocks = _beat_blocks(default_params(), NOISY_CHIRPS, [Target(50.0, 0.0, PLATE)], 0.0, None)
     next(blocks)
     assert threading.active_count() == baseline
     blocks.close()
@@ -630,17 +628,17 @@ def test_noiseless_frame_starts_no_thread():
     [(Target(5e-324, 0.0, PLATE), "amplitudes"), (Target(50.0, 1e308, PLATE), "phases")],
 )
 def test_non_finite_per_chirp_values_name_the_target(target, what):
-    params = default_params(chirps_per_frame=4)
+    params = default_params()
     with pytest.raises(ConfigurationError, match=f"target 1 at .*per-chirp {what} are not finite"):
-        synthesize_beat(params, [Target(50.0, 0.0, PLATE), target])
+        synthesize_beat(params, 4, [Target(50.0, 0.0, PLATE), target])
 
 
 def test_bin_noise_sigma_matches_monte_carlo():
-    params = default_params(chirps_per_frame=1)
+    params = default_params()
     predicted = bin_noise_sigma(params, 1e-4)
     rng_values = []
     for seed in range(40):
-        signal = synthesize_beat(params, [], noise_power=1e-4, seed=seed)
+        signal = synthesize_beat(params, 1, [], noise_power=1e-4, seed=seed)
         profile = range_profile(signal)
         rng_values.extend(np.abs(profile.values[5:-5]) ** 2)
     measured = math.sqrt(float(np.mean(rng_values)))
@@ -649,7 +647,7 @@ def test_bin_noise_sigma_matches_monte_carlo():
 
 def test_max_detection_range_gain_ratios():
     # weak plate echo so the base range sits well inside the unambiguous cap
-    params = default_params(chirps_per_frame=1)
+    params = default_params()
     base = Target(10.0, 0.0, PlateReflector(0.025, incidence_angle_deg=30.0))
     r0 = max_detection_range(params, base, noise_power=2e-8)
     assert 20.0 < r0 < 30.0, f"base range {r0} m left the calibrated window"
@@ -669,7 +667,7 @@ def test_max_detection_range_gain_ratios():
 
 
 def test_max_detection_range_saturates_at_cap():
-    params = default_params(chirps_per_frame=1)
+    params = default_params()
     strong = surface_target(10.0, config=constructive_config())
     r = max_detection_range(params, strong, noise_power=2e-8)
     cap = params.max_unambiguous_range - 2.0 * params.range_bin_m
@@ -677,7 +675,7 @@ def test_max_detection_range_saturates_at_cap():
 
 
 def test_max_detection_range_undetectable_sentinel():
-    params = default_params(chirps_per_frame=1)
+    params = default_params()
     target = surface_target(10.0)
     assert math.isnan(max_detection_range(params, target, noise_power=1e6))
 
@@ -738,7 +736,7 @@ def test_surface_reflector_refuses_a_schedule_and_a_config_together():
 
 
 def test_range_profile_refuses_a_zero_pad_below_one():
-    signal = synthesize_beat(default_params(chirps_per_frame=1), [Target(50.0, 0.0, PLATE)])
+    signal = synthesize_beat(default_params(), 1, [Target(50.0, 0.0, PLATE)])
     with pytest.raises(ValueError, match="^zero_pad must be >= 1$"):
         range_profile(signal, zero_pad=0)
 
@@ -771,8 +769,8 @@ def test_surface_reflector_evaluates_its_states_in_one_field_call(monkeypatch):
 
 def test_range_processing_refuses_two_samples():
     # a 2-point Hann window is all zeros, and the profile scaling divides by its sum
-    params = default_params(chirps_per_frame=2, sample_rate=2 / 0.5e-3)
-    signal = synthesize_beat(params, [])
+    params = default_params(sample_rate=2 / 0.5e-3)
+    signal = synthesize_beat(params, 2, [])
     with pytest.raises(ConfigurationError, match="at least 3 samples"):
         range_profile(signal)
     with pytest.raises(ConfigurationError, match="at least 3 samples"):
@@ -780,8 +778,8 @@ def test_range_processing_refuses_two_samples():
 
 
 def test_range_doppler_csv(tmp_path):
-    params = default_params(chirps_per_frame=4)
-    signal = synthesize_beat(params, [surface_target(50.0)])
+    params = default_params()
+    signal = synthesize_beat(params, 4, [surface_target(50.0)])
     rdmap = range_doppler(signal)
     path = tmp_path / "rd.csv"
     write_range_doppler_csv(rdmap, path)

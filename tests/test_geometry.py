@@ -548,6 +548,19 @@ def test_layout_refuses_non_finite_values_by_id():
         dataclasses.replace(layout, center=(math.nan, 0.0))
 
 
+@pytest.mark.parametrize(
+    "section, field, name",
+    [("elements", "id", "element ids"), ("elements", "pair_id", "element pair_ids"),
+     ("lines", "pair_id", "line pair_ids")],
+)
+def test_layout_refuses_ids_outside_int64_by_field(section, field, name):
+    layout = build_linear_array(2, LAM / 2.0, LAM)
+    first, *rest = getattr(layout, section)
+    huge = dataclasses.replace(first, **{field: 2**70})
+    with pytest.raises(ConfigurationError, match=f"^{name} must fit in int64, got {2**70}$"):
+        dataclasses.replace(layout, **{section: (huge, *rest)})
+
+
 def test_layout_refuses_a_broken_pairing():
     layout = build_linear_array(2, LAM / 2.0, LAM)
     first, second, *rest = layout.elements  # pairs 1 and 2
