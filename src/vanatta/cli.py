@@ -93,7 +93,6 @@ DEFAULTS: dict[str, object] = {
     "link.random_bits": 0,
     "link.switch_interval_s": 1e-3,
     "range.distances_m": "1,2,4,8,16,32,64,128,256,512",
-    "range.gain_db": None,
     "scale.n_elements": "2,4,8,16",
     "sweep.parameter": "incidence_angle",
     "sweep.start": -60.0,
@@ -105,9 +104,7 @@ DEFAULTS: dict[str, object] = {
 }
 
 # Optional keys that take a number when set.
-_OPTIONAL_NUMBERS = frozenset(
-    ("layout.spacing_m", "layout.base_length_m", "layout.base_radius_m", "range.gain_db")
-)
+_OPTIONAL_NUMBERS = frozenset(("layout.spacing_m", "layout.base_length_m", "layout.base_radius_m"))
 
 
 def parse_config_text(text: str) -> dict[str, object]:
@@ -394,15 +391,8 @@ def cmd_range(cfg: dict, out_dir: str, config_dir: str, seed: int, grid_step: fl
     plate_width = cfg["plate.width_m"]
     amp_on, amp_off = np.abs(_both_states(layout, wave, theta)[:, 0]).tolist()
     amp_plate = plate_monostatic_amplitude(plate_width, wave)
-    gain_db = cfg["range.gain_db"]
-    if gain_db is not None:
-        check_finite("range.gain_db", gain_db)
-    else:
-        gain_db = gain_over_plate(amp_on, amp_plate)
-    try:
-        factor = range_extension(gain_db)
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"range.gain_db: {exc}") from None
+    gain_db = gain_over_plate(amp_on, amp_plate)
+    factor = range_extension(gain_db)
 
     distances = _floats("range.distances_m", cfg["range.distances_m"])
     mags = ([far_field_amplitude(a, d) for d in distances] for a in (amp_plate, amp_on, amp_off))

@@ -24,6 +24,7 @@ consecutive rings differ by exactly one wavelength.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -122,13 +123,13 @@ class SurfaceLayout:
 
     absorption_efficiency is the fraction of incident power captured by an
     element and re-emitted after the line round trip; it enters field
-    amplitudes once as its square root.  Construction refuses a layout with
-    no elements or a broken pairing (ConstraintError), a non-finite
-    center, element position or line length, naming the element or pair,
-    and an id outside int64, naming the field (ConfigurationError).  The
-    layout is its arrays: this constructor reads them out of the tuples,
-    while the builders and load_layout fill them directly and build the
-    tuples (lines in pair id order) on first read.
+    amplitudes once as its square root.  The layout is its arrays: this
+    constructor reads them out of the tuples, while the builders and
+    load_layout fill them directly and build the tuples (lines in pair id
+    order) on first read.  All four run one check, _attach_arrays, so a
+    layout built in code is refused as a file is: ConfigurationError names
+    a value of the wrong type or range, or a non-finite one; ConstraintError
+    refuses no elements, a broken pairing or an absorption outside (0, 1].
     """
 
     elements: tuple[AntennaElement, ...]
@@ -143,7 +144,7 @@ class SurfaceLayout:
     def __post_init__(self):
         es, ls = self.elements, self.lines
         _attach_arrays(
-            self,
+            self, self.wavelength, self.center, self.absorption_efficiency,
             [e.id for e in es], [e.position[0] for e in es], [e.position[1] for e in es],
             [e.pair_id for e in es],
             [ln.pair_id for ln in ls], [ln.base_electrical_length for ln in ls],
@@ -180,24 +181,30 @@ class SurfaceLayout:
         return validate_layout(self)
 
 
-def _attach_arrays(layout: SurfaceLayout, ids, x, y, pairs, line_pairs, length, switch) -> None:
-    """Check a layout's scalars and columns, in a fixed order, and give it its
-    array view.  ids, x, y and pairs are per element; line_pairs, length and
-    switch per line, in any order."""
-    check_finite("wavelength", layout.wavelength, "positive")
-    if not 0.0 < layout.absorption_efficiency <= 1.0:
-        raise ConstraintError(
-            f"absorption_efficiency must be in (0, 1], got {layout.absorption_efficiency}"
-        )
-    if not all(map(math.isfinite, layout.center)):
-        raise ConfigurationError(f"center must be finite, got {layout.center}")
-    ids = _int64s("element ids", ids)
+def _attach_arrays(
+    layout, wavelength, center, efficiency, ids, x, y, pairs, line_pairs, length, switch
+) -> None:
+    """The one check of every layout, in this order, and its array view: the
+    scalars (stored on layout as floats), then ids, x, y and pairs per element
+    and line_pairs, length and switch per line, in any order, each by _column."""
+    wavelength = float(_column("wavelength", [wavelength], np.float64)[0])
+    check_finite("wavelength", wavelength, "positive")
+    efficiency = float(_column("absorption_efficiency", [efficiency], np.float64)[0])
+    if not 0.0 < efficiency <= 1.0:
+        raise ConstraintError(f"absorption_efficiency must be in (0, 1], got {efficiency}")
+    if not (isinstance(center, (tuple, list)) and len(center) == 2):
+        raise ConfigurationError(f"layout center_xy_m must be two numbers, got {center!r}")
+    center = tuple(_column("layout center_xy_m[{i}]", center, np.float64).tolist())
+    vars(layout).update(wavelength=wavelength, absorption_efficiency=efficiency, center=center)
+    if not all(map(math.isfinite, center)):
+        raise ConfigurationError(f"center must be finite, got {center}")
+    ids = _column("element ids", ids, np.int64)
     if ids.size == 0:
         raise ConstraintError("layout has no elements")
     sorted_ids = np.sort(ids)
     if (sorted_ids[1:] == sorted_ids[:-1]).any():
         raise ConstraintError("element ids must be unique")
-    pairs = _int64s("element pair_ids", pairs)
+    pairs = _column("element pair_ids", pairs, np.int64)
     # Sorting by (pair, id) runs each pair's members together: a valid
     # layout has runs of two, lower id first.
     order = np.lexsort((ids, pairs))
@@ -208,19 +215,19 @@ def _attach_arrays(layout: SurfaceLayout, ids, x, y, pairs, line_pairs, length, 
         raise ConstraintError(
             f"pairs must have exactly two elements, bad: {pair_ids[members != 2].tolist()}"
         )
-    line_pairs = _int64s("line pair_ids", line_pairs)
+    line_pairs = _column("line pair_ids", line_pairs, np.int64)
     by_pair = np.argsort(line_pairs, kind="stable")
     if not np.array_equal(line_pairs[by_pair], pair_ids):
         raise ConstraintError("pair_ids of lines and element pairs must match")
 
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    x = _column("layout elements[{i}] x_m", x, np.float64)
+    y = _column("layout elements[{i}] y_m", y, np.float64)
     finite = np.isfinite(x) & np.isfinite(y)
     if not finite.all():
         i = np.flatnonzero(~finite)[0]
         position = (float(x[i]), float(y[i]))
         raise ConfigurationError(f"element {ids[i]} position must be finite, got {position}")
-    length = np.asarray(length, dtype=np.float64)[by_pair]
+    length = _column("layout lines[{i}] base_length_m", length, np.float64)[by_pair]
     finite = np.isfinite(length)
     if not finite.all():
         i = np.flatnonzero(~finite)[0]
@@ -236,28 +243,49 @@ def _attach_arrays(layout: SurfaceLayout, ids, x, y, pairs, line_pairs, length, 
         a=order[0::2],
         b=order[1::2],
         line_length=length,
-        has_switch=np.asarray(switch, dtype=bool)[by_pair],
+        has_switch=_column("line has_switch", switch, np.bool_)[by_pair],
     )
     for array in vars(view).values():
         array.flags.writeable = False
     vars(layout)["arrays"] = view
 
 
-def _int64s(name: str, values) -> np.ndarray:
-    try:  # numpy's OverflowError would not name the field or the value
-        return np.asarray(values, dtype=np.int64)
-    except OverflowError:
-        bad = next(v for v in values if not -(2**63) <= v < 2**63)
-        raise ConfigurationError(f"{name} must fit in int64, got {bad!r}") from None
+def _refusal(value, dtype) -> str | None:
+    """Why value cannot join a column of dtype, or None: ids are ints in
+    int64, coordinates and lengths reals in float64's range (ints from
+    2**1024 - 2**970 up round to inf), switches bools; a bool is no number."""
+    if dtype is np.bool_:
+        return None if isinstance(value, (bool, np.bool_)) else "be true or false"
+    real = dtype is np.float64
+    if isinstance(value, bool) or not isinstance(value, numbers.Real if real else numbers.Integral):
+        return "be a number" if real else "be integers"
+    if not isinstance(value, numbers.Integral):  # a float, NaN included, or a fraction
+        return None
+    fits = -(2**1024 - 2**970) < value < 2**1024 - 2**970 if real else -(2**63) <= value < 2**63
+    return None if fits else f"fit in {np.dtype(dtype).name}"
 
 
-def _layout(wavelength, center, absorption_efficiency, *columns) -> SurfaceLayout:
-    """A SurfaceLayout of _attach_arrays' columns, whose tuples wait for a read."""
+def _column(name: str, values, dtype) -> np.ndarray:
+    """values as a dtype array: an array of dtype, or a list of its plain
+    Python type that numpy converts, whole; else ConfigurationError "<name>
+    must <reason>, got <value>" for the first value that _refusal refuses."""
+    if isinstance(values, np.ndarray) and values.dtype == dtype:
+        return values
+    try:  # one pass in C for the usual list, such as a file's column
+        if {*map(type, values)} <= {{np.int64: int, np.float64: float, np.bool_: bool}[dtype]}:
+            return np.asarray(values, dtype)
+    except OverflowError:  # an int outside int64, which _refusal names
+        pass
+    for i, value in enumerate(values):
+        if reason := _refusal(value, dtype):
+            raise ConfigurationError(f"{name.format(i=i)} must {reason}, got {value!r}")
+    return np.asarray(values, dtype)
+
+
+def _layout(*scalars_and_columns) -> SurfaceLayout:
+    """A SurfaceLayout of _attach_arrays' arguments, whose tuples wait for a read."""
     layout = object.__new__(SurfaceLayout)
-    vars(layout).update(
-        wavelength=wavelength, center=center, absorption_efficiency=absorption_efficiency
-    )
-    _attach_arrays(layout, *columns)
+    _attach_arrays(layout, *scalars_and_columns)
     return layout
 
 
@@ -538,61 +566,33 @@ def save_layout(layout: SurfaceLayout, path) -> None:
         fh.write("\n")
 
 
-def _json(record, key: str, where: str, number: bool = False):
-    """record[key]; ConfigurationError naming the field unless record is a
-    JSON object that holds key and, if number, the value is a JSON number
-    ("0.001" and true are refused, not coerced)."""
+def _json(record, key: str, where: str):
+    """record[key], refused naming key unless record is a JSON object holding it."""
     if not isinstance(record, dict) or key not in record:
         raise ConfigurationError(f"layout {where} has no {key}")
-    value = record[key]
-    if number and type(value) not in (int, float):
-        raise ConfigurationError(f"layout {where} {key} must be a number, got {value!r}")
-    return float(value) if number else value
+    return record[key]
 
 
 def load_layout(path) -> SurfaceLayout:
     """Read a layout written by save_layout.
 
-    A file that lacks a key save_layout writes, whose center_xy_m is not two
-    numbers, or whose lengths or coordinates are not JSON numbers raises
-    ConfigurationError naming the field, as do ids that are not JSON
-    integers (true and false included) or lie outside int64, and a
-    has_switch that is not true or false.
+    Only the file's shape is checked here: a missing key, or elements or
+    lines that are not a list, raises ConfigurationError naming the field.
+    The values go on as read to the check every layout runs (SurfaceLayout).
     """
     import json
 
     with open(path) as fh:
         doc = json.load(fh)
-    center = _json(doc, "center_xy_m", "file")
-    if not (isinstance(center, list) and len(center) == 2 and {*map(type, center)} <= {int, float}):
-        raise ConfigurationError(f"layout center_xy_m must be two numbers, got {center!r}")
 
-    def column(section: str, key: str, number: bool = False) -> list:
+    def column(section: str, key: str) -> list:
         records = _json(doc, section, "file")
         if not isinstance(records, list):
             raise ConfigurationError(f"layout {section} must be a list, got {records!r}")
-        return [_json(r, key, f"{section}[{i}]", number) for i, r in enumerate(records)]
+        return [_json(r, key, f"{section}[{i}]") for i, r in enumerate(records)]
 
-    def integers(name: str, values: list) -> list:
-        for value in values:
-            if type(value) is not int:
-                raise ConfigurationError(f"{name} must be integers, got {value!r}")
-        return values
-
-    # Ids and switches must carry their JSON type: 1.7, true or "false" is
-    # refused, not truncated to 1 or read as true.
-    ids = integers("element ids", column("elements", "id"))
-    pairs = integers("element pair_ids", column("elements", "pair_id"))
-    x, y = column("elements", "x_m", True), column("elements", "y_m", True)
-    line_pairs = integers("line pair_ids", column("lines", "pair_id"))
-    lengths = column("lines", "base_length_m", True)
-    switches = column("lines", "has_switch")
-    for switch in switches:
-        if not isinstance(switch, bool):
-            raise ConfigurationError(f"line has_switch must be true or false, got {switch!r}")
     return _layout(
-        _json(doc, "wavelength_m", "file", True),
-        (float(center[0]), float(center[1])),
-        _json(doc, "absorption_efficiency", "file", True),
-        ids, x, y, pairs, line_pairs, lengths, switches,
+        *(_json(doc, k, "file") for k in ("wavelength_m", "center_xy_m", "absorption_efficiency")),
+        *(column("elements", key) for key in ("id", "x_m", "y_m", "pair_id")),
+        *(column("lines", key) for key in ("pair_id", "base_length_m", "has_switch")),
     )

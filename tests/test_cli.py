@@ -109,6 +109,15 @@ def test_a_frame_chirp_count_key_is_refused_as_unknown(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_a_range_gain_key_is_refused_as_unknown(tmp_path, capsys):
+    # range reports the gain it measures: no key replaces it.
+    out = tmp_path / "out"
+    cfg_path = write_config(tmp_path, "range.gain_db = 11.2\n")
+    assert run_cli("range", "--config", cfg_path, "--out", str(out)) == 2
+    assert capsys.readouterr().err == "config error: unknown config keys: range.gain_db\n"
+    assert not out.exists()
+
+
 def test_validate_defaults_pass(tmp_path, capsys):
     out = tmp_path / "out"
     assert run_cli("validate", "--out", str(out)) == 0
@@ -267,39 +276,6 @@ def test_range_outputs(tmp_path):
     # constructive sits one constant gain above the plate at all distances
     ratios = {float(r[2]) / float(r[1]) for r in rows}
     assert max(ratios) - min(ratios) < 1e-9 * max(ratios)
-
-
-def test_range_gain_override(tmp_path):
-    cfg_path = write_config(tmp_path, "range.gain_db = 11.2\n")
-    out = tmp_path / "out"
-    assert run_cli("range", "--config", cfg_path, "--out", str(out)) == 0
-    summary = (out / "range_summary.txt").read_text()
-    assert "gain_db=11.2" in summary
-    factor = float(summary.split("range_extension=")[1].split()[0])
-    assert math.isclose(factor, 3.63, abs_tol=0.005)
-
-
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-def test_range_gain_override_must_be_finite(tmp_path, capsys, value):
-    cfg_path = write_config(tmp_path, f"range.gain_db = {value}\n")
-    out = tmp_path / "out"
-    assert run_cli("range", "--config", cfg_path, "--out", str(out)) == 1
-    captured = capsys.readouterr()
-    assert captured.err.startswith("constraint error: range.gain_db must be finite")
-    assert "range_extension" not in captured.out
-    assert list(out.iterdir()) == []
-
-
-@pytest.mark.parametrize("value", ["6200", "1e308"])
-def test_range_gain_override_must_not_overflow_the_extension(tmp_path, capsys, value):
-    cfg_path = write_config(tmp_path, f"range.gain_db = {value}\n")
-    out = tmp_path / "out"
-    assert run_cli("range", "--config", cfg_path, "--out", str(out)) == 1
-    captured = capsys.readouterr()
-    message = f"constraint error: range.gain_db: gain {float(value)} dB overflows the range extension\n"
-    assert captured.err == message
-    assert "range_extension" not in captured.out
-    assert list(out.iterdir()) == []
 
 
 def test_scale_outputs(tmp_path):
@@ -530,7 +506,6 @@ def test_config_values_take_the_type_of_their_default(tmp_path, capsys):
         ("validate", "layout.spacing_m"),
         ("validate", "layout.base_length_m"),
         ("validate", "layout.base_radius_m"),
-        ("range", "range.gain_db"),
     ],
 )
 def test_optional_number_keys_reject_non_numbers(tmp_path, capsys, command, key, value):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from vanatta import (
     ConfigurationError,
     ConstraintError,
+    SimulationError,
     build_concentric_surface,
     build_linear_array,
     load_layout,
@@ -561,6 +562,13 @@ def test_layout_refuses_ids_outside_int64_by_field(section, field, name):
         dataclasses.replace(layout, **{section: (huge, *rest)})
 
 
+def test_a_code_built_layout_refuses_a_fractional_id_rather_than_truncate_it():
+    layout = build_linear_array(2, LAM / 2.0, LAM)
+    e0, *rest = layout.elements
+    with pytest.raises(ConfigurationError, match="^element ids must be integers, got 7.9$"):
+        dataclasses.replace(layout, elements=(dataclasses.replace(e0, id=7.9), *rest))
+
+
 def test_layout_refuses_a_broken_pairing():
     layout = build_linear_array(2, LAM / 2.0, LAM)
     first, second, *rest = layout.elements  # pairs 1 and 2
@@ -797,11 +805,59 @@ def _set(record, key, value):
             ConfigurationError,
             "center must be finite, got (0.0, inf)",
         ),
+        # Each value of the wrong type is refused by field, never truncated
+        # (7.9 to 7, 1.5 to 1) or parsed ("0.001" to 0.001, "no" to true).
+        (
+            lambda doc: _set(doc["elements"][1], "id", 7.9),
+            ConfigurationError,
+            "element ids must be integers, got 7.9",
+        ),
+        (
+            lambda doc: _set(doc["elements"][1], "id", math.nan),
+            ConfigurationError,
+            "element ids must be integers, got nan",
+        ),
+        (
+            lambda doc: _set(doc["elements"][1], "pair_id", 1.5),
+            ConfigurationError,
+            "element pair_ids must be integers, got 1.5",
+        ),
+        (
+            lambda doc: _set(doc["elements"][1], "x_m", "0.001"),
+            ConfigurationError,
+            "layout elements[1] x_m must be a number, got '0.001'",
+        ),
+        (
+            lambda doc: _set(doc["lines"][1], "base_length_m", "0.1375"),
+            ConfigurationError,
+            "layout lines[1] base_length_m must be a number, got '0.1375'",
+        ),
+        (
+            lambda doc: _set(doc["lines"][1], "has_switch", "no"),
+            ConfigurationError,
+            "line has_switch must be true or false, got 'no'",
+        ),
+        (
+            lambda doc: doc.update(center_xy_m=[0.0, 0.0, 0.0]),
+            ConfigurationError,
+            "layout center_xy_m must be two numbers, got [0.0, 0.0, 0.0]",
+        ),
+        (
+            lambda doc: doc.update(absorption_efficiency="0.5"),
+            ConfigurationError,
+            "absorption_efficiency must be a number, got '0.5'",
+        ),
+        (
+            lambda doc: _set(doc["elements"][1], "x_m", 10**400),
+            ConfigurationError,
+            f"layout elements[1] x_m must fit in float64, got {10**400}",
+        ),
     ],
     ids=[
         "empty", "no-elements", "duplicate-id", "lone-members", "missing-line", "nan-x",
         "inf-length", "nan-center", "zero-absorption", "negative-wavelength", "id-before-x",
-        "center-before-empty",
+        "center-before-empty", "fractional-id", "nan-id", "fractional-pair-id", "text-x",
+        "text-length", "text-switch", "three-center-values", "text-absorption", "huge-int-x",
     ],
 )
 def test_each_refusal_is_the_same_through_the_constructor_and_a_file(
@@ -817,16 +873,56 @@ def test_each_refusal_is_the_same_through_the_constructor_and_a_file(
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         load_layout(path)
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
-        SurfaceLayout(
-            tuple(AntennaElement(e["id"], (e["x_m"], e["y_m"]), e["pair_id"]) for e in doc["elements"]),
-            tuple(
-                TransmissionLine(ln["pair_id"], ln["base_length_m"], ln["has_switch"])
-                for ln in doc["lines"]
-            ),
-            doc["wavelength_m"],
-            tuple(doc["center_xy_m"]),
-            doc["absorption_efficiency"],
-        )
+        constructed_from(doc)
+
+
+def constructed_from(doc):
+    """The SurfaceLayout constructor on a layout file's values, as read."""
+    return SurfaceLayout(
+        tuple(AntennaElement(e["id"], (e["x_m"], e["y_m"]), e["pair_id"]) for e in doc["elements"]),
+        tuple(
+            TransmissionLine(ln["pair_id"], ln["base_length_m"], ln["has_switch"])
+            for ln in doc["lines"]
+        ),
+        doc["wavelength_m"],
+        doc["center_xy_m"],
+        doc["absorption_efficiency"],
+    )
+
+
+def _outcome(make):
+    """make()'s layout, or the type and message of the package error it raised."""
+    try:
+        return make()
+    except SimulationError as exc:
+        return type(exc), str(exc)
+
+
+FIELD_VALUES = [math.nan, math.inf, -math.inf, 2.5, 2**70, "x", True, None]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8), st.data())
+def test_one_bad_field_is_refused_alike_through_a_file_and_the_constructor(
+    tmp_path_factory, n_pairs, data
+):
+    import json
+
+    path = tmp_path_factory.mktemp("layout") / "layout.json"
+    save_layout(build_linear_array(n_pairs, LAM / 2.0, LAM), path)
+    doc = json.loads(path.read_text())
+    if data.draw(st.integers(0, 9), label="three-number center") == 0:
+        doc["center_xy_m"] = [0.0, 0.0, data.draw(st.floats(-1.0, 1.0))]
+    else:
+        fields = [(doc, key) for key in ("wavelength_m", "center_xy_m", "absorption_efficiency")]
+        fields += [(doc["center_xy_m"], 0), (doc["center_xy_m"], 1)]
+        fields += [(e, key) for e in doc["elements"] for key in ("id", "x_m", "y_m", "pair_id")]
+        keys = ("pair_id", "base_length_m", "has_switch")
+        fields += [(ln, key) for ln in doc["lines"] for key in keys]
+        record, key = data.draw(st.sampled_from(fields), label="field")
+        record[key] = data.draw(st.sampled_from(FIELD_VALUES), label="value")
+    path.write_text(json.dumps(doc))
+    assert _outcome(lambda: load_layout(path)) == _outcome(lambda: constructed_from(doc))
 
 
 def test_a_loaded_layout_lists_its_lines_in_pair_order(tmp_path):
