@@ -42,7 +42,7 @@ from .emfield import (
     write_csv,
     write_pattern_csv,
 )
-from .errors import ConfigurationError, SimulationError, check_finite
+from .errors import ConfigurationError, SimulationError, check_finite, check_number
 from .geometry import (
     build_concentric_surface,
     build_linear_array,
@@ -192,8 +192,8 @@ def load_config(path: str | None) -> dict[str, object]:
 def _coerce(cfg: dict) -> dict:
     """Each numeric value converted to the type of its key's default.
 
-    Int keys take only integral numbers, float keys only numbers; a set
-    optional number is a float key.
+    Int keys take only integral numbers, float keys only numbers, as
+    errors.refusal has them; a set optional number is a float key.
     """
     out = dict(cfg)
     for key, default in DEFAULTS.items():
@@ -201,8 +201,7 @@ def _coerce(cfg: dict) -> dict:
         if key in _OPTIONAL_NUMBERS and value is not None:
             default = 0.0
         if isinstance(default, (int, float)):
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigurationError(f"{key} must be a number, got {value!r}")
+            check_number(key, value)
             if isinstance(default, int) and isinstance(value, float) and not value.is_integer():
                 raise ConfigurationError(f"{key} must be an integer, got {value!r}")
             out[key] = type(default)(value)
@@ -291,11 +290,6 @@ def _chirp_params(cfg: dict):
     )
 
 
-def _step(name: str, value: float) -> float:
-    check_finite(name, value, "positive")
-    return value
-
-
 def _whole_steps(name: str, span: float, step: float) -> tuple[int, bool]:
     """(n, exact): the whole steps of step in span, and whether they fill it.
 
@@ -304,6 +298,7 @@ def _whole_steps(name: str, span: float, step: float) -> tuple[int, bool]:
     A count past 2**53 (or none, for a subnormal step) is refused: float64
     no longer holds every integer there.
     """
+    check_finite(name, step, "positive")
     q = span / step
     if not q <= 2.0**53:
         raise ConfigurationError(
@@ -328,7 +323,7 @@ def _angle_grid(cfg: dict, grid_step: float | None) -> np.ndarray:
         name, step = "pattern.grid_step_deg", cfg["pattern.grid_step_deg"]
     else:
         name, step = "--grid-step-deg", grid_step
-    n, exact = _whole_steps(name, 180.0, _step(name, step))
+    n, exact = _whole_steps(name, 180.0, step)
     twice = np.arange(-n, n + 1, 2)
     grid = twice * 90.0 / n if exact else twice * (step / 2.0)
     return np.clip(grid, -90.0, 90.0, out=grid)
@@ -465,7 +460,7 @@ def cmd_sweep(cfg: dict, out_dir: str, config_dir: str, seed: int, grid_step: fl
         check_finite("sweep.stop", stop)
         if stop < start:
             raise ConfigurationError(f"sweep.stop must be >= sweep.start, got {stop} < {start}")
-        inc = _step("sweep.step", cfg["sweep.step"])
+        inc = cfg["sweep.step"]
         n, _ = _whole_steps("sweep.step", stop - start, inc)
         thetas = start + inc * np.arange(n + 1)
         np.minimum(thetas, stop, out=thetas)  # a whole count may round past stop

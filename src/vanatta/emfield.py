@@ -82,6 +82,7 @@ class PlaneWave:
 
     def __post_init__(self):
         check_finite("frequency", self.frequency, "positive")
+        check_finite("incidence_angle_deg", self.incidence_angle_deg)
         _angles(float(self.incidence_angle_deg), "incidence")
         check_finite("amplitude", self.amplitude, "positive")
 
@@ -230,12 +231,11 @@ def response_matrix(
         ConfigurationError: the scaled field overflows (an amplitude near
             the float limit).
     """
-    check_finite("frequency", frequency, "positive")
+    wavelength = wavelength_of(frequency)
     check_finite("amplitude", amplitude, "positive")
     theta = np.radians(_angles(incidence_deg, "incidence"))
     phi = np.radians(_angles(observation_deg, "observation"))
     _require_valid(layout)
-    wavelength = wavelength_of(frequency)
     _check_wavelength(layout, wavelength)
     if isinstance(configs, SwitchConfig) or not configs:
         raise ValueError("configs must be a non-empty sequence of SwitchConfig")

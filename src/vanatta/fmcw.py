@@ -36,7 +36,7 @@ from .emfield import (
     response_matrix,
     write_csv,
 )
-from .errors import ConfigurationError, DesignMismatchWarning, check_count, check_finite
+from .errors import ConfigurationError, DesignMismatchWarning, check_count, check_finite, check_seed
 from .geometry import C0, SurfaceLayout
 from .modulation import SwitchSchedule, config_at
 
@@ -336,18 +336,19 @@ def synthesize_beat(
         n_chirps: the frame's chirp count, its number of rows.
         targets: iterable of Target.
         noise_power: per-sample variance of the added real noise.
-        seed: RNG seed; identical seeds give identical frames.
+        seed: RNG seed (None or >= 0); identical seeds give identical frames.
 
     Returns:
         BeatSignal with shape (n_chirps, samples_per_chirp).
 
     Raises:
-        ConfigurationError: n_chirps is not an integer >= 1, a target lies
-            past max_unambiguous_range (its beat tone would exceed Nyquist),
+        ConfigurationError: n_chirps is not an integer >= 1, seed not one >= 0,
+            a target lies past max_unambiguous_range (its beat tone would exceed Nyquist),
             or its per-chirp amplitudes or phases are not finite (the error
             names the target).
     """
     check_count("n_chirps", n_chirps)
+    check_seed(seed)
     samples = np.empty((n_chirps, params.samples_per_chirp))
     for lo, block in _beat_blocks(params, n_chirps, targets, noise_power, seed):
         samples[lo : lo + len(block)] = block
@@ -378,8 +379,7 @@ def _profile_matrix(signal: BeatSignal, zero_pad: int = 1) -> tuple[np.ndarray, 
     The rows are windowed one block at a time into one buffer, transformed
     straight into their rows of the result and scaled there.
     """
-    if zero_pad < 1:
-        raise ValueError("zero_pad must be >= 1")
+    check_count("zero_pad", zero_pad)
     params = signal.params
     n = params.samples_per_chirp
     w = _range_window(n)
@@ -404,8 +404,9 @@ def range_profile(signal: BeatSignal, chirp_index: int = 0, zero_pad: int = 1) -
     zero_pad > 1 interpolates the spectrum for finer peak estimates; bin i
     of the unpadded profile maps to range i * c / (2 * bandwidth).
     """
-    if not 0 <= chirp_index < len(signal.samples):
-        raise ValueError(f"chirp_index {chirp_index} out of range")
+    check_count("chirp_index", chirp_index, minimum=0)
+    if chirp_index >= len(signal.samples):
+        raise ConfigurationError(f"chirp_index {chirp_index} out of range")
     row = BeatSignal(params=signal.params, samples=signal.samples[chirp_index : chirp_index + 1])
     ranges, spectra = _profile_matrix(row, zero_pad)
     return RangeProfile(ranges_m=ranges, values=spectra[0])
@@ -445,8 +446,9 @@ def detect(profile, threshold_db: float = DEFAULT_THRESHOLD_DB) -> list[Detectio
     velocity bin).  A profile is handled as a map with one velocity column.
     Peak ranges are refined by parabolic interpolation of the dB magnitudes
     along range.  Returns detections in increasing range order (range-major
-    for a map).
+    for a map).  threshold_db must be finite.
     """
+    check_finite("threshold_db", threshold_db)
     is_map = isinstance(profile, RangeDopplerMap)
     values = profile.values if is_map else profile.values[:, None]
     velocities = profile.velocities_mps if is_map else [math.nan]
@@ -516,8 +518,9 @@ def max_detection_range(
     stops two range bins short of the unambiguous limit (closer in, the
     spectral image overlaps the peak and corrupts the amplitude estimate)
     and returns that cap when the target is still detectable there; it
-    raises ConfigurationError when 1 m lies beyond that cap.
+    raises ConfigurationError when 1 m lies beyond that cap or threshold_db is not finite.
     """
+    check_finite("threshold_db", threshold_db)
     check_finite("noise_power", noise_power, "positive")
     min_range, rel_tol = 1.0, 1e-6
     sigma = bin_noise_sigma(params, noise_power)

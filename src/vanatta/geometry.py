@@ -24,13 +24,12 @@ consecutive rings differ by exactly one wavelength.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigurationError, ConstraintError, check_count, check_finite
+from .errors import ConfigurationError, ConstraintError, check_count, check_finite, check_number
 
 # Vacuum speed of light, m/s.
 C0 = 299_792_458.0
@@ -187,24 +186,24 @@ def _attach_arrays(
     """The one check of every layout, in this order, and its array view: the
     scalars (stored on layout as floats), then ids, x, y and pairs per element
     and line_pairs, length and switch per line, in any order, each by _column."""
-    wavelength = float(_column("wavelength", [wavelength], np.float64)[0])
     check_finite("wavelength", wavelength, "positive")
-    efficiency = float(_column("absorption_efficiency", [efficiency], np.float64)[0])
+    check_number("absorption_efficiency", efficiency)
+    wavelength, efficiency = float(wavelength), float(efficiency)
     if not 0.0 < efficiency <= 1.0:
         raise ConstraintError(f"absorption_efficiency must be in (0, 1], got {efficiency}")
     if not (isinstance(center, (tuple, list)) and len(center) == 2):
         raise ConfigurationError(f"layout center_xy_m must be two numbers, got {center!r}")
-    center = tuple(_column("layout center_xy_m[{i}]", center, np.float64).tolist())
+    center = tuple(_column("layout center_xy_m[{i}]", center, float).tolist())
     vars(layout).update(wavelength=wavelength, absorption_efficiency=efficiency, center=center)
     if not all(map(math.isfinite, center)):
         raise ConfigurationError(f"center must be finite, got {center}")
-    ids = _column("element ids", ids, np.int64)
+    ids = _column("element ids", ids, int)
     if ids.size == 0:
         raise ConstraintError("layout has no elements")
     sorted_ids = np.sort(ids)
     if (sorted_ids[1:] == sorted_ids[:-1]).any():
         raise ConstraintError("element ids must be unique")
-    pairs = _column("element pair_ids", pairs, np.int64)
+    pairs = _column("element pair_ids", pairs, int)
     # Sorting by (pair, id) runs each pair's members together: a valid
     # layout has runs of two, lower id first.
     order = np.lexsort((ids, pairs))
@@ -215,19 +214,19 @@ def _attach_arrays(
         raise ConstraintError(
             f"pairs must have exactly two elements, bad: {pair_ids[members != 2].tolist()}"
         )
-    line_pairs = _column("line pair_ids", line_pairs, np.int64)
+    line_pairs = _column("line pair_ids", line_pairs, int)
     by_pair = np.argsort(line_pairs, kind="stable")
     if not np.array_equal(line_pairs[by_pair], pair_ids):
         raise ConstraintError("pair_ids of lines and element pairs must match")
 
-    x = _column("layout elements[{i}] x_m", x, np.float64)
-    y = _column("layout elements[{i}] y_m", y, np.float64)
+    x = _column("layout elements[{i}] x_m", x, float)
+    y = _column("layout elements[{i}] y_m", y, float)
     finite = np.isfinite(x) & np.isfinite(y)
     if not finite.all():
         i = np.flatnonzero(~finite)[0]
         position = (float(x[i]), float(y[i]))
         raise ConfigurationError(f"element {ids[i]} position must be finite, got {position}")
-    length = _column("layout lines[{i}] base_length_m", length, np.float64)[by_pair]
+    length = _column("layout lines[{i}] base_length_m", length, float)[by_pair]
     finite = np.isfinite(length)
     if not finite.all():
         i = np.flatnonzero(~finite)[0]
@@ -243,42 +242,27 @@ def _attach_arrays(
         a=order[0::2],
         b=order[1::2],
         line_length=length,
-        has_switch=_column("line has_switch", switch, np.bool_)[by_pair],
+        has_switch=_column("line has_switch", switch, bool)[by_pair],
     )
     for array in vars(view).values():
         array.flags.writeable = False
     vars(layout)["arrays"] = view
 
 
-def _refusal(value, dtype) -> str | None:
-    """Why value cannot join a column of dtype, or None: ids are ints in
-    int64, coordinates and lengths reals in float64's range (ints from
-    2**1024 - 2**970 up round to inf), switches bools; a bool is no number."""
-    if dtype is np.bool_:
-        return None if isinstance(value, (bool, np.bool_)) else "be true or false"
-    real = dtype is np.float64
-    if isinstance(value, bool) or not isinstance(value, numbers.Real if real else numbers.Integral):
-        return "be a number" if real else "be integers"
-    if not isinstance(value, numbers.Integral):  # a float, NaN included, or a fraction
-        return None
-    fits = -(2**1024 - 2**970) < value < 2**1024 - 2**970 if real else -(2**63) <= value < 2**63
-    return None if fits else f"fit in {np.dtype(dtype).name}"
-
-
-def _column(name: str, values, dtype) -> np.ndarray:
-    """values as a dtype array: an array of dtype, or a list of its plain
-    Python type that numpy converts, whole; else ConfigurationError "<name>
-    must <reason>, got <value>" for the first value that _refusal refuses."""
+def _column(name: str, values, kind: type) -> np.ndarray:
+    """values as an array of kind's dtype (int64, float64 or bool): such an
+    array, or a list of kind that numpy converts, whole; else ConfigurationError
+    "<name> must <reason>, got <value>" for the first value errors.refusal refuses."""
+    dtype = {int: np.int64, float: np.float64, bool: np.bool_}[kind]
     if isinstance(values, np.ndarray) and values.dtype == dtype:
         return values
     try:  # one pass in C for the usual list, such as a file's column
-        if {*map(type, values)} <= {{np.int64: int, np.float64: float, np.bool_: bool}[dtype]}:
+        if {*map(type, values)} <= {kind}:
             return np.asarray(values, dtype)
-    except OverflowError:  # an int outside int64, which _refusal names
+    except OverflowError:  # an int outside int64, which the rule names
         pass
     for i, value in enumerate(values):
-        if reason := _refusal(value, dtype):
-            raise ConfigurationError(f"{name.format(i=i)} must {reason}, got {value!r}")
+        check_number(name.format(i=i), value, kind)
     return np.asarray(values, dtype)
 
 

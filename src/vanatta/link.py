@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .emfield import write_csv
-from .errors import DecodingError, SchedulingError, check_finite
+from .errors import DecodingError, SchedulingError, check_count, check_finite, check_seed
 from .fmcw import (
     _FFT_BLOCK,
     BeatSignal,
@@ -72,6 +72,7 @@ class LinkScenario:
         check_finite("range_m", self.range_m, "positive")
         check_finite("velocity_mps", self.velocity_mps)
         check_finite("noise_power", self.noise_power, "non-negative")
+        check_seed(self.seed)
         whole_chirps(self.schedule.switch_interval, self.params.chirp_duration)
 
     @property
@@ -128,8 +129,8 @@ def decode_ook(per_chirp_amplitudes, chirps_per_bit: int, threshold: float | Non
         per_chirp_amplitudes: magnitudes at the target bin, one per chirp;
             length must be a multiple of chirps_per_bit.
         chirps_per_bit: chirps averaged per bit slot (>= 1).
-        threshold: decision level; default is the midpoint of the two
-            cluster centers of the amplitude list.
+        threshold: finite decision level; default is the midpoint of the
+            two cluster centers of the amplitude list.
 
     Returns:
         BitFrame of the decoded bits.
@@ -138,8 +139,7 @@ def decode_ook(per_chirp_amplitudes, chirps_per_bit: int, threshold: float | Non
         DecodingError: all amplitudes identical and no threshold was given.
     """
     amps = np.asarray(per_chirp_amplitudes, dtype=np.float64)
-    if chirps_per_bit < 1:
-        raise ValueError("chirps_per_bit must be >= 1")
+    check_count("chirps_per_bit", chirps_per_bit)
     if amps.size == 0 or amps.size % chirps_per_bit != 0:
         raise ValueError(
             f"amplitude count {amps.size} is not a positive multiple of "
@@ -148,6 +148,7 @@ def decode_ook(per_chirp_amplitudes, chirps_per_bit: int, threshold: float | Non
     if threshold is None:
         c_lo, c_hi = two_cluster_centers(amps)
         threshold = 0.5 * (c_lo + c_hi)
+    check_finite("threshold", threshold)
     means = amps.reshape(-1, chirps_per_bit).mean(axis=1)
     bits = tuple(int(m > threshold) for m in means)
     return BitFrame(bits)
@@ -288,12 +289,13 @@ def ook_ber_trial(
     Returns the fraction of bit errors.
 
     Raises:
-        ConfigurationError: per_chirp_snr_db or depth_db is not finite, or
-            is so far below zero that the noise power or the off-state
-            amplitude overflows.
+        ConfigurationError: n_bits, chirps_per_bit or seed is not an integer
+            >= 2, >= 1 or >= 0, or per_chirp_snr_db or depth_db is not finite or
+            so far below zero that the noise power or off-state amplitude overflows.
     """
-    if n_bits < 2:
-        raise ValueError("need at least 2 bits for a trial")
+    check_count("n_bits", n_bits, minimum=2)
+    check_count("chirps_per_bit", chirps_per_bit)
+    check_seed(seed)
     check_finite("per_chirp_snr_db", per_chirp_snr_db)
     check_finite("depth_db", depth_db)
     # numpy's power and division saturate to inf or 0.0 where Python's **

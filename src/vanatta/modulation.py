@@ -28,7 +28,7 @@ class BitFrame:
         object.__setattr__(self, "bits", check_integers("bits", self.bits))
         if not self.bits:
             raise ConfigurationError("bit frame is empty")
-        if any(b not in (0, 1) for b in self.bits):
+        if not {*self.bits} <= {0, 1}:
             raise ConfigurationError("bits must be 0 or 1")
 
     def __len__(self) -> int:

@@ -27,6 +27,7 @@ from vanatta import (
 )
 from vanatta.cli import (
     DEFAULTS,
+    _OPTIONAL_NUMBERS,
     _angle_grid,
     _build_parser,
     load_config,
@@ -515,6 +516,18 @@ def test_optional_number_keys_reject_non_numbers(tmp_path, capsys, command, key,
     assert run_cli(command, "--config", cfg_path, "--out", str(out)) == 1
     expected = repr(True) if value == "true" else repr(value)
     assert capsys.readouterr().err == f"constraint error: {key} must be a number, got {expected}\n"
+    assert not out.exists()
+
+
+FLOAT_KEYS = sorted(k for k, v in DEFAULTS.items() if isinstance(v, float) or k in _OPTIONAL_NUMBERS)
+
+
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_float_keys_refuse_an_integer_past_float64(tmp_path, capsys, key):
+    cfg_path = write_config(tmp_path, f"{key} = 1{'0' * 400}\n")
+    out = tmp_path / "out"
+    assert run_cli("validate", "--config", cfg_path, "--out", str(out)) == 1
+    assert capsys.readouterr().err == f"constraint error: {key} must fit in float64, got {10**400}\n"
     assert not out.exists()
 
 

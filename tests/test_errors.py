@@ -1,0 +1,162 @@
+"""The one number rule: every public entry refuses a bool, an int past
+float64 or int64, a non-finite real and, for counts, a fraction with a
+ConfigurationError that names the argument."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import from_dtype
+
+from vanatta import (
+    BitFrame,
+    ChirpParams,
+    ConfigurationError,
+    LinkScenario,
+    PlaneWave,
+    PlateReflector,
+    SwitchConfig,
+    Target,
+    build_concentric_surface,
+    build_linear_array,
+    decode_ook,
+    detect,
+    doppler_phase_drift,
+    encode_bits,
+    far_field_amplitude,
+    max_detection_range,
+    ook_ber_trial,
+    range_profile,
+    response_matrix,
+    synthesize_beat,
+    validate_layout,
+    wavelength_of,
+)
+from vanatta.errors import check_count, check_finite, check_integers
+from vanatta.geometry import _column
+
+LAM = wavelength_of(24e9)
+LAYOUT = build_linear_array(2, LAM / 2.0, LAM)
+PARAMS = ChirpParams()
+TARGET = Target(50.0, 0.0, PlateReflector(0.025))
+SIGNAL = synthesize_beat(PARAMS, 4, [TARGET])
+AMPS = [1.0, 1.0, 0.0, 0.0]
+
+
+def _scenario(seed):
+    schedule = encode_bits((1, 0), LAYOUT, 1e-3)
+    return LinkScenario(LAYOUT, schedule, PARAMS, 50.0, seed=seed)
+
+
+# (argument name, call with the value, whether the argument is a count)
+ENTRIES = {
+    "wavelength_of": ("frequency", wavelength_of, False),
+    "build_linear_array-n_pairs": ("n_pairs", lambda v: build_linear_array(v, LAM / 2, LAM), True),
+    "build_linear_array-spacing": ("spacing", lambda v: build_linear_array(2, v, 1.0), False),
+    "build_concentric_surface": ("n_rings", lambda v: build_concentric_surface(v, LAM, LAM), True),
+    "PlaneWave-frequency": ("frequency", lambda v: PlaneWave(v, 0.0), False),
+    "PlaneWave-incidence": ("incidence_angle_deg", lambda v: PlaneWave(24e9, v), False),
+    "Target": ("range_m", lambda v: Target(v, 0.0, TARGET.reflector), False),
+    "encode_bits": ("switch_interval", lambda v: encode_bits((1, 0), LAYOUT, v), False),
+    "doppler_phase_drift": ("velocity_delta", lambda v: doppler_phase_drift(v, LAM, 1e-3), False),
+    "response_matrix": (
+        "amplitude",
+        lambda v: response_matrix(LAYOUT, (SwitchConfig(),), 24e9, 0.0, 0.0, amplitude=v),
+        False,
+    ),
+    "validate_layout": ("tolerance", lambda v: validate_layout(LAYOUT, v), False),
+    "SwitchConfig": ("pair ids", lambda v: SwitchConfig(frozenset({v})), True),
+    "BitFrame": ("bits", lambda v: BitFrame((v, 0)), True),
+    "ChirpParams": ("start_frequency", lambda v: ChirpParams(start_frequency=v), False),
+    "PlateReflector": ("width", PlateReflector, False),
+    "far_field_amplitude": ("distance", lambda v: far_field_amplitude(1.0, v), False),
+    "decode_ook-chirps_per_bit": ("chirps_per_bit", lambda v: decode_ook(AMPS, v), True),
+    "decode_ook-threshold": ("threshold", lambda v: decode_ook(AMPS, 2, v), False),
+    "ook_ber_trial-n_bits": ("n_bits", lambda v: ook_ber_trial(PARAMS, 20.0, 12.2, v), True),
+    "ook_ber_trial-chirps_per_bit": (
+        "chirps_per_bit",
+        lambda v: ook_ber_trial(PARAMS, 20.0, 12.2, 8, chirps_per_bit=v),
+        True,
+    ),
+    "ook_ber_trial-seed": ("seed", lambda v: ook_ber_trial(PARAMS, 20.0, 12.2, 8, seed=v), True),
+    "synthesize_beat-n_chirps": ("n_chirps", lambda v: synthesize_beat(PARAMS, v, []), True),
+    "synthesize_beat-seed": ("seed", lambda v: synthesize_beat(PARAMS, 4, [], 1e-6, v), True),
+    "LinkScenario-seed": ("seed", _scenario, True),
+    "range_profile-chirp_index": ("chirp_index", lambda v: range_profile(SIGNAL, v), True),
+    "range_profile-zero_pad": ("zero_pad", lambda v: range_profile(SIGNAL, 0, v), True),
+    "detect": ("threshold_db", lambda v: detect(range_profile(SIGNAL), v), False),
+    "max_detection_range": (
+        "threshold_db",
+        lambda v: max_detection_range(PARAMS, TARGET, threshold_db=v),
+        False,
+    ),
+}
+
+CASES = [
+    pytest.param(entry, value, id=f"{entry}-{label}")
+    for entry, (_, _, count) in ENTRIES.items()
+    for label, value in [("true", True), ("nan", math.nan)]
+    # numpy takes a seed of any size, so a seed is refused only below 0.
+    + ([("negative", -1)] if entry.endswith("seed") else [("huge", 10**400)])
+    + ([("fraction", 2.5)] if count else [])
+]
+
+
+@pytest.mark.parametrize("entry, value", CASES)
+def test_every_entry_refuses_what_the_number_rule_refuses(entry, value):
+    name, call, _ = ENTRIES[entry]
+    with pytest.raises(ConfigurationError, match=f"^{name} must .*, got "):
+        call(value)
+
+
+def test_the_entries_still_take_their_usual_values():
+    # The refusals above are not a blanket refusal: the same calls run with
+    # a plain value, a numpy scalar or a seed of 0 or 10**400.
+    assert wavelength_of(np.float64(24e9)) == LAM
+    assert build_linear_array(np.int64(2), LAM / 2, LAM).n_pairs == 2
+    assert SwitchConfig(frozenset({np.int64(2)})).toggled == {2}
+    assert decode_ook(AMPS, 2, np.float32(0.5)).bits == (1, 0)
+    assert range_profile(SIGNAL, np.int64(3), np.int64(2)).values.size == PARAMS.samples_per_chirp + 1
+    assert synthesize_beat(PARAMS, 4, [], 1e-6, 0).samples.shape == SIGNAL.samples.shape
+    assert _scenario(0).seed == 0
+    assert _scenario(10**400).seed == 10**400
+    assert ook_ber_trial(PARAMS, 20.0, 12.2, 8, seed=10**400) == 0.0
+
+
+_NUMPY_SCALARS = st.sampled_from([np.dtype(t) for t in ("f8", "f4", "i8", "u8", "?", "c16")])
+VALUES = st.one_of(
+    st.booleans(),
+    st.integers(-(10**400), 10**400),
+    st.integers(-(2**64), 2**64),
+    st.floats(),
+    st.text(max_size=3),
+    st.none(),
+    _NUMPY_SCALARS.flatmap(from_dtype),
+)
+
+
+def _refusal_of(check, *args):
+    """The ConfigurationError message of check(*args), or None; any other
+    exception fails the test."""
+    try:
+        check(*args)
+    except ConfigurationError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(VALUES)
+def test_the_checks_and_the_layout_columns_apply_one_rule(value):
+    column = _refusal_of(_column, "x", [value], float)
+    finite = _refusal_of(check_finite, "x", value)
+    if column is None:
+        nonfinite = not math.isfinite(_column("x", [value], float)[0])
+        assert finite == (f"x must be finite, got {value}" if nonfinite else None)
+    else:
+        assert finite == column
+    ints = _refusal_of(_column, "x", [value], int)
+    assert _refusal_of(check_integers, "x", [value]) == ints
+    assert (ints is None) == (_refusal_of(check_count, "x", value, -(2**63)) is None)

@@ -351,9 +351,11 @@ def test_range_profile_transforms_one_row_and_refuses_one_past_the_last(monkeypa
     ranges, spectra = fmcw._profile_matrix(rows, 8)
     assert np.array_equal(profile.ranges_m, ranges)
     assert np.array_equal(profile.values, spectra[127])
-    for index in (128, 500, -1):
-        with pytest.raises(ValueError, match=f"chirp_index {index} out of range"):
+    for index in (128, 500):
+        with pytest.raises(ConfigurationError, match=f"^chirp_index {index} out of range$"):
             range_profile(rows, index)
+    with pytest.raises(ConfigurationError, match="^chirp_index must be an integer >= 0, got -1$"):
+        range_profile(rows, -1)
 
 
 def test_noise_only_scene_stays_clean_at_13db():
@@ -579,8 +581,9 @@ def test_noise_worker_error_reaches_the_caller():
     with pytest.raises(ValueError) as expected:
         np.random.default_rng(-1)
     baseline = threading.active_count()
+    # synthesize_beat refuses seed=-1 itself; the generator takes it as given.
     with pytest.raises(ValueError) as raised:
-        synthesize_beat(default_params(), 64, [], 1e-6, seed=-1)
+        list(_beat_blocks(default_params(), 64, [], 1e-6, -1))
     assert str(raised.value) == str(expected.value)
     assert threading.active_count() == baseline
 
@@ -737,7 +740,7 @@ def test_surface_reflector_refuses_a_schedule_and_a_config_together():
 
 def test_range_profile_refuses_a_zero_pad_below_one():
     signal = synthesize_beat(default_params(), 1, [Target(50.0, 0.0, PLATE)])
-    with pytest.raises(ValueError, match="^zero_pad must be >= 1$"):
+    with pytest.raises(ConfigurationError, match="^zero_pad must be an integer >= 1, got 0$"):
         range_profile(signal, zero_pad=0)
 
 

@@ -135,7 +135,7 @@ def test_decode_ook_rejects_degenerate_input():
 
 
 def test_decode_ook_refuses_zero_chirps_per_bit():
-    with pytest.raises(ValueError, match="^chirps_per_bit must be >= 1$"):
+    with pytest.raises(ConfigurationError, match="^chirps_per_bit must be an integer >= 1, got 0$"):
         decode_ook([1.0, 0.0], 0)
 
 
@@ -194,7 +194,7 @@ def test_ber_trial_reproducible():
 
 
 def test_ber_trial_refuses_a_single_bit():
-    with pytest.raises(ValueError, match="^need at least 2 bits for a trial$"):
+    with pytest.raises(ConfigurationError, match="^n_bits must be an integer >= 2, got 1$"):
         ook_ber_trial(ChirpParams(), 20.0, 12.2, 1, seed=1)
 
 
