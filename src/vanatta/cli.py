@@ -14,9 +14,10 @@ Configs are flat key-value text files with dotted section names::
     layout.builder = linear
     layout.n_pairs = 2
 
-Unknown keys are rejected.  ``configs/reference.cfg`` in the repository
-lists every key with its default.  Exit codes: 0 on success, 1 when a
-constraint or validation fails, 2 on I/O or config parse errors.
+Unknown keys are rejected, and every key is checked before the output
+directory is made.  ``configs/reference.cfg`` in the repository lists every
+key with its default.  Exit codes: 0 on success, 1 when a constraint or
+validation fails, 2 on I/O or config parse errors.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .emfield import (
     write_csv,
     write_pattern_csv,
 )
-from .errors import ConfigurationError, SimulationError, check_finite, check_number
+from .errors import ConfigurationError, SimulationError, check_finite, check_number, check_seed
 from .geometry import (
     build_concentric_surface,
     build_linear_array,
@@ -105,6 +106,15 @@ DEFAULTS: dict[str, object] = {
 
 # Optional keys that take a number when set.
 _OPTIONAL_NUMBERS = frozenset(("layout.spacing_m", "layout.base_length_m", "layout.base_radius_m"))
+# Text keys that name one of a few choices, and comma-separated list keys
+# with the kind of their entries.
+_CHOICES = {
+    "layout.builder": ("linear", "concentric", "file"),
+    "sweep.parameter": ("incidence_angle", "snr"),
+}
+_LISTS = {"range.distances_m": float, "scale.n_elements": int, "sweep.snr_db": float}
+# Maps link.bits' bytes b"0", b"1" to 0, 1: a 1024-bit frame parses in microseconds.
+_BIT_VALUES = bytes.maketrans(b"01", b"\0\1")
 
 
 def parse_config_text(text: str) -> dict[str, object]:
@@ -189,12 +199,11 @@ def load_config(path: str | None) -> dict[str, object]:
     return merged
 
 
-def _coerce(cfg: dict) -> dict:
-    """Each numeric value converted to the type of its key's default.
-
-    Int keys take only integral numbers, float keys only numbers, as
-    errors.refusal has them; a set optional number is a float key.
-    """
+def _checked(cfg: dict, config_dir: str) -> dict:
+    """cfg with every key turned into the value the commands read, or the
+    first fault refused by key.  A number takes the type of its key's default
+    (a set optional number is a float), as errors.refusal has them; range
+    checks that the library owns stay with the library."""
     out = dict(cfg)
     for key, default in DEFAULTS.items():
         value = cfg[key]
@@ -205,70 +214,74 @@ def _coerce(cfg: dict) -> dict:
             if isinstance(default, int) and isinstance(value, float) and not value.is_integer():
                 raise ConfigurationError(f"{key} must be an integer, got {value!r}")
             out[key] = type(default)(value)
+    check_seed(out["seed"])
+    for key, choices in _CHOICES.items():
+        out[key] = str(cfg[key])
+        if out[key] not in choices:
+            raise ConfigFileError(f"unknown {key} {out[key]!r}")
+    path = cfg["layout.path"]
+    if path is not None:
+        out["layout.path"] = os.path.join(config_dir, str(path))
+    elif out["layout.builder"] == "file":
+        raise ConfigFileError("layout.builder = file needs layout.path")
+    for key, kind in _LISTS.items():
+        out[key] = _numbers(key, cfg[key], kind)
+    bits = str(cfg["link.bits"]).strip()
+    if not bits or bits.strip("01"):
+        raise ConfigFileError(f"link.bits must be a string of 0/1, got {cfg['link.bits']!r}")
+    out["link.bits"] = tuple(bits.encode().translate(_BIT_VALUES))
+    check_finite("link.random_bits", out["link.random_bits"], "non-negative")
+    start, stop = out["sweep.start"], out["sweep.stop"]
+    for key in ("sweep.start", "sweep.stop"):
+        check_finite(key, out[key])
+    if stop < start:
+        raise ConfigurationError(f"sweep.stop must be >= sweep.start, got {stop} < {start}")
     return out
 
 
-def _floats(name: str, value) -> list[float]:
-    """The numbers of a comma-separated list key; an empty list or an entry
-    that is not a number is refused, naming the key."""
+def _numbers(key: str, value, kind: type) -> list:
+    """The numbers of a comma-separated list key, each of the kind; an empty
+    list or an entry that is not one is refused, naming the key."""
     try:
         values = [float(part) for part in str(value).split(",") if part.strip()]
     except ValueError:
         values = []
     if not values:
-        raise ConfigurationError(f"{name} must list one or more numbers, got {value!r}")
-    return values
-
-
-def _ints(name: str, value) -> list[int]:
-    values = _floats(name, value)
+        raise ConfigurationError(f"{key} must list one or more numbers, got {value!r}")
+    if kind is float:
+        return values
     for f in values:
         if not f.is_integer():
-            raise ConfigurationError(f"{name} must list integers, got {f!r}")
+            raise ConfigurationError(f"{key} must list integers, got {f!r}")
     return [int(f) for f in values]
 
 
-def _bits_of(value) -> tuple[int, ...]:
-    text = str(value).strip()
-    if not text or any(ch not in "01" for ch in text):
-        raise ConfigFileError(f"link.bits must be a string of 0/1, got {value!r}")
-    return tuple(int(ch) for ch in text)
+def _spacing(cfg: dict, wavelength: float) -> float:
+    """layout.spacing_m, or half the wavelength when it is unset."""
+    spacing = cfg["layout.spacing_m"]
+    return wavelength / 2.0 if spacing is None else spacing
 
 
-def _resolve_layout(cfg: dict, config_dir: str):
+def _resolve_layout(cfg: dict):
     lam = wavelength_of(cfg["frequency_hz"])
-    builder = str(cfg["layout.builder"])
+    builder = cfg["layout.builder"]
     absorption = cfg["absorption_efficiency"]
     if builder == "linear":
-        spacing = cfg["layout.spacing_m"]
         return build_linear_array(
-            cfg["layout.n_pairs"],
-            spacing if spacing is not None else lam / 2.0,
-            lam,
-            cfg["layout.base_length_m"],
-            absorption,
+            cfg["layout.n_pairs"], _spacing(cfg, lam), lam, cfg["layout.base_length_m"], absorption
         )
     if builder == "concentric":
         radius = cfg["layout.base_radius_m"]
-        return build_concentric_surface(
-            cfg["layout.n_rings"],
-            radius if radius is not None else lam,
-            lam,
-            absorption,
-        )
-    if builder == "file":
-        import json  # as load_layout does: only a layout file needs it
+        radius = lam if radius is None else radius
+        return build_concentric_surface(cfg["layout.n_rings"], radius, lam, absorption)
+    import json  # as load_layout does: only a layout file needs it
 
-        path = cfg["layout.path"]
-        if path is None:
-            raise ConfigFileError("layout.builder = file needs layout.path")
-        full = os.path.join(config_dir, str(path))
-        try:
-            return load_layout(full)
-        # A file that is not UTF-8 JSON is a parse error, not a bad layout.
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ConfigFileError(f"cannot read layout {full}: {exc}") from exc
-    raise ConfigFileError(f"unknown layout.builder {builder!r}")
+    path = cfg["layout.path"]
+    try:
+        return load_layout(path)
+    # A file that is not UTF-8 JSON is a parse error, not a bad layout.
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigFileError(f"cannot read layout {path}: {exc}") from exc
 
 
 def _wave(cfg: dict) -> PlaneWave:
@@ -310,8 +323,8 @@ def _whole_steps(name: str, span: float, step: float) -> tuple[int, bool]:
     return math.floor(q), False
 
 
-def _angle_grid(cfg: dict, grid_step: float | None) -> np.ndarray:
-    """The -90..90 deg grid at --grid-step-deg, else at pattern.grid_step_deg.
+def _angle_grid(step: float) -> np.ndarray:
+    """The -90..90 deg grid at pattern.grid_step_deg (or --grid-step-deg).
 
     The N + 1 points are centred on broadside and spaced by whole steps:
     point i is (2i - N) * step / 2, computed as (2i - N) * 90 / N when the
@@ -319,11 +332,7 @@ def _angle_grid(cfg: dict, grid_step: float | None) -> np.ndarray:
     bit for bit, so the field kernel computes one column per |sin|; 0 is on
     the grid when N is even, and +-90 are exact when the step divides 180.
     """
-    if grid_step is None:
-        name, step = "pattern.grid_step_deg", cfg["pattern.grid_step_deg"]
-    else:
-        name, step = "--grid-step-deg", grid_step
-    n, exact = _whole_steps(name, 180.0, step)
+    n, exact = _whole_steps("pattern.grid_step_deg", 180.0, step)
     twice = np.arange(-n, n + 1, 2)
     grid = twice * 90.0 / n if exact else twice * (step / 2.0)
     return np.clip(grid, -90.0, 90.0, out=grid)
@@ -334,8 +343,8 @@ def _emit(out_dir: str, name: str, text: str) -> None:
         fh.write(text)
 
 
-def cmd_validate(cfg: dict, out_dir: str, config_dir: str, seed: int, grid_step: float | None) -> int:
-    layout = _resolve_layout(cfg, config_dir)
+def cmd_validate(cfg: dict, out_dir: str) -> int:
+    layout = _resolve_layout(cfg)
     report = validate_layout(layout, cfg["validate.tolerance_m"])
     summary = report.summary()
     _emit(out_dir, "validation.txt", summary + "\n")
@@ -351,10 +360,10 @@ def _both_states(layout, wave: PlaneWave, angles) -> np.ndarray:
     return response_matrix(layout, configs, wave.frequency, theta, angles, wave.amplitude)[:, 0]
 
 
-def cmd_pattern(cfg: dict, out_dir: str, config_dir: str, seed: int, grid_step: float | None) -> int:
-    layout = _resolve_layout(cfg, config_dir)
+def cmd_pattern(cfg: dict, out_dir: str) -> int:
+    layout = _resolve_layout(cfg)
     wave = _wave(cfg)
-    grid = _angle_grid(cfg, grid_step)
+    grid = _angle_grid(cfg["pattern.grid_step_deg"])
     theta = wave.incidence_angle_deg
     plate_width = cfg["plate.width_m"]
     # Both states observed over the grid followed by the incidence itself:
@@ -379,8 +388,8 @@ def cmd_pattern(cfg: dict, out_dir: str, config_dir: str, seed: int, grid_step: 
     return 0
 
 
-def cmd_range(cfg: dict, out_dir: str, config_dir: str, seed: int, grid_step: float | None) -> int:
-    layout = _resolve_layout(cfg, config_dir)
+def cmd_range(cfg: dict, out_dir: str) -> int:
+    layout = _resolve_layout(cfg)
     wave = _wave(cfg)
     theta = wave.incidence_angle_deg
     plate_width = cfg["plate.width_m"]
@@ -389,7 +398,7 @@ def cmd_range(cfg: dict, out_dir: str, config_dir: str, seed: int, grid_step: fl
     gain_db = gain_over_plate(amp_on, amp_plate)
     factor = range_extension(gain_db)
 
-    distances = _floats("range.distances_m", cfg["range.distances_m"])
+    distances = cfg["range.distances_m"]
     mags = ([far_field_amplitude(a, d) for d in distances] for a in (amp_plate, amp_on, amp_off))
     header = "distance_m,mag_plate,mag_constructive,mag_destructive"
     write_csv(os.path.join(out_dir, "range_amplitudes.csv"), header, distances, *mags)
@@ -400,13 +409,10 @@ def cmd_range(cfg: dict, out_dir: str, config_dir: str, seed: int, grid_step: fl
     return 0
 
 
-def cmd_scale(cfg: dict, out_dir: str, config_dir: str, seed: int, grid_step: float | None) -> int:
+def cmd_scale(cfg: dict, out_dir: str) -> int:
     wave = _wave(cfg)
-    lam = wave.wavelength
-    spacing = cfg["layout.spacing_m"]
-    spacing = spacing if spacing is not None else lam / 2.0
-    ns = _ints("scale.n_elements", cfg["scale.n_elements"])
-    ratios = [ratio for _, ratio in scaling_sweep(ns, spacing, wave)]
+    ns = cfg["scale.n_elements"]
+    ratios = [ratio for _, ratio in scaling_sweep(ns, _spacing(cfg, wave.wavelength), wave)]
     plate_mag = plate_monostatic_amplitude(cfg["plate.width_m"], wave)
     path = os.path.join(out_dir, "scale.csv")
     write_csv(path, "n_elements,gain_ratio,plate_mag", ns, ratios, [plate_mag] * len(ns))
@@ -414,18 +420,14 @@ def cmd_scale(cfg: dict, out_dir: str, config_dir: str, seed: int, grid_step: fl
     return 0
 
 
-def cmd_link(cfg: dict, out_dir: str, config_dir: str, seed: int, grid_step: float | None) -> int:
+def cmd_link(cfg: dict, out_dir: str) -> int:
     from .link import LinkScenario, run_link, write_link_report, write_per_chirp_csv
 
-    layout = _resolve_layout(cfg, config_dir)
+    layout = _resolve_layout(cfg)
     params = _chirp_params(cfg)
-    n_random = cfg["link.random_bits"]
-    check_finite("link.random_bits", n_random, "non-negative")
+    n_random, bits = cfg["link.random_bits"], cfg["link.bits"]
     if n_random > 0:
-        rng = np.random.default_rng(seed)
-        bits = tuple(int(b) for b in rng.integers(0, 2, n_random))
-    else:
-        bits = _bits_of(cfg["link.bits"])
+        bits = tuple(np.random.default_rng(cfg["seed"]).integers(0, 2, n_random).tolist())
     if len(set(bits)) < 2:  # the decoder's threshold splits a frame into two levels
         key = "link.random_bits" if n_random > 0 else "link.bits"
         raise ConfigurationError(
@@ -440,7 +442,7 @@ def cmd_link(cfg: dict, out_dir: str, config_dir: str, seed: int, grid_step: flo
         incidence_angle_deg=cfg["incidence_angle_deg"],
         velocity_mps=cfg["target.velocity_mps"],
         noise_power=cfg["noise.power"],
-        seed=seed,
+        seed=cfg["seed"],
         incident_amplitude=cfg["amplitude"],
     )
     result = run_link(scenario)
@@ -450,16 +452,11 @@ def cmd_link(cfg: dict, out_dir: str, config_dir: str, seed: int, grid_step: flo
     return 0
 
 
-def cmd_sweep(cfg: dict, out_dir: str, config_dir: str, seed: int, grid_step: float | None) -> int:
-    parameter = str(cfg["sweep.parameter"])
-    if parameter == "incidence_angle":
-        layout = _resolve_layout(cfg, config_dir)
-        grid = _angle_grid(cfg, grid_step)
+def cmd_sweep(cfg: dict, out_dir: str) -> int:
+    if cfg["sweep.parameter"] == "incidence_angle":
+        layout = _resolve_layout(cfg)
+        grid = _angle_grid(cfg["pattern.grid_step_deg"])
         start, stop = cfg["sweep.start"], cfg["sweep.stop"]
-        check_finite("sweep.start", start)
-        check_finite("sweep.stop", stop)
-        if stop < start:
-            raise ConfigurationError(f"sweep.stop must be >= sweep.start, got {stop} < {start}")
         inc = cfg["sweep.step"]
         n, _ = _whole_steps("sweep.step", stop - start, inc)
         thetas = start + inc * np.arange(n + 1)
@@ -485,24 +482,20 @@ def cmd_sweep(cfg: dict, out_dir: str, config_dir: str, seed: int, grid_step: fl
         )
         print(f"incidence sweep over {len(thetas)} angles written")
         return 0
-    if parameter == "snr":
-        from .link import ook_ber_trial, whole_chirps
+    from .link import ook_ber_trial, whole_chirps
 
-        params = _chirp_params(cfg)
-        cpb = whole_chirps(cfg["link.switch_interval_s"], params.chirp_duration)
-        snrs = _floats("sweep.snr_db", cfg["sweep.snr_db"])
-        n_bits = cfg["sweep.bits_per_point"]
-        depth = cfg["sweep.depth_db"]
-        bers = [
-            ook_ber_trial(params, snr, depth, n_bits, cpb, seed + i) for i, snr in enumerate(snrs)
-        ]
-        write_csv(os.path.join(out_dir, "sweep_snr.csv"), "snr_db,ber", snrs, bers)
-        print(f"snr sweep over {len(snrs)} points written")
-        return 0
-    raise ConfigFileError(f"unknown sweep.parameter {parameter!r}")
+    params = _chirp_params(cfg)
+    cpb = whole_chirps(cfg["link.switch_interval_s"], params.chirp_duration)
+    snrs, seed = cfg["sweep.snr_db"], cfg["seed"]
+    n_bits = cfg["sweep.bits_per_point"]
+    depth = cfg["sweep.depth_db"]
+    bers = [ook_ber_trial(params, snr, depth, n_bits, cpb, seed + i) for i, snr in enumerate(snrs)]
+    write_csv(os.path.join(out_dir, "sweep_snr.csv"), "snr_db,ber", snrs, bers)
+    print(f"snr sweep over {len(snrs)} points written")
+    return 0
 
 
-# name -> (handler(cfg, out_dir, config_dir, seed, grid_step) -> exit code, help)
+# name -> (handler(cfg, out_dir) -> exit code, help)
 _COMMANDS = {
     "validate": (cmd_validate, "check layout constraints"),
     "pattern": (cmd_pattern, "angle patterns for both states and the plate"),
@@ -539,17 +532,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    try:
-        cfg = load_config(args.config)
-    except ConfigFileError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     config_dir = os.path.dirname(os.path.abspath(args.config)) if args.config else os.getcwd()
     try:
-        cfg = _coerce(cfg)
-        seed = args.seed if args.seed is not None else cfg["seed"]
+        cfg = load_config(args.config)
+        # The two options set their keys, checked as a file's values are.
+        for key, value in (("seed", args.seed), ("pattern.grid_step_deg", args.grid_step_deg)):
+            if value is not None:
+                cfg[key] = value
+        cfg = _checked(cfg, config_dir)
         os.makedirs(args.out, exist_ok=True)
-        return _COMMANDS[args.command][0](cfg, args.out, config_dir, seed, args.grid_step_deg)
+        return _COMMANDS[args.command][0](cfg, args.out)
     except ConfigFileError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -58,6 +58,7 @@ from .errors import (
     DesignMismatchWarning,
     check_finite,
     check_integers,
+    check_number,
 )
 from .geometry import C0, SurfaceLayout, build_linear_array, wavelength_of
 
@@ -134,17 +135,21 @@ def _angles(angles_deg, kind: str) -> np.ndarray:
     """Angles as a 1-D array, each inside the range of its kind.
 
     Incidence angles lie in (-90, 90) deg, observation angles in [-90, 90];
-    NaN fails both.
+    NaN fails both.  Other input than a float64 array asks the number rule.
     """
+    if not (isinstance(angles_deg, np.ndarray) and angles_deg.dtype == np.float64):
+        for value in np.asarray(angles_deg, dtype=object).flat:
+            check_number(f"{kind} angle", value)
     angles = np.atleast_1d(np.asarray(angles_deg, dtype=np.float64))
     if angles.ndim != 1:
-        raise ValueError(f"{kind} angles must be a scalar or a 1-D array")
+        raise ConfigurationError(f"{kind} angles must be a scalar or a 1-D array")
     if kind == "incidence":
         bad, span = ~(np.abs(angles) < 90.0), "(-90, 90)"
     else:
         bad, span = ~(np.abs(angles) <= 90.0), "[-90, 90]"
     if bad.any():
-        raise ValueError(f"{kind} angle must lie in {span} deg, got {float(angles[bad][0])}")
+        got = float(angles[bad][0])
+        raise ConfigurationError(f"{kind} angle must lie in {span} deg, got {got}")
     return angles
 
 

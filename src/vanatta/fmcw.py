@@ -417,7 +417,7 @@ def range_doppler(signal: BeatSignal) -> RangeDopplerMap:
     params = signal.params
     c = len(signal.samples)
     if c < 2:
-        raise ValueError("range_doppler needs at least 2 chirps per frame")
+        raise ConfigurationError("range_doppler needs at least 2 chirps per frame")
     ranges, spectra = _profile_matrix(signal)
     doppler = np.fft.fftshift(np.fft.fft(spectra, axis=0), axes=0) / c
     velocities = np.fft.fftshift(np.fft.fftfreq(c, d=params.chirp_duration))

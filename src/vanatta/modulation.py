@@ -49,7 +49,7 @@ class SwitchSchedule:
     def __post_init__(self):
         check_finite("switch_interval", self.switch_interval, "positive")
         if not self.states:
-            raise ValueError("schedule is empty")
+            raise ConfigurationError("schedule is empty")
 
     @property
     def bits(self) -> tuple[int, ...]:

@@ -26,8 +26,10 @@ from vanatta import (
     doppler_phase_drift,
     encode_bits,
     far_field_amplitude,
+    field_pattern,
     max_detection_range,
     ook_ber_trial,
+    plate_baseline_pattern,
     range_profile,
     response_matrix,
     synthesize_beat,
@@ -43,6 +45,7 @@ PARAMS = ChirpParams()
 TARGET = Target(50.0, 0.0, PlateReflector(0.025))
 SIGNAL = synthesize_beat(PARAMS, 4, [TARGET])
 AMPS = [1.0, 1.0, 0.0, 0.0]
+WAVE = PlaneWave(24e9, 30.0)
 
 
 def _scenario(seed):
@@ -64,6 +67,21 @@ ENTRIES = {
     "response_matrix": (
         "amplitude",
         lambda v: response_matrix(LAYOUT, (SwitchConfig(),), 24e9, 0.0, 0.0, amplitude=v),
+        False,
+    ),
+    "response_matrix-incidence": (
+        "incidence angle",
+        lambda v: response_matrix(LAYOUT, (SwitchConfig(),), 24e9, v, 0.0),
+        False,
+    ),
+    "field_pattern": (
+        "observation angle",
+        lambda v: field_pattern(LAYOUT, SwitchConfig(), WAVE, [v]),
+        False,
+    ),
+    "plate_baseline_pattern": (
+        "observation angle",
+        lambda v: plate_baseline_pattern(0.025, WAVE, [v, 2]),
         False,
     ),
     "validate_layout": ("tolerance", lambda v: validate_layout(LAYOUT, v), False),
@@ -97,7 +115,7 @@ ENTRIES = {
 CASES = [
     pytest.param(entry, value, id=f"{entry}-{label}")
     for entry, (_, _, count) in ENTRIES.items()
-    for label, value in [("true", True), ("nan", math.nan)]
+    for label, value in [("true", True), ("nan", math.nan), ("text", "30")]
     # numpy takes a seed of any size, so a seed is refused only below 0.
     + ([("negative", -1)] if entry.endswith("seed") else [("huge", 10**400)])
     + ([("fraction", 2.5)] if count else [])

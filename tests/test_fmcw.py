@@ -74,6 +74,11 @@ def test_chirp_params_derived_values():
     np.testing.assert_allclose(np.diff(rd.velocities_mps), VELOCITY_BIN_64, rtol=1e-12)
 
 
+def test_range_doppler_refuses_a_one_chirp_frame():
+    with pytest.raises(ConfigurationError, match="^range_doppler needs at least 2 chirps"):
+        range_doppler(synthesize_beat(default_params(), 1, []))
+
+
 def test_chirp_params_validation():
     with pytest.raises(ConfigurationError):
         default_params(bandwidth=0.0)

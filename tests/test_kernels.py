@@ -210,7 +210,7 @@ def test_pair_path_response_on_mirrored_grids_matches_full_exp(
     # kernel computes one table column per magnitude and gathers each
     # result column from it, its sin part negated where the sign differs.
     # That must stay within roundoff of computing every phasor.
-    grid = _angle_grid({}, step)
+    grid = _angle_grid(step)
     incidence = np.array([grid[i % len(grid)] for i in on_grid] + off_grid + [30.0])
     sin_obs = np.sin(np.radians(np.concatenate((grid, incidence))))
     if signed_zeros:

@@ -123,7 +123,7 @@ def test_encode_takes_an_interval_shorter_than_a_default_chirp():
 
 
 def test_schedule_refuses_no_states():
-    with pytest.raises(ValueError, match="schedule is empty"):
+    with pytest.raises(ConfigurationError, match="^schedule is empty$"):
         SwitchSchedule(1e-3, ())
 
 
