@@ -82,7 +82,7 @@ DEFAULTS: dict[str, object] = {
     "layout.base_radius_m": None,
     "layout.path": None,
     "plate.width_m": 0.025,
-    "validate.tolerance_m": 1e-9,
+    "validate.tolerance_m": None,
     "pattern.grid_step_deg": 0.25,
     "radar.bandwidth_hz": 250e6,
     "radar.chirp_s": 0.5e-3,
@@ -104,8 +104,8 @@ DEFAULTS: dict[str, object] = {
     "sweep.depth_db": 12.2,
 }
 
-# Optional keys that take a number when set.
-_OPTIONAL_NUMBERS = frozenset(("layout.spacing_m", "layout.base_length_m", "layout.base_radius_m"))
+# Optional keys that take a number when set: every None default but the path.
+_OPTIONAL_NUMBERS = {key for key, value in DEFAULTS.items() if value is None} - {"layout.path"}
 # Text keys that name one of a few choices, and comma-separated list keys
 # with the kind of their entries.
 _CHOICES = {

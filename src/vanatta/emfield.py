@@ -106,7 +106,7 @@ class SwitchConfig:
         object.__setattr__(self, "toggled", frozenset(check_integers("pair ids", self.toggled)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FieldPattern:
     """Complex field over observation angles at the reference distance."""
 

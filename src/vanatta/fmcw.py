@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import warnings
 from dataclasses import dataclass, replace
 
@@ -127,13 +128,17 @@ class SurfaceReflector:
         else:
             # config_at places the last interval's midpoint in it, however the end rounds.
             last = (self.schedule.n_bits - 0.5) * self.schedule.switch_interval
-            states = [config_at(self.schedule, t) for t in np.minimum(chirp_times, last).tolist()]
-        index = {state: i for i, state in enumerate(dict.fromkeys(states))}
+            times = np.minimum(chirp_times, last).tolist()
+            states = list(map(functools.partial(config_at, self.schedule), times))
+        # Keyed by frozenset, whose hash C caches; a SwitchConfig hashes in Python.
+        keys = list(map(operator.attrgetter("toggled"), states))
+        distinct = dict(zip(keys, states))  # one state per toggled set, first-seen order
+        index = dict(zip(distinct, range(len(distinct))))
         theta = self.incidence_angle_deg
         values = response_matrix(
-            self.layout, tuple(index), frequency, theta, theta, self.incident_amplitude
+            self.layout, tuple(distinct.values()), frequency, theta, theta, self.incident_amplitude
         )
-        return np.abs(values[:, 0, 0])[[index[state] for state in states]]
+        return np.abs(values[:, 0, 0])[list(map(index.__getitem__, keys))]
 
 
 @dataclass(frozen=True)
@@ -166,7 +171,7 @@ class Target:
         check_finite("velocity_mps", self.velocity_mps)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BeatSignal:
     """Dechirped samples, one row per chirp: chirps x samples_per_chirp."""
 
@@ -174,7 +179,7 @@ class BeatSignal:
     samples: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RangeProfile:
     ranges_m: np.ndarray
     values: np.ndarray
@@ -183,7 +188,7 @@ class RangeProfile:
         return np.abs(self.values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RangeDopplerMap:
     """Complex map over (range bins, velocity bins)."""
 

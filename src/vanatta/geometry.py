@@ -427,7 +427,7 @@ def _sorted_window_pairs(order, start, stop):
     return i[rank], j[rank]
 
 
-def validate_layout(layout: SurfaceLayout, tolerance: float = 1e-9) -> ValidationReport:
+def validate_layout(layout: SurfaceLayout, tolerance: float | None = None) -> ValidationReport:
     """Check the three retrodirection constraints.
 
     Rules reported:
@@ -473,14 +473,18 @@ def validate_layout(layout: SurfaceLayout, tolerance: float = 1e-9) -> Validatio
 
     Args:
         layout: surface to check.
-        tolerance: allowed deviation in meters (default 1e-9).
+        tolerance: allowed deviation in meters; None takes 1e-9, or 64 u
+            times the layout's largest magnitude when that is larger.
 
     Returns:
         ValidationReport; passed is true iff no rule exceeds tolerance.
     """
-    check_finite("tolerance", tolerance, "non-negative")
     view = layout.arrays
     lam = layout.wavelength
+    if tolerance is None:
+        sizes = (np.abs(a).max() for a in (view.x, view.y, view.line_length, layout.center))
+        tolerance = max(1e-9, 2.0**-47 * float(max(lam, *sizes)))
+    check_finite("tolerance", tolerance, "non-negative")
     cx, cy = layout.center
     violations: list[Violation] = []
 

@@ -6,8 +6,8 @@ strongest range bin become the decision statistics.  The frame and its
 magnitudes are held one block of chirps at a time; a frame whose strongest
 bin lies off every target's main lobe is synthesized a second time for that
 bin (_extract_bin_amplitudes).  Decoding is plain on-off keying: average the
-chirps of each bit slot and compare against a threshold, by default the
-midpoint between the two amplitude cluster centers.
+chirps of each bit slot and compare against a threshold, which _run_frame
+sets to the midpoint between the two amplitude cluster centers.
 
 SNR convention used by the Monte-Carlo helpers: "per-chirp SNR" is the SNR
 of the on-state echo within one chirp at the receiver input, i.e.
@@ -18,6 +18,7 @@ range DFT then adds its processing gain before decoding.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,7 +81,7 @@ class LinkScenario:
         return whole_chirps(self.schedule.switch_interval, self.params.chirp_duration)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinkResult:
     """Decoded frame: per-chirp bin magnitudes and bit-level outcome.
 
@@ -122,21 +123,14 @@ def two_cluster_centers(values) -> tuple[float, float]:
     return c_lo, c_hi
 
 
-def decode_ook(per_chirp_amplitudes, chirps_per_bit: int, threshold: float | None = None) -> BitFrame:
+def decode_ook(per_chirp_amplitudes, chirps_per_bit: int, threshold: float) -> BitFrame:
     """Threshold the per-bit mean amplitudes into a BitFrame.
 
     Args:
         per_chirp_amplitudes: magnitudes at the target bin, one per chirp;
             length must be a multiple of chirps_per_bit.
         chirps_per_bit: chirps averaged per bit slot (>= 1).
-        threshold: finite decision level; default is the midpoint of the
-            two cluster centers of the amplitude list.
-
-    Returns:
-        BitFrame of the decoded bits.
-
-    Raises:
-        DecodingError: all amplitudes identical and no threshold was given.
+        threshold: finite decision level; a bit is 1 when its mean exceeds it.
     """
     amps = np.asarray(per_chirp_amplitudes, dtype=np.float64)
     check_count("chirps_per_bit", chirps_per_bit)
@@ -145,13 +139,9 @@ def decode_ook(per_chirp_amplitudes, chirps_per_bit: int, threshold: float | Non
             f"amplitude count {amps.size} is not a positive multiple of "
             f"chirps_per_bit {chirps_per_bit}"
         )
-    if threshold is None:
-        c_lo, c_hi = two_cluster_centers(amps)
-        threshold = 0.5 * (c_lo + c_hi)
     check_finite("threshold", threshold)
     means = amps.reshape(-1, chirps_per_bit).mean(axis=1)
-    bits = tuple(int(m > threshold) for m in means)
-    return BitFrame(bits)
+    return BitFrame(tuple((means > threshold).astype(int).tolist()))
 
 
 def _bin_columns(params: ChirpParams, n_chirps: int, targets, noise_power, seed, keep):
@@ -224,13 +214,12 @@ def _run_frame(params: ChirpParams, target: Target, bits, chirps_per_bit: int, n
     c_lo, c_hi = two_cluster_centers(amps)
     threshold = 0.5 * (c_lo + c_hi)
     decoded = decode_ook(amps, chirps_per_bit, threshold)
-    errors = sum(d != s for d, s in zip(decoded.bits, bits))
     return LinkResult(
         per_chirp_amplitudes=amps,
         chirp_times=np.arange(n_chirps) * params.chirp_duration,
         transmitted=bits,
         decoded=decoded,
-        ber=errors / len(bits),
+        ber=sum(map(operator.ne, decoded.bits, bits)) / len(bits),
         snr_db=_measured_snr_db(amps, threshold, c_lo, c_hi),
         threshold=threshold,
         chirps_per_bit=chirps_per_bit,
@@ -306,7 +295,7 @@ def ook_ber_trial(
         snr_ratio = np.float64(10.0) ** (per_chirp_snr_db / 10.0)
         noise_power = float(0.5 / snr_ratio)
     seeds = np.random.SeedSequence(seed).spawn(2)
-    bits = tuple(int(b) for b in np.random.default_rng(seeds[0]).integers(0, 2, n_bits))
+    bits = tuple(np.random.default_rng(seeds[0]).integers(0, 2, n_bits).tolist())
     range_m = 25.0
     reflector = _TwoStateReflector(
         bits=bits,
@@ -334,7 +323,7 @@ def doppler_phase_drift(velocity_delta: float, wavelength: float, interval: floa
 
 def write_link_report(result: LinkResult, path) -> None:
     """Plain-text summary: bits, BER, SNR, threshold."""
-    sent = "".join(str(b) for b in result.transmitted)
+    sent = BitFrame(result.transmitted).as_string()
     with open(path, "w") as fh:
         fh.write(f"transmitted_bits = {sent}\n")
         fh.write(f"decoded_bits = {result.decoded.as_string()}\n")

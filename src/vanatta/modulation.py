@@ -11,11 +11,14 @@ switch interval each.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .emfield import SwitchConfig
 from .errors import ConfigurationError, check_finite, check_integers
 from .geometry import SurfaceLayout
+
+_DIGITS = bytes.maketrans(b"\0\1", b"01")  # bytes 0, 1 -> "0", "1"
 
 
 @dataclass(frozen=True)
@@ -35,7 +38,7 @@ class BitFrame:
         return len(self.bits)
 
     def as_string(self) -> str:
-        return "".join(str(b) for b in self.bits)
+        return bytes(self.bits).translate(_DIGITS).decode()
 
 
 @dataclass(frozen=True)
@@ -53,7 +56,7 @@ class SwitchSchedule:
 
     @property
     def bits(self) -> tuple[int, ...]:
-        return tuple(int(not state.toggled) for state in self.states)
+        return tuple(bytes(map(operator.not_, map(operator.attrgetter("toggled"), self.states))))
 
     @property
     def duration(self) -> float:
@@ -103,9 +106,8 @@ def encode_bits(bits, layout: SurfaceLayout, switch_interval: float) -> SwitchSc
         SwitchSchedule covering the bits in order.
     """
     frame = bits if isinstance(bits, BitFrame) else BitFrame(tuple(bits))
-    on = constructive_config()
-    off = destructive_config(layout)
-    states = tuple(on if b == 1 else off for b in frame.bits)
+    off_on = [destructive_config(layout), constructive_config()]
+    states = tuple(map(off_on.__getitem__, frame.bits))  # bit b holds state off_on[b]
     return SwitchSchedule(switch_interval=switch_interval, states=states)
 
 

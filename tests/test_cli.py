@@ -527,8 +527,8 @@ def test_validate_takes_or_cleanly_refuses_any_value_of_any_key(key, value):
                 code = main(["validate", "--config", cfg_path, "--out", out])
         files = os.listdir(out) if os.path.exists(out) else []
         if files:
-            # Run to its report; a tolerance of 0 or 5e-324 m, or a 2.5 Hz
-            # wavelength's rounding, fails it with exit 1.
+            # Run to its report; a tolerance of 0 or 5e-324 m fails it with
+            # exit 1.
             assert (code in (0, 1), files, err.getvalue()) == (True, ["validation.txt"], "")
         else:
             assert code in (1, 2)

@@ -90,7 +90,7 @@ ENTRIES = {
     "ChirpParams": ("start_frequency", lambda v: ChirpParams(start_frequency=v), False),
     "PlateReflector": ("width", PlateReflector, False),
     "far_field_amplitude": ("distance", lambda v: far_field_amplitude(1.0, v), False),
-    "decode_ook-chirps_per_bit": ("chirps_per_bit", lambda v: decode_ook(AMPS, v), True),
+    "decode_ook-chirps_per_bit": ("chirps_per_bit", lambda v: decode_ook(AMPS, v, 0.5), True),
     "decode_ook-threshold": ("threshold", lambda v: decode_ook(AMPS, 2, v), False),
     "ook_ber_trial-n_bits": ("n_bits", lambda v: ook_ber_trial(PARAMS, 20.0, 12.2, v), True),
     "ook_ber_trial-chirps_per_bit": (

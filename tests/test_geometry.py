@@ -937,3 +937,45 @@ def test_a_loaded_layout_lists_its_lines_in_pair_order(tmp_path):
     loaded = load_layout(path)
     assert loaded.lines == layout.lines
     assert loaded == layout
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    exponent=st.floats(-2.0, 12.0),
+    linear=st.booleans(),
+    size=st.integers(1, 64),
+)
+def test_builders_pass_the_default_tolerance_at_any_frequency(exponent, linear, size):
+    # The default allows the rounding of the layout's own magnitudes: at
+    # 2.5 Hz the lines are 1e8 m long, and a fixed 1e-9 m failed them.
+    lam = wavelength_of(10.0**exponent)
+    if linear:
+        layout = build_linear_array(size, lam / 2.0, lam)
+    else:
+        layout = build_concentric_surface(1 + size % 8, lam, lam)
+    assert validate_layout(layout).passed
+    assert layout.validation.passed
+
+
+@pytest.mark.parametrize("frequency", [2.5, 10.0, 1e3])
+def test_default_tolerance_passes_the_low_frequency_linear_array(frequency):
+    # 64 pairs at 10 Hz and 1 kHz left congruence deviations of 2.9e-7 m and
+    # 4.3e-9 m, each over the fixed 1e-9 m the default used to be.
+    lam = wavelength_of(frequency)
+    layout = build_linear_array(64, lam / 2.0, lam)
+    assert not validate_layout(layout, 1e-9).passed
+    assert validate_layout(layout).passed
+
+
+def test_default_tolerance_still_flags_a_millionth_of_a_wavelength_at_24_ghz():
+    layout = build_linear_array(2, LAM / 2.0, LAM)
+    assert validate_layout(layout).passed
+    lengths = [ln.base_electrical_length for ln in layout.lines]
+    shifted = with_lines(layout, [lengths[0] + 1e-6 * LAM] + lengths[1:])
+    assert {v.rule for v in validate_layout(shifted).violations} == {"line_length_congruence"}
+    first, *rest = layout.elements  # the leftmost: moved out, it keeps its spacing
+    moved = (first.position[0] - 1e-6 * LAM, first.position[1])
+    nudged = dataclasses.replace(
+        layout, elements=(dataclasses.replace(first, position=moved), *rest)
+    )
+    assert {v.rule for v in validate_layout(nudged).violations} == {"centrosymmetry"}

@@ -1,21 +1,35 @@
 """End-to-end OOK link: decoding, BER behavior, Doppler and sidelobes."""
 
 import math
+import os
+import tempfile
 import tracemalloc
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vanatta import (
+    BeatSignal,
+    BitFrame,
     ChirpParams,
     ConfigurationError,
     DecodingError,
+    FieldPattern,
+    LinkResult,
     LinkScenario,
+    RangeDopplerMap,
+    RangeProfile,
     SchedulingError,
+    SwitchConfig,
+    SwitchSchedule,
     build_linear_array,
+    config_at,
     constructive_config,
     decode_ook,
+    destructive_config,
     doppler_phase_drift,
     encode_bits,
     ook_ber_trial,
@@ -27,7 +41,7 @@ from vanatta import (
     write_per_chirp_csv,
 )
 from vanatta import fmcw, link
-from vanatta.fmcw import BeatSignal, Target, _beat_blocks, _profile_matrix
+from vanatta.fmcw import Target, _beat_blocks, _profile_matrix
 
 LAM = wavelength_of(24e9)
 LAYOUT = build_linear_array(2, LAM / 2.0, LAM)
@@ -116,7 +130,7 @@ def test_all_zero_schedule_leaves_only_noise():
 
 
 def test_decode_ook_separated_clusters():
-    frame = decode_ook([1.0, 1.0, 0.0, 0.0], 2)
+    frame = decode_ook([1.0, 1.0, 0.0, 0.0], 2, 0.5)
     assert frame.bits == (1, 0)
 
 
@@ -128,15 +142,18 @@ def test_decode_ook_single_chirp_threshold_passthrough():
 
 
 def test_decode_ook_rejects_degenerate_input():
-    with pytest.raises(DecodingError):
-        decode_ook([0.7, 0.7, 0.7, 0.7], 2)
+    # decode_ook applies the threshold it is given, so identical amplitudes
+    # decode; finding no two-means split is two_cluster_centers' refusal.
+    assert decode_ook([0.7, 0.7, 0.7, 0.7], 2, 0.5).bits == (1, 1)
+    with pytest.raises(TypeError):  # no default threshold to fall back on
+        decode_ook([1.0, 0.0], 1)
     with pytest.raises(ValueError):
-        decode_ook([1.0, 0.0, 1.0], 2)
+        decode_ook([1.0, 0.0, 1.0], 2, 0.5)
 
 
 def test_decode_ook_refuses_zero_chirps_per_bit():
     with pytest.raises(ConfigurationError, match="^chirps_per_bit must be an integer >= 1, got 0$"):
-        decode_ook([1.0, 0.0], 0)
+        decode_ook([1.0, 0.0], 0, 0.5)
 
 
 def test_two_cluster_centers_split():
@@ -344,3 +361,118 @@ def test_link_report_and_csv(tmp_path):
     assert text == oracle
     first = lines[1].split(",")
     assert first[0] == "0" and first[3] == "0"
+
+
+@dataclass(frozen=True)
+class _PerChirpReflector:
+    """SurfaceReflector.amplitudes as a per-chirp Python loop: one config_at
+    call and two state hashes per chirp."""
+
+    layout: object
+    schedule: SwitchSchedule
+    incidence_angle_deg: float
+
+    def amplitudes(self, chirp_times, frequency):
+        last = (self.schedule.n_bits - 0.5) * self.schedule.switch_interval
+        states = [config_at(self.schedule, t) for t in np.minimum(chirp_times, last).tolist()]
+        index = {state: i for i, state in enumerate(dict.fromkeys(states))}
+        theta = self.incidence_angle_deg
+        values = response_matrix(self.layout, tuple(index), frequency, theta, theta, 1.0)
+        return np.abs(values[:, 0, 0])[[index[state] for state in states]]
+
+
+def _per_bit_files(bits, chirps_per_bit, noise_power, seed):
+    """(link_report.txt, per_chirp.csv) of the frame, each step of the bit
+    path written as a per-bit or per-chirp Python loop."""
+    on, off = constructive_config(), destructive_config(LAYOUT)
+    params = ChirpParams()
+    interval = chirps_per_bit * params.chirp_duration
+    schedule = SwitchSchedule(interval, tuple(on if b == 1 else off for b in bits))
+    sent = tuple(int(not state.toggled) for state in schedule.states)
+    n_chirps = len(bits) * chirps_per_bit
+    target = Target(25.0, 0.0, _PerChirpReflector(LAYOUT, schedule, 30.0))
+    amps = link._extract_bin_amplitudes(params, n_chirps, [target], noise_power, seed)
+    c_lo, c_hi = two_cluster_centers(amps)
+    threshold = 0.5 * (c_lo + c_hi)
+    means = amps.reshape(-1, chirps_per_bit).mean(axis=1)
+    decoded = tuple(int(m > threshold) for m in means)
+    errors = sum(d != s for d, s in zip(decoded, sent))
+    report = (
+        f"transmitted_bits = {''.join(str(b) for b in sent)}\n"
+        f"decoded_bits = {''.join(str(b) for b in decoded)}\n"
+        f"n_bits = {len(sent)}\n"
+        f"chirps_per_bit = {chirps_per_bit}\n"
+        f"ber = {errors / len(sent):.12g}\n"
+        f"snr_db = {link._measured_snr_db(amps, threshold, c_lo, c_hi):.12g}\n"
+        f"threshold = {threshold:.12g}\n"
+    )
+    times = np.arange(n_chirps) * params.chirp_duration
+    csv = "chirp_index,time_s,amplitude,bit_index\n" + "".join(
+        f"{i},{t:.12g},{a:.12g},{i // chirps_per_bit}\n" for i, (t, a) in enumerate(zip(times, amps))
+    )
+    return report, csv
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    bits=st.integers(1, 1024).flatmap(
+        lambda n: st.lists(st.integers(0, 1), min_size=n, max_size=n).map(tuple)
+    ),
+    chirps_per_bit=st.integers(1, 4),
+    noise_power=st.sampled_from([0.0, 1e-6]),
+    seed=st.integers(0, 2**32),
+)
+def test_link_files_equal_the_per_bit_formulas(bits, chirps_per_bit, noise_power, seed):
+    params = ChirpParams()
+    schedule = encode_bits(bits, LAYOUT, chirps_per_bit * params.chirp_duration)
+    scenario = LinkScenario(LAYOUT, schedule, params, 25.0, 30.0, 0.0, noise_power, seed)
+    try:
+        want = _per_bit_files(bits, chirps_per_bit, noise_power, seed)
+    except DecodingError:  # one amplitude level: no two-means split
+        with pytest.raises(DecodingError):
+            run_link(scenario)
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        report, csv = os.path.join(tmp, "link_report.txt"), os.path.join(tmp, "per_chirp.csv")
+        result = run_link(scenario)
+        write_link_report(result, report)
+        write_per_chirp_csv(result, csv)
+        with open(report) as fh_report, open(csv) as fh_csv:
+            assert (fh_report.read(), fh_csv.read()) == want
+
+
+def test_reflector_asks_one_config_per_distinct_state(monkeypatch):
+    # Equal states held by distinct objects are one config; first-seen order.
+    on, off = constructive_config(), destructive_config(LAYOUT)
+    states = (off, SwitchConfig(frozenset()), off, on, SwitchConfig(off.toggled))
+    schedule = SwitchSchedule(1e-3, states)
+    asked = []
+
+    def recorded(layout, configs, *args):
+        asked.append(configs)
+        return response_matrix(layout, configs, *args)
+
+    monkeypatch.setattr(fmcw, "response_matrix", recorded)
+    reflector = fmcw.SurfaceReflector(LAYOUT, schedule, incidence_angle_deg=30.0)
+    times = np.arange(10) * 0.5e-3
+    amps = reflector.amplitudes(times, 24e9)
+    [configs] = asked
+    assert configs == (off, on)
+    want = _PerChirpReflector(LAYOUT, schedule, 30.0).amplitudes(times, 24e9)
+    np.testing.assert_array_equal(amps, want)
+
+
+def test_array_records_compare_by_identity():
+    # Records holding arrays take object's == and hash: two equal-valued
+    # records are unequal, and each is its own set member.
+    makers = (
+        lambda: FieldPattern(np.array([0.0, 1.0]), np.array([1j, 2.0])),
+        lambda: BeatSignal(ChirpParams(), np.zeros((2, 1000))),
+        lambda: RangeProfile(np.arange(3.0), np.zeros(3, complex)),
+        lambda: RangeDopplerMap(np.arange(3.0), np.arange(2.0), np.zeros((3, 2), complex)),
+        lambda: LinkResult(np.ones(2), np.arange(2.0), (1,), BitFrame((1,)), 0.0, 1.0, 0.5, 2),
+    )
+    for make in makers:
+        a, b = make(), make()
+        assert a == a and a != b and not (a == b)
+        assert hash(a) == hash(a) and len({a, b, a}) == 2
