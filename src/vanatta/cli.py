@@ -28,7 +28,19 @@ import math
 import os
 import sys
 
+# A CLI process runs one BLAS thread unless its caller chose a count: every
+# product here is small, and an idle OpenBLAS worker spins on the core the
+# link's noise thread needs.  OpenBLAS reads the variable once, when numpy
+# loads it, so it is unset again before any child process could inherit it.
+_ONE_BLAS_THREAD = "numpy" not in sys.modules and not any(
+    key in os.environ for key in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+)
+if _ONE_BLAS_THREAD:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 import numpy as np
+
+if _ONE_BLAS_THREAD:
+    del os.environ["OPENBLAS_NUM_THREADS"]
 
 from .emfield import (
     FieldPattern,
@@ -427,7 +439,9 @@ def cmd_link(cfg: dict, out_dir: str) -> int:
     params = _chirp_params(cfg)
     n_random, bits = cfg["link.random_bits"], cfg["link.bits"]
     if n_random > 0:
-        bits = tuple(np.random.default_rng(cfg["seed"]).integers(0, 2, n_random).tolist())
+        # A spawned child: the link's noise draws from SeedSequence(seed) itself.
+        payload = np.random.default_rng(np.random.SeedSequence(cfg["seed"]).spawn(1)[0])
+        bits = tuple(payload.integers(0, 2, n_random).tolist())
     if len(set(bits)) < 2:  # the decoder's threshold splits a frame into two levels
         key = "link.random_bits" if n_random > 0 else "link.bits"
         raise ConfigurationError(

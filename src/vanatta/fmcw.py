@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import threading
 import warnings
 from dataclasses import dataclass, replace
 
@@ -275,16 +276,18 @@ def _beat_blocks(params: ChirpParams, n_chirps: int, targets, noise_power: float
     buffer: a consumer copies what it keeps before asking for the next
     block.
 
-    A noisy frame's noise is drawn on a one-thread executor, and its first
-    two blocks are submitted before the targets' amplitudes, so the draw
-    overlaps the reflector, the beat products and the consumer's range FFT
-    (numpy's random fill, BLAS and pocketfft release the GIL).  The frame's
-    only default_rng(seed) is made here; its one worker draws the blocks in
-    row order, so they hold the bits of one whole-frame draw, and with two
-    buffers it runs at most two blocks ahead.  The draw calls numpy only: a
+    A noisy frame's noise is drawn on one plain thread, started before the
+    targets' amplitudes, so the draw overlaps the reflector, the beat
+    products and the consumer's range FFT (numpy's random fill, BLAS and
+    pocketfft release the GIL).  The frame's only default_rng(seed) is made
+    here; the thread draws the blocks in row order into two reused buffers,
+    so they hold the bits of one whole-frame draw, and it runs at most two
+    blocks ahead: it refills a buffer only after the block before has added
+    its noise.  An error in the thread is raised by the generator, before
+    any block whose noise was not drawn.  The draw calls numpy only: a
     tracer that wraps this package's functions keeps one span stack, which
-    is not thread-safe.  The executor is shut down when the generator ends,
-    is closed or raises.  A noiseless frame starts no thread.
+    is not thread-safe.  The thread stops and is joined when the generator
+    ends, is closed or raises.  A noiseless frame starts no thread.
 
     Raises:
         ConfigurationError: a target lies past max_unambiguous_range (its
@@ -294,20 +297,30 @@ def _beat_blocks(params: ChirpParams, n_chirps: int, targets, noise_power: float
     check_finite("noise_power", noise_power, "non-negative")
     blocks = _chirp_blocks(n_chirps)
     shape = (max(hi - lo for lo, hi in blocks), params.samples_per_chirp)
-    pool = None
+    worker = None
     if noise_power > 0.0:
-        from concurrent.futures import ThreadPoolExecutor  # only noisy frames need it
-
         rng = np.random.default_rng(seed)
         sigma = math.sqrt(noise_power)
-        buffers = (np.empty(shape), np.empty(shape))
-        pool = ThreadPoolExecutor(1)
+        noise = (np.empty(shape), np.empty(shape))
+        free, drawn = threading.Semaphore(2), threading.Semaphore(0)
+        failed, stopped = [], False
 
-        def draw(k):
-            lo, hi = blocks[k]
-            return pool.submit(_noise_draws, rng, sigma, buffers[k % 2][: hi - lo])
+        def draw():
+            try:
+                for k, (lo, hi) in enumerate(blocks):
+                    free.acquire()
+                    if stopped:
+                        return
+                    _noise_draws(rng, sigma, noise[k % 2][: hi - lo])
+                    drawn.release()
+            except BaseException as error:  # raised to the consumer below
+                failed.append(error)
+                drawn.release()
 
-        pending = [draw(k) for k in range(min(2, len(blocks)))]
+        # A daemon, so that a generator left open at exit cannot hold the
+        # interpreter; every other path joins it below.
+        worker = threading.Thread(target=draw, name="vanatta-noise", daemon=True)
+        worker.start()
     try:
         tones = _tones(params, n_chirps, targets)
         buffer = np.empty(shape)
@@ -317,14 +330,18 @@ def _beat_blocks(params: ChirpParams, n_chirps: int, targets, noise_power: float
             block.fill(0.0)
             for amps, f_beat, phases in tones:
                 kernels.accumulate_beat(block, amps[lo:hi], f_beat, phases[lo:hi], 0.0, dt)
-            if pool is not None:
-                block += pending[k].result()
-                if k + 2 < len(blocks):
-                    pending.append(draw(k + 2))
+            if worker is not None:
+                drawn.acquire()
+                if failed:
+                    raise failed[0]
+                block += noise[k % 2][: hi - lo]
+                free.release()
             yield lo, block
     finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+        if worker is not None:
+            stopped = True
+            free.release()  # wakes a thread that waits for a buffer
+            worker.join()
 
 
 def synthesize_beat(

@@ -327,6 +327,20 @@ def test_link_random_bits_round_trip(tmp_path):
     assert "ber = 0" in report
 
 
+def test_drawn_payload_is_not_drawn_from_the_noise_stream(tmp_path):
+    # The link's noise generator is default_rng(SeedSequence(seed)).  A
+    # payload drawn by default_rng(seed) would be bits 31 and 63 of its raw
+    # 64-bit draws, so the noise would know the bits it hides.
+    cfg_path = write_config(tmp_path, "link.random_bits = 512\nnoise.power = 1e-6\n")
+    out = tmp_path / "out"
+    assert run_cli("link", "--config", cfg_path, "--out", str(out), "--seed", "12345") == 0
+    sent = (out / "link_report.txt").read_text().split("transmitted_bits = ")[1].split()[0]
+    raw = np.random.default_rng(np.random.SeedSequence(12345)).bit_generator.random_raw(256)
+    noise_bits = np.stack(((raw >> 31) & 1, (raw >> 63) & 1), axis=1).ravel()
+    assert len(sent) == 512
+    assert sent != "".join(map(str, noise_bits.tolist()))
+
+
 def test_link_noise_swamped_ber_near_half(tmp_path):
     # noise 40 dB above the received on-state power swamps the link
     amp = 4.0 * math.sqrt(0.82) / 50.0

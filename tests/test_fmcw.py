@@ -593,6 +593,23 @@ def test_noise_worker_error_reaches_the_caller():
     assert threading.active_count() == baseline
 
 
+def test_noise_worker_draw_error_reaches_the_consumer(monkeypatch):
+    draws, calls = fmcw._noise_draws, []
+
+    def noise_draws(*args):
+        calls.append(True)
+        if len(calls) == 2:
+            raise RuntimeError("block 1 failed")
+        return draws(*args)
+
+    monkeypatch.setattr(fmcw, "_noise_draws", noise_draws)
+    baseline = threading.active_count()
+    with pytest.raises(RuntimeError, match="block 1 failed"):
+        list(_beat_blocks(default_params(), NOISY_CHIRPS, [Target(50.0, 0.0, PLATE)], 1e-6, 1))
+    assert len(calls) == 2  # the worker stops at its error
+    assert threading.active_count() == baseline
+
+
 def test_concurrent_noisy_frames_keep_their_seeded_draws():
     # More consumers than cores, each with its own noise worker, switching
     # threads often: a noise buffer refilled before its block had been

@@ -1,7 +1,10 @@
 """Import boundary: the geometry and field commands never load the FMCW chain,
-and no command pays for numpy.ma or, unless it draws noise, numpy.random."""
+no command pays for numpy.ma, concurrent.futures or logging or, unless it
+draws noise, numpy.random, and a CLI process runs one BLAS thread unless its
+caller chose a count."""
 
 import ast
+import os
 import subprocess
 import sys
 from importlib import import_module
@@ -23,7 +26,9 @@ import vanatta.cli
 runs = ast.literal_eval(sys.argv[3])
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [vanatta.cli.main([*argv, "--out", sys.argv[2]]) for argv in runs]
-watched = ("vanatta.fmcw", "vanatta.link", "json", "numpy.ma", "numpy.random")
+watched = (
+    "vanatta.fmcw", "vanatta.link", "json", "numpy.ma", "numpy.random", "concurrent.futures", "logging"
+)
 print((codes, [m for m in watched if m in sys.modules]))
 """
 
@@ -51,8 +56,61 @@ def test_noisy_link_leaves_numpy_ma_unloaded(tmp_path):
     config.write_text("noise.power = 3e-2\nlink.random_bits = 64\n")
     codes, loaded = _run_child(tmp_path / "out", [["link", "--config", str(config)]])
     assert codes == [0]
-    assert "numpy.random" in loaded  # the noise was drawn
-    assert "numpy.ma" not in loaded
+    assert "numpy.random" in loaded  # the noise was drawn, on a plain thread
+    assert not {"numpy.ma", "concurrent.futures", "logging"} & set(loaded)
+
+
+# Imports numpy, vanatta.cli or both (argv[2], in order) in a fresh
+# interpreter; prints whether os.environ is unchanged and how many native
+# threads the process runs.
+_BLAS_CHILD = """
+import importlib, os, sys
+sys.path.insert(0, sys.argv[1])
+before = dict(os.environ)
+for name in sys.argv[2].split(","):
+    importlib.import_module(name)
+print((dict(os.environ) == before, len(os.listdir("/proc/self/task"))))
+"""
+
+needs_task_list_and_two_cpus = pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task") or (os.cpu_count() or 1) < 2,
+    reason="counts threads in /proc/self/task; one CPU runs one BLAS thread anyway",
+)
+
+
+def _blas_child(modules, **setting):
+    """(environment unchanged, native threads) of a child that imports modules
+    with no BLAS setting but setting."""
+    env = {
+        k: v
+        for k, v in os.environ.items()
+        if not k.startswith("OPENBLAS_") and k not in ("GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+    }
+    done = subprocess.run(
+        [sys.executable, "-c", _BLAS_CHILD, str(SRC), modules],
+        env={**env, **setting},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return ast.literal_eval(done.stdout.strip())
+
+
+@needs_task_list_and_two_cpus
+def test_cli_runs_one_blas_thread_and_leaves_the_environment_unchanged():
+    assert _blas_child("vanatta.cli") == (True, 1)
+
+
+@needs_task_list_and_two_cpus
+def test_a_preset_blas_thread_count_is_kept():
+    assert _blas_child("vanatta.cli", OPENBLAS_NUM_THREADS="2") == (True, 2)
+
+
+@needs_task_list_and_two_cpus
+def test_numpy_imported_first_keeps_its_blas_threads():
+    _, threads = _blas_child("numpy")
+    assert threads > 1  # OpenBLAS's default on more than one CPU
+    assert _blas_child("numpy,vanatta.cli") == (True, threads)
 
 
 def test_package_names_load_on_first_use():
