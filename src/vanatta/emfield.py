@@ -72,6 +72,9 @@ WAVELENGTH_MISMATCH_LIMIT = 0.10
 # Floor applied to magnitude-in-dB columns so exact nulls stay numeric.
 DB_FLOOR = -400.0
 
+# A scaled return below this loses digits to subnormal rounding, so it is refused.
+_SMALLEST_NORMAL = float(np.finfo(np.float64).tiny)
+
 
 @dataclass(frozen=True)
 class PlaneWave:
@@ -83,8 +86,7 @@ class PlaneWave:
 
     def __post_init__(self):
         check_finite("frequency", self.frequency, "positive")
-        check_finite("incidence_angle_deg", self.incidence_angle_deg)
-        _angles(float(self.incidence_angle_deg), "incidence")
+        _check_incidence(self.incidence_angle_deg)
         check_finite("amplitude", self.amplitude, "positive")
 
     @property
@@ -151,6 +153,12 @@ def _angles(angles_deg, kind: str) -> np.ndarray:
         got = float(angles[bad][0])
         raise ConfigurationError(f"{kind} angle must lie in {span} deg, got {got}")
     return angles
+
+
+def _check_incidence(angle_deg) -> None:
+    """The rule for a given incidence_angle_deg: a finite real number in (-90, 90) deg."""
+    check_finite("incidence_angle_deg", angle_deg)
+    _angles(float(angle_deg), "incidence")
 
 
 def _angle_grid(angles_deg) -> np.ndarray:
@@ -234,7 +242,9 @@ def response_matrix(
 
     Raises:
         ConfigurationError: the scaled field overflows (an amplitude near
-            the float limit).
+            the float limit), or its scale amplitude * sqrt(absorption
+            efficiency) / REFERENCE_DISTANCE is below the smallest normal
+            float, where the field's digits would be lost.
     """
     wavelength = wavelength_of(frequency)
     check_finite("amplitude", amplitude, "positive")
@@ -245,12 +255,15 @@ def response_matrix(
     if isinstance(configs, SwitchConfig) or not configs:
         raise ValueError("configs must be a non-empty sequence of SwitchConfig")
 
+    scale = amplitude * math.sqrt(layout.absorption_efficiency) / REFERENCE_DISTANCE
+    if scale < _SMALLEST_NORMAL:
+        raise ConfigurationError(f"field underflows at amplitude {amplitude}")
     x_in, x_out, path = _traversal_arrays(layout, configs)
     out = kernels.pair_path_response(
         x_in, x_out, path, 2.0 * math.pi / wavelength, np.sin(theta), np.sin(phi)
     )
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
-        out *= amplitude * math.sqrt(layout.absorption_efficiency) / REFERENCE_DISTANCE
+        out *= scale
     if not np.isfinite(out).all():
         raise ConfigurationError(f"field overflows at amplitude {amplitude}")
     return out
@@ -303,13 +316,19 @@ def _sinc(x):
 
 
 def plate_baseline_pattern(width: float, wave: PlaneWave, angles_deg) -> FieldPattern:
-    """Monostatic physical-optics return of a flat plate of given width."""
+    """Monostatic physical-optics return of a flat plate of given width;
+    ConfigurationError when wavenumber * width overflows or the return's scale,
+    amplitude * width / wavelength / REFERENCE_DISTANCE, is below the smallest normal float."""
     check_finite("width", width, "positive")
     kw = wave.wavenumber * width
     if not math.isfinite(kw):
         raise ConfigurationError(f"width {width} m overflows wavenumber * width")
     grid = _angle_grid(angles_deg)
     norm = width / wave.wavelength
+    if wave.amplitude * norm / REFERENCE_DISTANCE < _SMALLEST_NORMAL:
+        raise ConfigurationError(
+            f"plate return underflows at width {width} m and amplitude {wave.amplitude}"
+        )
     theta = np.radians(grid)
     mags = (
         wave.amplitude

@@ -33,6 +33,7 @@ from .emfield import (
     REFERENCE_DISTANCE,
     PlaneWave,
     SwitchConfig,
+    _check_incidence,
     magnitude_db,
     plate_monostatic_amplitude,
     response_matrix,
@@ -121,6 +122,7 @@ class SurfaceReflector:
     def __post_init__(self):
         if self.schedule is not None and self.config is not None:
             raise ConfigurationError("give either a schedule or a static config")
+        _check_incidence(self.incidence_angle_deg)
         check_finite("incident_amplitude", self.incident_amplitude, "positive")
 
     def amplitudes(self, chirp_times: np.ndarray, frequency: float) -> np.ndarray:
@@ -152,6 +154,7 @@ class PlateReflector:
 
     def __post_init__(self):
         check_finite("width", self.width, "positive")
+        _check_incidence(self.incidence_angle_deg)
         check_finite("incident_amplitude", self.incident_amplitude, "positive")
 
     def amplitudes(self, chirp_times: np.ndarray, frequency: float) -> np.ndarray:
@@ -213,7 +216,7 @@ class Detection:
 
 
 def _chirp_blocks(n_chirps: int) -> list[tuple[int, int]]:
-    """(lo, hi) row bounds of balanced blocks of at most _FFT_BLOCK chirps.
+    """(lo, hi) row bounds of _beat_blocks' balanced blocks of at most _FFT_BLOCK chirps.
 
     Block sizes differ by at most one, so no block has a single row unless
     the frame does: a one-row beat product goes through a different BLAS
@@ -395,26 +398,14 @@ def _range_window(n: int) -> np.ndarray:
     return window
 
 
-def _profile_matrix(signal: BeatSignal, zero_pad: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """Scaled range DFT of every row: (ranges, complex matrix rows x bins).
-
-    The rows are windowed one block at a time into one buffer, transformed
-    straight into their rows of the result and scaled there.
-    """
+def _profile_matrix(params: ChirpParams, rows, zero_pad: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Scaled range DFT of each row of rows (chirps x samples): (ranges, complex
+    matrix rows x bins).  A row's bits do not depend on the rows beside it."""
     check_count("zero_pad", zero_pad)
-    params = signal.params
-    n = params.samples_per_chirp
-    w = _range_window(n)
-    nfft = n * zero_pad
-    scale = 2.0 / w.sum()
-    samples = signal.samples
-    spectra = np.empty((len(samples), nfft // 2 + 1), dtype=np.complex128)
-    blocks = _chirp_blocks(len(samples))
-    windowed = np.empty((max(hi - lo for lo, hi in blocks), n))
-    for lo, hi in blocks:
-        rows = np.multiply(samples[lo:hi], w, out=windowed[: hi - lo])
-        np.fft.rfft(rows, nfft, axis=1, out=spectra[lo:hi])
-        spectra[lo:hi] *= scale
+    w = _range_window(params.samples_per_chirp)
+    nfft = params.samples_per_chirp * zero_pad
+    spectra = np.fft.rfft(rows * w, nfft, axis=1)
+    spectra *= 2.0 / w.sum()
     freqs = np.fft.rfftfreq(nfft, d=1.0 / params.sample_rate)
     ranges = freqs * C0 * params.chirp_duration / (2.0 * params.bandwidth)
     return ranges, spectra
@@ -429,8 +420,8 @@ def range_profile(signal: BeatSignal, chirp_index: int = 0, zero_pad: int = 1) -
     check_count("chirp_index", chirp_index, minimum=0)
     if chirp_index >= len(signal.samples):
         raise ConfigurationError(f"chirp_index {chirp_index} out of range")
-    row = BeatSignal(params=signal.params, samples=signal.samples[chirp_index : chirp_index + 1])
-    ranges, spectra = _profile_matrix(row, zero_pad)
+    row = signal.samples[chirp_index : chirp_index + 1]
+    ranges, spectra = _profile_matrix(signal.params, row, zero_pad)
     return RangeProfile(ranges_m=ranges, values=spectra[0])
 
 
@@ -440,7 +431,7 @@ def range_doppler(signal: BeatSignal) -> RangeDopplerMap:
     c = len(signal.samples)
     if c < 2:
         raise ConfigurationError("range_doppler needs at least 2 chirps per frame")
-    ranges, spectra = _profile_matrix(signal)
+    ranges, spectra = _profile_matrix(params, signal.samples)
     doppler = np.fft.fftshift(np.fft.fft(spectra, axis=0), axes=0) / c
     velocities = np.fft.fftshift(np.fft.fftfreq(c, d=params.chirp_duration))
     velocities = velocities * params.wavelength / 2.0
@@ -501,13 +492,12 @@ def detect(profile, threshold_db: float = DEFAULT_THRESHOLD_DB) -> list[Detectio
     return detections
 
 
-def _interpolated_peak_amplitude(profile: RangeProfile) -> float:
-    mags = profile.magnitudes()
+def _interpolated_peak_amplitude(values: np.ndarray) -> float:
+    mags = np.abs(values)
     i = int(np.argmax(mags))
     if i == 0 or i == mags.size - 1 or mags[i] == 0.0:
         return float(mags[i])
-    db = magnitude_db(profile.values)
-    _, peak_db = _parabolic_peak(db, i)
+    _, peak_db = _parabolic_peak(magnitude_db(values), i)
     return 10.0 ** (peak_db / 20.0)
 
 
@@ -550,8 +540,7 @@ def max_detection_range(
     def clears(range_m: float) -> bool:
         probe = replace(target, range_m=range_m)
         [(_, chirp)] = _beat_blocks(params, 1, [probe], 0.0, None)
-        profile = range_profile(BeatSignal(params=params, samples=chirp), 0, zero_pad=8)
-        amp = _interpolated_peak_amplitude(profile)
+        amp = _interpolated_peak_amplitude(_profile_matrix(params, chirp, 8)[1][0])
         if amp == 0.0:
             return False
         return 20.0 * math.log10(amp / sigma) >= threshold_db

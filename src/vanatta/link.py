@@ -23,11 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .emfield import write_csv
+from .emfield import _check_incidence, write_csv
 from .errors import DecodingError, SchedulingError, check_count, check_finite, check_seed
 from .fmcw import (
     _FFT_BLOCK,
-    BeatSignal,
     ChirpParams,
     SurfaceReflector,
     Target,
@@ -71,6 +70,7 @@ class LinkScenario:
 
     def __post_init__(self):
         check_finite("range_m", self.range_m, "positive")
+        _check_incidence(self.incidence_angle_deg)
         check_finite("velocity_mps", self.velocity_mps)
         check_finite("noise_power", self.noise_power, "non-negative")
         check_seed(self.seed)
@@ -156,10 +156,9 @@ def _bin_columns(params: ChirpParams, n_chirps: int, targets, noise_power, seed,
     buffer = np.zeros((min(n_chirps, _FFT_BLOCK) + 1, params.samples_per_chirp // 2 + 1))
     columns = np.empty((n_chirps, len(keep)))
     for lo, block in _beat_blocks(params, n_chirps, targets, noise_power, seed):
-        # A BeatSignal's rows are its chirps: this one is the block's.  The
-        # spectrum is not named, so it is freed before the next block's.
+        # The spectrum is not named, so it is freed before the next block's.
         rows = buffer[1 : 1 + len(block)]
-        np.abs(_profile_matrix(BeatSignal(params=params, samples=block))[1], out=rows)
+        np.abs(_profile_matrix(params, block)[1], out=rows)
         buffer[0] = np.add.reduce(buffer[: 1 + len(block)], axis=0)
         columns[lo : lo + len(block)] = rows[:, keep]
     return buffer[0] / n_chirps, columns

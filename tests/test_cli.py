@@ -843,6 +843,33 @@ def test_field_overflow_exits_one(tmp_path, capsys, command, text, message):
     assert list(out.iterdir()) == []
 
 
+def test_a_subnormal_return_is_refused_and_a_small_normal_one_is_not(tmp_path, capsys):
+    # Each of these once exited 0: a 21 deg retro peak, a 71.2838 dB gain,
+    # and an infinite gain over a plate whose return rounded to zero.
+    refused = [
+        ("pattern", "amplitude = 5e-324\n", "field underflows at amplitude 5e-324"),
+        ("pattern", "amplitude = 1e-320\n", "field underflows at amplitude 1e-320"),
+        ("range", "plate.width_m = 1e-310\n", "plate return underflows at width 1e-310 m and amplitude 1.0"),
+    ]
+    for k, (command, text, message) in enumerate(refused):
+        out = tmp_path / f"refused{k}"
+        assert run_cli(command, "--config", write_config(tmp_path, text), "--out", str(out)) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"constraint error: {message}\n"
+        assert "=" not in captured.out
+        assert list(out.iterdir()) == []
+
+    def summary(text):
+        out = str(tmp_path / "kept")
+        assert run_cli("pattern", "--config", write_config(tmp_path, text), "--out", out) == 0
+        fields = dict(field.split("=") for field in capsys.readouterr().out.split())
+        return fields["retro_peak_deg"], fields["monostatic_gain_db"]
+
+    assert summary("") == ("30", "69.6024")
+    for amplitude in ("1e-307", "1e-300"):
+        assert summary(f"amplitude = {amplitude}\n") == ("30", "69.6024")
+
+
 @pytest.mark.parametrize("distances", ["1e-320", "1,2,5e-324"])
 def test_range_refuses_a_distance_whose_amplitude_overflows(tmp_path, capsys, distances):
     out = tmp_path / "out"

@@ -17,6 +17,7 @@ from vanatta import (
     LinkScenario,
     PlaneWave,
     PlateReflector,
+    SurfaceReflector,
     SwitchConfig,
     Target,
     build_concentric_surface,
@@ -48,9 +49,18 @@ AMPS = [1.0, 1.0, 0.0, 0.0]
 WAVE = PlaneWave(24e9, 30.0)
 
 
-def _scenario(seed):
+def _scenario(seed=None, incidence=0.0):
     schedule = encode_bits((1, 0), LAYOUT, 1e-3)
-    return LinkScenario(LAYOUT, schedule, PARAMS, 50.0, seed=seed)
+    return LinkScenario(LAYOUT, schedule, PARAMS, 50.0, incidence, seed=seed)
+
+
+# The constructors that take an incidence angle, each refusing a bad one at once.
+INCIDENCE = {
+    "PlaneWave": lambda v: PlaneWave(24e9, v),
+    "SurfaceReflector": lambda v: SurfaceReflector(LAYOUT, incidence_angle_deg=v),
+    "PlateReflector": lambda v: PlateReflector(0.01, incidence_angle_deg=v),
+    "LinkScenario": lambda v: _scenario(incidence=v),
+}
 
 
 # (argument name, call with the value, whether the argument is a count)
@@ -60,7 +70,10 @@ ENTRIES = {
     "build_linear_array-spacing": ("spacing", lambda v: build_linear_array(2, v, 1.0), False),
     "build_concentric_surface": ("n_rings", lambda v: build_concentric_surface(v, LAM, LAM), True),
     "PlaneWave-frequency": ("frequency", lambda v: PlaneWave(v, 0.0), False),
-    "PlaneWave-incidence": ("incidence_angle_deg", lambda v: PlaneWave(24e9, v), False),
+    **{
+        f"{entry}-incidence": ("incidence_angle_deg", call, False)
+        for entry, call in INCIDENCE.items()
+    },
     "Target": ("range_m", lambda v: Target(v, 0.0, TARGET.reflector), False),
     "encode_bits": ("switch_interval", lambda v: encode_bits((1, 0), LAYOUT, v), False),
     "doppler_phase_drift": ("velocity_delta", lambda v: doppler_phase_drift(v, LAM, 1e-3), False),
@@ -141,6 +154,15 @@ def test_the_entries_still_take_their_usual_values():
     assert _scenario(0).seed == 0
     assert _scenario(10**400).seed == 10**400
     assert ook_ber_trial(PARAMS, 20.0, 12.2, 8, seed=10**400) == 0.0
+
+
+@pytest.mark.parametrize("angle", [95.0, -95.0, 90, -90.0])
+@pytest.mark.parametrize("entry", INCIDENCE)
+def test_an_incidence_off_the_open_half_plane_is_refused_at_construction(entry, angle):
+    with pytest.raises(ConfigurationError) as refused:
+        INCIDENCE[entry](angle)
+    assert str(refused.value) == f"incidence angle must lie in (-90, 90) deg, got {float(angle)}"
+    assert INCIDENCE[entry](np.float64(89.5)).incidence_angle_deg == 89.5
 
 
 _NUMPY_SCALARS = st.sampled_from([np.dtype(t) for t in ("f8", "f4", "i8", "u8", "?", "c16")])

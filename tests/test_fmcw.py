@@ -236,7 +236,7 @@ def _peak_series(signal):
     """Complex value at the strongest range bin, per chirp."""
     from vanatta.fmcw import _profile_matrix
 
-    ranges, matrix = _profile_matrix(signal)
+    ranges, matrix = _profile_matrix(signal.params, signal.samples)
     bin_index = int(np.argmax(np.abs(matrix).mean(axis=0)))
     return ranges[bin_index], matrix[:, bin_index]
 
@@ -335,25 +335,39 @@ def test_range_doppler_takes_its_length_and_scale_from_the_rows():
     bin_width = rows.params.wavelength / (2.0 * 128 * rows.params.chirp_duration)
     np.testing.assert_allclose(np.diff(rd.velocities_mps), bin_width, rtol=1e-12)
     # Velocity 0 sits at column 64: the spectra summed over the rows, / 128.
-    _, spectra = fmcw._profile_matrix(rows)
+    _, spectra = fmcw._profile_matrix(rows.params, rows.samples)
     np.testing.assert_allclose(
         rd.values[:, 64], spectra.mean(axis=0), rtol=0, atol=1e-12 * np.abs(spectra).max()
     )
+
+
+def test_range_processing_equals_its_per_row_formula():
+    # 130 chirps span three of the synthesis's blocks; the range DFT takes
+    # each row on its own, so the whole frame matches the textbook formula.
+    signal = synthesize_beat(default_params(), 130, [surface_target(50.0, velocity=3.0)], 1e-6, 5)
+    n = signal.params.samples_per_chirp
+    w = np.hanning(n)
+    spectra = np.fft.rfft(signal.samples * w, axis=1) * (2.0 / w.sum())
+    doppler = np.fft.fftshift(np.fft.fft(spectra, axis=0), axes=0) / 130
+    assert np.array_equal(range_doppler(signal).values, doppler.T)
+    for index in (0, 63, 64, 129):
+        row = np.fft.rfft(signal.samples[index] * w, 8 * n) * (2.0 / w.sum())
+        assert np.array_equal(range_profile(signal, index, 8).values, row)
 
 
 def test_range_profile_transforms_one_row_and_refuses_one_past_the_last(monkeypatch):
     rows = _noisy_rows()
     transformed, profile_matrix = [], fmcw._profile_matrix
 
-    def counted(signal, zero_pad=1):
-        transformed.append(len(signal.samples))
-        return profile_matrix(signal, zero_pad)
+    def counted(params, samples, zero_pad=1):
+        transformed.append(len(samples))
+        return profile_matrix(params, samples, zero_pad)
 
     monkeypatch.setattr(fmcw, "_profile_matrix", counted)
     profile = range_profile(rows, 127, zero_pad=8)
     assert transformed == [1]
     monkeypatch.undo()
-    ranges, spectra = fmcw._profile_matrix(rows, 8)
+    ranges, spectra = fmcw._profile_matrix(rows.params, rows.samples, 8)
     assert np.array_equal(profile.ranges_m, ranges)
     assert np.array_equal(profile.values, spectra[127])
     for index in (128, 500):

@@ -260,7 +260,7 @@ def _full_magnitudes(params, n_chirps, targets, noise_power, seed):
     that the streamed bin choice must match bit for bit."""
     mags = np.empty((n_chirps, params.samples_per_chirp // 2 + 1))
     for lo, block in _beat_blocks(params, n_chirps, targets, noise_power, seed):
-        spectra = _profile_matrix(BeatSignal(params=params, samples=block))[1]
+        spectra = _profile_matrix(params, block)[1]
         np.abs(spectra, out=mags[lo : lo + len(block)])
     return mags
 
