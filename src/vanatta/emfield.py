@@ -241,10 +241,11 @@ def response_matrix(
         len(observation_deg)).
 
     Raises:
-        ConfigurationError: the scaled field overflows (an amplitude near
-            the float limit), or its scale amplitude * sqrt(absorption
-            efficiency) / REFERENCE_DISTANCE is below the smallest normal
-            float, where the field's digits would be lost.
+        ConfigurationError: wavenumber * the layout's extent (its largest
+            |x| plus its longest line) overflows, the scaled field overflows
+            (an amplitude near the float limit), or its scale amplitude *
+            sqrt(absorption efficiency) / REFERENCE_DISTANCE is below the
+            smallest normal float, where the field's digits would be lost.
     """
     wavelength = wavelength_of(frequency)
     check_finite("amplitude", amplitude, "positive")
@@ -259,9 +260,12 @@ def response_matrix(
     if scale < _SMALLEST_NORMAL:
         raise ConfigurationError(f"field underflows at amplitude {amplitude}")
     x_in, x_out, path = _traversal_arrays(layout, configs)
-    out = kernels.pair_path_response(
-        x_in, x_out, path, 2.0 * math.pi / wavelength, np.sin(theta), np.sin(phi)
-    )
+    wavenumber = 2.0 * math.pi / wavelength
+    # Every phase the kernel forms is at most wavenumber * extent in size.
+    extent = float(np.abs(x_in).max()) + float(np.abs(path).max())
+    if not math.isfinite(wavenumber * extent):
+        raise ConfigurationError(f"layout extent {extent} m overflows wavenumber * extent")
+    out = kernels.pair_path_response(x_in, x_out, path, wavenumber, np.sin(theta), np.sin(phi))
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
         out *= scale
     if not np.isfinite(out).all():
@@ -318,16 +322,19 @@ def _sinc(x):
 def plate_baseline_pattern(width: float, wave: PlaneWave, angles_deg) -> FieldPattern:
     """Monostatic physical-optics return of a flat plate of given width;
     ConfigurationError when wavenumber * width overflows or the return's scale,
-    amplitude * width / wavelength / REFERENCE_DISTANCE, is below the smallest normal float."""
+    amplitude * width / wavelength / REFERENCE_DISTANCE, overflows or is below
+    the smallest normal float."""
     check_finite("width", width, "positive")
     kw = wave.wavenumber * width
     if not math.isfinite(kw):
         raise ConfigurationError(f"width {width} m overflows wavenumber * width")
     grid = _angle_grid(angles_deg)
     norm = width / wave.wavelength
-    if wave.amplitude * norm / REFERENCE_DISTANCE < _SMALLEST_NORMAL:
+    scale = wave.amplitude * norm / REFERENCE_DISTANCE
+    if not _SMALLEST_NORMAL <= scale < math.inf:
+        flows = "underflows" if scale < _SMALLEST_NORMAL else "overflows"
         raise ConfigurationError(
-            f"plate return underflows at width {width} m and amplitude {wave.amplitude}"
+            f"plate return {flows} at width {width} m and amplitude {wave.amplitude}"
         )
     theta = np.radians(grid)
     mags = (

@@ -71,9 +71,13 @@ class ChirpParams:
         for name in ("start_frequency", "bandwidth", "chirp_duration", "sample_rate"):
             check_finite(name, getattr(self, name), "positive")
         n = self.chirp_duration * self.sample_rate
-        if abs(n - round(n)) > 1e-6 or round(n) < 2:
+        if not math.isfinite(n) or abs(n - round(n)) > 1e-6 or round(n) < 2:
             raise ConfigurationError(
                 f"chirp_duration * sample_rate must be an integer >= 2, got {n}"
+            )
+        if not math.isfinite(self.max_unambiguous_range):  # the range axis ends there
+            raise ConfigurationError(
+                f"max_unambiguous_range overflows at bandwidth {self.bandwidth} Hz"
             )
         if not any(lo <= self.start_frequency <= hi for lo, hi in _AUTOMOTIVE_BANDS):
             warnings.warn(

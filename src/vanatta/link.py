@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .emfield import _check_incidence, write_csv
+from .emfield import write_csv
 from .errors import DecodingError, SchedulingError, check_count, check_finite, check_seed
 from .fmcw import (
     _FFT_BLOCK,
@@ -52,10 +52,11 @@ def whole_chirps(switch_interval: float, chirp_duration: float) -> int:
 
 @dataclass(frozen=True)
 class LinkScenario:
-    """Everything needed to run one modulated frame.
+    """Everything needed to run one modulated frame, checked when it is made.
 
-    The switch interval must be a whole number of chirps (whole_chirps);
-    the frame has that many chirps per bit.
+    The scenario is its target: it builds that Target (a SurfaceReflector of
+    the layout, driven by the schedule, at range_m) and its chirps per bit
+    (whole_chirps) once, and each refuses a bad field with its own message.
     """
 
     layout: SurfaceLayout
@@ -67,18 +68,18 @@ class LinkScenario:
     noise_power: float = 0.0
     seed: int | None = None
     incident_amplitude: float = 1.0
+    target: Target = field(init=False, repr=False, compare=False)
+    chirps_per_bit: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        check_finite("range_m", self.range_m, "positive")
-        _check_incidence(self.incidence_angle_deg)
-        check_finite("velocity_mps", self.velocity_mps)
         check_finite("noise_power", self.noise_power, "non-negative")
         check_seed(self.seed)
-        whole_chirps(self.schedule.switch_interval, self.params.chirp_duration)
-
-    @property
-    def chirps_per_bit(self) -> int:
-        return whole_chirps(self.schedule.switch_interval, self.params.chirp_duration)
+        angle, amplitude = self.incidence_angle_deg, self.incident_amplitude
+        reflector = SurfaceReflector(self.layout, self.schedule, None, angle, amplitude)
+        vars(self).update(
+            target=Target(self.range_m, self.velocity_mps, reflector),
+            chirps_per_bit=whole_chirps(self.schedule.switch_interval, self.params.chirp_duration),
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,15 +228,8 @@ def _run_frame(params: ChirpParams, target: Target, bits, chirps_per_bit: int, n
 
 def run_link(scenario: LinkScenario) -> LinkResult:
     """Synthesize, demodulate and decode one frame end to end."""
-    reflector = SurfaceReflector(
-        layout=scenario.layout,
-        schedule=scenario.schedule,
-        incidence_angle_deg=scenario.incidence_angle_deg,
-        incident_amplitude=scenario.incident_amplitude,
-    )
-    target = Target(scenario.range_m, scenario.velocity_mps, reflector)
-    bits, cpb = scenario.schedule.bits, scenario.chirps_per_bit
-    return _run_frame(scenario.params, target, bits, cpb, scenario.noise_power, scenario.seed)
+    s = scenario
+    return _run_frame(s.params, s.target, s.schedule.bits, s.chirps_per_bit, s.noise_power, s.seed)
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import tempfile
 import warnings
 from fractions import Fraction
@@ -31,6 +32,7 @@ from vanatta import (
 )
 from vanatta.cli import (
     DEFAULTS,
+    _COMMANDS,
     _OPTIONAL_NUMBERS,
     _angle_grid,
     _build_parser,
@@ -525,28 +527,91 @@ FUZZ_VALUES = ("nan", "inf", "-inf", "0", "-1", "1e308", "5e-324", "2.5", "x", "
 FUZZ_VALUES += ('""', "1,abc")
 
 
-@settings(max_examples=150, deadline=None)
-@given(key=st.sampled_from(sorted(DEFAULTS)), value=st.sampled_from(FUZZ_VALUES))
-def test_validate_takes_or_cleanly_refuses_any_value_of_any_key(key, value):
-    """One key set to an edge value: validate runs, or exits 1 or 2 with one
-    stderr line and no file; a traceback would escape main and fail here."""
+# Each command, and the SNR sweep, with a config prefix that the fuzzed key
+# follows.  The SNR sweep sends 4 bits a point, not 256: at a 2.5 s switch
+# interval (5,000 chirps a bit) the default takes 90 s.
+FUZZ_RUNS = [(command, "") for command in _COMMANDS]
+FUZZ_RUNS += [("sweep", "sweep.parameter = snr\nsweep.bits_per_point = 4\n")]
+
+
+def _takes_or_cleanly_refuses(command, text):
+    """Run command on a config of text and return (exit code, stderr).
+
+    The run exits 0 with no nan in its stdout or files; or validate exits 1
+    with its failing report (a tolerance of 0 or 5e-324 m fails it); or the
+    run exits 1 or 2 with one stderr line and no file.  A traceback, or a
+    numpy RuntimeWarning (made an error here), escapes main and fails here.
+    """
     with tempfile.TemporaryDirectory() as tmp:
         cfg_path, out = os.path.join(tmp, "run.cfg"), os.path.join(tmp, "out")
         with open(cfg_path, "w") as fh:
-            fh.write(f"{key} = {value}\n")
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            fh.write(text)
+        err, stdout = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(stdout):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", DesignMismatchWarning)
-                code = main(["validate", "--config", cfg_path, "--out", out])
-        files = os.listdir(out) if os.path.exists(out) else []
-        if files:
-            # Run to its report; a tolerance of 0 or 5e-324 m fails it with
-            # exit 1.
-            assert (code in (0, 1), files, err.getvalue()) == (True, ["validation.txt"], "")
-        else:
-            assert code in (1, 2)
-            assert len(err.getvalue().splitlines()) == 1
+                warnings.simplefilter("error", RuntimeWarning)
+                code = main([command, "--config", cfg_path, "--out", out])
+        files = sorted(os.listdir(out)) if os.path.exists(out) else []
+        texts = [stdout.getvalue()]
+        for name in files:
+            with open(os.path.join(out, name)) as fh:
+                texts.append(fh.read())
+    if code == 0:
+        assert (files != [], err.getvalue()) == (True, "")
+        assert not re.search(r"\bnan\b", "\n".join(texts), re.IGNORECASE)
+    elif files:
+        assert (command, code, files, err.getvalue()) == ("validate", 1, ["validation.txt"], "")
+    else:
+        assert code in (1, 2)
+        assert len(err.getvalue().splitlines()) == 1
+    return code, err.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    run=st.sampled_from(FUZZ_RUNS),
+    key=st.sampled_from(sorted(DEFAULTS)),
+    value=st.sampled_from(FUZZ_VALUES),
+)
+def test_every_command_takes_or_cleanly_refuses_any_value_of_any_key(run, key, value):
+    """One key set to an edge value: see _takes_or_cleanly_refuses."""
+    command, prefix = run
+    _takes_or_cleanly_refuses(command, f"{prefix}{key} = {value}\n")
+
+
+PLATE_OVERFLOW = "plate.width_m = 1e300\namplitude = 1e10\n"
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        # Once a bare OverflowError from round(inf).
+        ("link", "radar.chirp_s = 1e308\n", "chirp_duration * sample_rate must be an integer >= 2, got inf"),
+        (
+            "sweep",
+            "radar.chirp_s = 1e308\nsweep.parameter = snr\n",
+            "chirp_duration * sample_rate must be an integer >= 2, got inf",
+        ),
+        # Once numpy overflow warnings, then "field overflows at amplitude 1.0".
+        ("pattern", "layout.spacing_m = 1e308\n", "layout extent 1.5e+308 m overflows wavenumber * extent"),
+        ("link", "layout.base_length_m = 1e308\n", "layout extent 1e+308 m overflows wavenumber * extent"),
+        # Once inf in pattern_plate.csv and exit 0, and in range at 0 deg
+        # "math domain error" from the gain over an infinite plate return.
+        (
+            "pattern",
+            PLATE_OVERFLOW,
+            "plate return overflows at width 1e+300 m and amplitude 10000000000.0",
+        ),
+        (
+            "range",
+            PLATE_OVERFLOW + "incidence_angle_deg = 0\n",
+            "plate return overflows at width 1e+300 m and amplitude 10000000000.0",
+        ),
+    ],
+)
+def test_an_overflowing_input_is_refused_with_one_line(command, text, message):
+    assert _takes_or_cleanly_refuses(command, text) == (1, f"constraint error: {message}\n")
 
 
 def test_config_values_take_the_type_of_their_default(tmp_path, capsys):

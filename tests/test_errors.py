@@ -49,9 +49,11 @@ AMPS = [1.0, 1.0, 0.0, 0.0]
 WAVE = PlaneWave(24e9, 30.0)
 
 
-def _scenario(seed=None, incidence=0.0):
+def _scenario(seed=None, incidence=0.0, amplitude=1.0):
     schedule = encode_bits((1, 0), LAYOUT, 1e-3)
-    return LinkScenario(LAYOUT, schedule, PARAMS, 50.0, incidence, seed=seed)
+    return LinkScenario(
+        LAYOUT, schedule, PARAMS, 50.0, incidence, seed=seed, incident_amplitude=amplitude
+    )
 
 
 # The constructors that take an incidence angle, each refusing a bad one at once.
@@ -115,6 +117,11 @@ ENTRIES = {
     "synthesize_beat-n_chirps": ("n_chirps", lambda v: synthesize_beat(PARAMS, v, []), True),
     "synthesize_beat-seed": ("seed", lambda v: synthesize_beat(PARAMS, 4, [], 1e-6, v), True),
     "LinkScenario-seed": ("seed", _scenario, True),
+    "LinkScenario-incident_amplitude": (
+        "incident_amplitude",
+        lambda v: _scenario(amplitude=v),
+        False,
+    ),
     "range_profile-chirp_index": ("chirp_index", lambda v: range_profile(SIGNAL, v), True),
     "range_profile-zero_pad": ("zero_pad", lambda v: range_profile(SIGNAL, 0, v), True),
     "detect": ("threshold_db", lambda v: detect(range_profile(SIGNAL), v), False),
@@ -163,6 +170,29 @@ def test_an_incidence_off_the_open_half_plane_is_refused_at_construction(entry, 
         INCIDENCE[entry](angle)
     assert str(refused.value) == f"incidence angle must lie in (-90, 90) deg, got {float(angle)}"
     assert INCIDENCE[entry](np.float64(89.5)).incidence_angle_deg == 89.5
+
+
+@pytest.mark.parametrize("amplitude", [math.nan, math.inf, -math.inf, -1.0, 0.0, True])
+def test_a_link_scenario_refuses_a_bad_incident_amplitude_when_made(amplitude):
+    # Once taken here and refused only when run_link built the reflector.
+    with pytest.raises(ConfigurationError, match="^incident_amplitude must be "):
+        _scenario(amplitude=amplitude)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        # Once a bare OverflowError from round(inf).
+        ({"chirp_duration": 1e308}, r"^chirp_duration \* sample_rate must be an integer >= 2, got inf$"),
+        ({"chirp_duration": 1e300, "sample_rate": 1e300}, r"^chirp_duration \* sample_rate .*, got inf$"),
+        # Once range bins of inf m, which overflowed in the range transform.
+        ({"bandwidth": 5e-324}, r"^max_unambiguous_range overflows at bandwidth 5e-324 Hz$"),
+    ],
+)
+def test_chirp_params_refuse_a_timing_that_overflows(kwargs, message):
+    with pytest.raises(ConfigurationError, match=message):
+        ChirpParams(**kwargs)
+    assert ChirpParams(bandwidth=1e-290).max_unambiguous_range > 1e299
 
 
 _NUMPY_SCALARS = st.sampled_from([np.dtype(t) for t in ("f8", "f4", "i8", "u8", "?", "c16")])

@@ -85,6 +85,31 @@ def test_link_timing_two_chirps_per_bit():
             )
 
 
+def test_a_scenario_builds_its_target_and_chirps_per_bit_once(monkeypatch):
+    calls = []
+    whole_chirps = link.whole_chirps
+    monkeypatch.setattr(link, "whole_chirps", lambda *args: calls.append(args) or whole_chirps(*args))
+    scenario = scenario_for((1, 0, 1, 0))
+    assert calls == [(1e-3, 0.5e-3)]
+    reflector = scenario.target.reflector
+    assert (scenario.target.range_m, scenario.target.velocity_mps) == (25.0, 0.0)
+    assert (reflector.layout, reflector.schedule) == (LAYOUT, scenario.schedule)
+    assert (reflector.incidence_angle_deg, reflector.incident_amplitude) == (30.0, 1.0)
+    # Derived, so out of the repr and the equality, as SurfaceLayout.arrays is.
+    assert "target" not in repr(scenario) and "chirps_per_bit" not in repr(scenario)
+    assert scenario == scenario_for((1, 0, 1, 0))
+    calls.clear()
+
+    def built_again(*args, **kwargs):
+        raise AssertionError("run_link built a reflector or a target")
+
+    monkeypatch.setattr(link, "SurfaceReflector", built_again)
+    monkeypatch.setattr(link, "Target", built_again)
+    assert run_link(scenario).decoded.bits == (1, 0, 1, 0)
+    assert scenario.chirps_per_bit == 2
+    assert calls == []
+
+
 def test_link_with_short_chirps_decodes_at_two_chirps_per_bit():
     # 0.2 ms chirps (400 samples at 2 MHz) at 0.4 ms per bit: a switch
     # interval shorter than the default 0.5 ms chirp is a whole 2 of these.
