@@ -433,15 +433,13 @@ def cmd_scale(cfg: dict, out_dir: str) -> int:
 
 
 def cmd_link(cfg: dict, out_dir: str) -> int:
-    from .link import LinkScenario, run_link, write_link_report, write_per_chirp_csv
+    from .link import LinkScenario, _payload_bits, run_link, write_link_report, write_per_chirp_csv
 
     layout = _resolve_layout(cfg)
     params = _chirp_params(cfg)
     n_random, bits = cfg["link.random_bits"], cfg["link.bits"]
     if n_random > 0:
-        # A spawned child: the link's noise draws from SeedSequence(seed) itself.
-        payload = np.random.default_rng(np.random.SeedSequence(cfg["seed"]).spawn(1)[0])
-        bits = tuple(payload.integers(0, 2, n_random).tolist())
+        bits = _payload_bits(np.random.SeedSequence(cfg["seed"]), n_random)
     if len(set(bits)) < 2:  # the decoder's threshold splits a frame into two levels
         key = "link.random_bits" if n_random > 0 else "link.bits"
         raise ConfigurationError(

@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import queue
 import threading
 import warnings
 from dataclasses import dataclass, replace
@@ -283,18 +284,19 @@ def _beat_blocks(params: ChirpParams, n_chirps: int, targets, noise_power: float
     buffer: a consumer copies what it keeps before asking for the next
     block.
 
-    A noisy frame's noise is drawn on one plain thread, started before the
-    targets' amplitudes, so the draw overlaps the reflector, the beat
-    products and the consumer's range FFT (numpy's random fill, BLAS and
-    pocketfft release the GIL).  The frame's only default_rng(seed) is made
-    here; the thread draws the blocks in row order into two reused buffers,
-    so they hold the bits of one whole-frame draw, and it runs at most two
-    blocks ahead: it refills a buffer only after the block before has added
-    its noise.  An error in the thread is raised by the generator, before
-    any block whose noise was not drawn.  The draw calls numpy only: a
-    tracer that wraps this package's functions keeps one span stack, which
-    is not thread-safe.  The thread stops and is joined when the generator
-    ends, is closed or raises.  A noiseless frame starts no thread.
+    A noisy frame's noise is drawn on one plain daemon thread, started
+    before the targets' amplitudes, so the draw overlaps the reflector, the
+    beat products and the consumer's range FFT (numpy's random fill, BLAS
+    and pocketfft release the GIL).  The frame's only default_rng(seed) is
+    made here.  The thread draws the blocks in row order, as one whole-frame
+    draw, into two buffers: it takes one from the queue free and puts it, or
+    its error, on drawn; the consumer raises the error or adds the buffer
+    and puts it back, so the thread runs at most two blocks ahead.  It calls
+    numpy only: a tracer that wraps this package's functions keeps one span
+    stack, which is not thread-safe.  The generator ends the thread (None on
+    free) and joins it when it ends, is closed or raises; the daemon flag
+    matters only to a generator left open at exit.  A noiseless frame
+    starts no thread.
 
     Raises:
         ConfigurationError: a target lies past max_unambiguous_range (its
@@ -308,46 +310,40 @@ def _beat_blocks(params: ChirpParams, n_chirps: int, targets, noise_power: float
     if noise_power > 0.0:
         rng = np.random.default_rng(seed)
         sigma = math.sqrt(noise_power)
-        noise = (np.empty(shape), np.empty(shape))
-        free, drawn = threading.Semaphore(2), threading.Semaphore(0)
-        failed, stopped = [], False
+        free, drawn = queue.SimpleQueue(), queue.SimpleQueue()
+        free.put(np.empty(shape))
+        free.put(np.empty(shape))
 
         def draw():
             try:
-                for k, (lo, hi) in enumerate(blocks):
-                    free.acquire()
-                    if stopped:
+                for lo, hi in blocks:
+                    if (noise := free.get()) is None:
                         return
-                    _noise_draws(rng, sigma, noise[k % 2][: hi - lo])
-                    drawn.release()
+                    drawn.put(_noise_draws(rng, sigma, noise[: hi - lo]))
             except BaseException as error:  # raised to the consumer below
-                failed.append(error)
-                drawn.release()
+                drawn.put(error)
 
-        # A daemon, so that a generator left open at exit cannot hold the
-        # interpreter; every other path joins it below.
         worker = threading.Thread(target=draw, name="vanatta-noise", daemon=True)
         worker.start()
     try:
         tones = _tones(params, n_chirps, targets)
         buffer = np.empty(shape)
         dt = 1.0 / params.sample_rate
-        for k, (lo, hi) in enumerate(blocks):
+        for lo, hi in blocks:
             block = buffer[: hi - lo]
             block.fill(0.0)
             for amps, f_beat, phases in tones:
                 kernels.accumulate_beat(block, amps[lo:hi], f_beat, phases[lo:hi], 0.0, dt)
             if worker is not None:
-                drawn.acquire()
-                if failed:
-                    raise failed[0]
-                block += noise[k % 2][: hi - lo]
-                free.release()
+                noise = drawn.get()
+                if isinstance(noise, BaseException):
+                    raise noise
+                block += noise
+                free.put(noise.base)
             yield lo, block
     finally:
         if worker is not None:
-            stopped = True
-            free.release()  # wakes a thread that waits for a buffer
+            free.put(None)
             worker.join()
 
 

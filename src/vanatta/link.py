@@ -252,6 +252,11 @@ class _TwoStateReflector:
         return np.where(bits == 1, self.on_amplitude, self.off_amplitude)
 
 
+def _payload_bits(seeds: np.random.SeedSequence, n_bits: int) -> tuple[int, ...]:
+    """n_bits random bits from seeds' next child ((0,) if fresh), a stream apart from the noise's."""
+    return tuple(np.random.default_rng(seeds.spawn(1)[0]).integers(0, 2, n_bits).tolist())
+
+
 def ook_ber_trial(
     params: ChirpParams,
     per_chirp_snr_db: float,
@@ -287,8 +292,8 @@ def ook_ber_trial(
         off_ratio = float(np.float64(10.0) ** (-depth_db / 20.0))
         snr_ratio = np.float64(10.0) ** (per_chirp_snr_db / 10.0)
         noise_power = float(0.5 / snr_ratio)
-    seeds = np.random.SeedSequence(seed).spawn(2)
-    bits = tuple(np.random.default_rng(seeds[0]).integers(0, 2, n_bits).tolist())
+    seeds = np.random.SeedSequence(seed)
+    bits = _payload_bits(seeds, n_bits)
     range_m = 25.0
     reflector = _TwoStateReflector(
         bits=bits,
@@ -299,7 +304,7 @@ def ook_ber_trial(
         off_amplitude=range_m * off_ratio,
     )
     target = Target(range_m, 0.0, reflector)
-    return _run_frame(params, target, bits, chirps_per_bit, noise_power, seeds[1]).ber
+    return _run_frame(params, target, bits, chirps_per_bit, noise_power, seeds.spawn(1)[0]).ber
 
 
 def doppler_phase_drift(velocity_delta: float, wavelength: float, interval: float) -> float:

@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -622,6 +623,22 @@ def test_noise_worker_draw_error_reaches_the_consumer(monkeypatch):
         list(_beat_blocks(default_params(), NOISY_CHIRPS, [Target(50.0, 0.0, PLATE)], 1e-6, 1))
     assert len(calls) == 2  # the worker stops at its error
     assert threading.active_count() == baseline
+
+
+def test_noise_worker_runs_at_most_two_blocks_ahead(monkeypatch):
+    draws, calls = fmcw._noise_draws, []
+
+    def noise_draws(*args):
+        calls.append(True)
+        return draws(*args)
+
+    monkeypatch.setattr(fmcw, "_noise_draws", noise_draws)
+    # Eight blocks, so a worker that ran further ahead would draw more than 3.
+    blocks = _beat_blocks(default_params(), 8 * _FFT_BLOCK, [Target(50.0, 0.0, PLATE)], 1e-6, 1)
+    next(blocks)  # the consumer holds block 0
+    time.sleep(0.1)  # a longer wait could only let the worker draw more
+    assert len(calls) <= 3  # block 0, then one block into each of the two buffers
+    blocks.close()
 
 
 def test_concurrent_noisy_frames_keep_their_seeded_draws():

@@ -27,7 +27,8 @@ runs = ast.literal_eval(sys.argv[3])
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [vanatta.cli.main([*argv, "--out", sys.argv[2]]) for argv in runs]
 watched = (
-    "vanatta.fmcw", "vanatta.link", "json", "numpy.ma", "numpy.random", "concurrent.futures", "logging"
+    "vanatta.fmcw", "vanatta.link", "json", "numpy.ma", "numpy.random", "concurrent.futures", "logging",
+    "queue",
 )
 print((codes, [m for m in watched if m in sys.modules]))
 """
@@ -47,7 +48,7 @@ def test_non_link_commands_leave_fmcw_link_and_json_unloaded(tmp_path):
     runs = [["pattern"], ["sweep"], ["validate"], ["scale"], ["range"]]
     codes, loaded = _run_child(tmp_path, runs)
     assert codes == [0, 0, 0, 0, 0]
-    assert loaded == []  # nor numpy.ma or numpy.random
+    assert loaded == []  # nor numpy.ma, numpy.random or queue
     assert (tmp_path / "sweep_incidence.csv").is_file()
 
 
