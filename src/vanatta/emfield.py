@@ -242,10 +242,10 @@ def response_matrix(
 
     Raises:
         ConfigurationError: wavenumber * the layout's extent (its largest
-            |x| plus its longest line) overflows, the scaled field overflows
-            (an amplitude near the float limit), or its scale amplitude *
-            sqrt(absorption efficiency) / REFERENCE_DISTANCE is below the
-            smallest normal float, where the field's digits would be lost.
+            |x| plus its longest line) overflows or exceeds pi * 2**50, the
+            scaled field overflows (an amplitude near the float limit), or
+            its scale amplitude * sqrt(absorption efficiency) / REFERENCE_DISTANCE
+            is below the smallest normal float, where the field's digits are lost.
     """
     wavelength = wavelength_of(frequency)
     check_finite("amplitude", amplitude, "positive")
@@ -265,6 +265,9 @@ def response_matrix(
     extent = float(np.abs(x_in).max()) + float(np.abs(path).max())
     if not math.isfinite(wavenumber * extent):
         raise ConfigurationError(f"layout extent {extent} m overflows wavenumber * extent")
+    # Rounding moves a phase p by up to p * 2**-53: past pi * 2**50, over pi/8 of the switch's pi.
+    if wavenumber * extent > math.pi * 2.0**50:
+        raise ConfigurationError(f"layout extent {extent} m is too large to resolve its switch")
     out = kernels.pair_path_response(x_in, x_out, path, wavenumber, np.sin(theta), np.sin(phi))
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
         out *= scale

@@ -4,8 +4,8 @@ A frame is synthesized with the surface switching per its schedule, every
 chirp's range profile is evaluated, and the per-chirp magnitudes at the
 strongest range bin become the decision statistics.  The frame and its
 magnitudes are held one block of chirps at a time; a frame whose strongest
-bin lies off every target's main lobe is synthesized a second time for that
-bin (_extract_bin_amplitudes).  Decoding is plain on-off keying: average the
+bin lies off the tag's main lobe is synthesized a second time for that bin
+(_extract_bin_amplitudes).  Decoding is plain on-off keying: average the
 chirps of each bit slot and compare against a threshold, which _run_frame
 sets to the midpoint between the two amplitude cluster centers.
 
@@ -145,8 +145,8 @@ def decode_ook(per_chirp_amplitudes, chirps_per_bit: int, threshold: float) -> B
     return BitFrame(tuple((means > threshold).astype(int).tolist()))
 
 
-def _bin_columns(params: ChirpParams, n_chirps: int, targets, noise_power, seed, keep):
-    """(per-bin mean magnitudes, chirps x len(keep) magnitudes of bins keep)
+def _bin_columns(params: ChirpParams, n_chirps: int, targets, noise_power, seed, lo, hi):
+    """(per-bin mean magnitudes, chirps x (hi - lo) magnitudes of bins lo:hi)
     of a noisy n_chirps frame.
 
     The frame is synthesized and range-transformed one block of chirps at a
@@ -155,13 +155,13 @@ def _bin_columns(params: ChirpParams, n_chirps: int, targets, noise_power, seed,
     mags.mean(axis=0) adds them.
     """
     buffer = np.zeros((min(n_chirps, _FFT_BLOCK) + 1, params.samples_per_chirp // 2 + 1))
-    columns = np.empty((n_chirps, len(keep)))
-    for lo, block in _beat_blocks(params, n_chirps, targets, noise_power, seed):
+    columns = np.empty((n_chirps, hi - lo))
+    for first, block in _beat_blocks(params, n_chirps, targets, noise_power, seed):
         # The spectrum is not named, so it is freed before the next block's.
         rows = buffer[1 : 1 + len(block)]
         np.abs(_profile_matrix(params, block)[1], out=rows)
         buffer[0] = np.add.reduce(buffer[: 1 + len(block)], axis=0)
-        columns[lo : lo + len(block)] = rows[:, keep]
+        columns[first : first + len(block)] = rows[:, lo:hi]
     return buffer[0] / n_chirps, columns
 
 
@@ -170,30 +170,27 @@ def _extract_bin_amplitudes(params: ChirpParams, n_chirps: int, targets, noise_p
 
     The strongest bin is the one with the largest mean magnitude over the
     chirps.  Held at once: one block of magnitudes plus the per-bin sums
-    (_bin_columns), and for every chirp the magnitudes of each target's
-    beat-frequency bin +- 2, the Hann main lobe; never the chirps x bins
-    matrix.  When the strongest bin is on no lobe, as in a noise-only or
-    swamped frame, a second pass synthesizes and transforms the frame again
-    and keeps that bin alone: it doubles the frame's time.  On the default
-    SNR sweep that is 1 point of 4, the one at -30 dB.  Both passes draw
-    the same noise from one SeedSequence.
+    (_bin_columns), and for every chirp the magnitudes of the tag's main
+    lobe, targets[0]'s beat-frequency bin +- 2 clipped to the spectrum;
+    never the chirps x bins matrix.  When the strongest bin is off that
+    lobe, as in a noise-only or swamped frame, a second pass synthesizes
+    and transforms the frame again and keeps that bin alone: it doubles the
+    frame's time.  On the default SNR sweep that is 1 point of 4, the one
+    at -30 dB.  Both passes draw the same noise from one SeedSequence.
     """
     if noise_power > 0.0 and not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(seed)  # fixes seed=None's entropy for both passes
-    # A set and sorted(), not np.unique: its first call pages in about 0.9 MB
-    # of code, which shows in a link process's peak RSS.
     bins = params.samples_per_chirp // 2 + 1
-    near = set()
-    for target in targets:
-        k = params.beat_frequency(target.range_m) * params.chirp_duration
-        if k < bins:  # a tone past Nyquist is refused by _beat_blocks
-            near.update(range(max(0, round(k) - 2), min(bins, round(k) + 3)))
-    lobes = np.array(sorted(near), dtype=np.intp)
-    means, columns = _bin_columns(params, n_chirps, targets, noise_power, seed, lobes)
+    lo = hi = 0
+    if targets:  # min(): _beat_blocks refuses a tone past Nyquist, whose k may be inf
+        k = round(min(params.beat_frequency(targets[0].range_m) * params.chirp_duration, bins))
+        lo, hi = max(0, k - 2), min(bins, k + 3)
+    frame = (params, n_chirps, targets, noise_power, seed)
+    means, columns = _bin_columns(*frame, lo, hi)
     bin_index = int(np.argmax(means))
-    if bin_index in near:
-        return columns[:, np.searchsorted(lobes, bin_index)].copy()
-    return _bin_columns(params, n_chirps, targets, noise_power, seed, [bin_index])[1][:, 0]
+    if lo <= bin_index < hi:
+        return columns[:, bin_index - lo].copy()
+    return _bin_columns(*frame, bin_index, bin_index + 1)[1][:, 0]
 
 
 def _measured_snr_db(amps: np.ndarray, threshold: float, c_lo: float, c_hi: float) -> float:

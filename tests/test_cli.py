@@ -596,6 +596,10 @@ PLATE_OVERFLOW = "plate.width_m = 1e300\namplitude = 1e10\n"
         # Once numpy overflow warnings, then "field overflows at amplitude 1.0".
         ("pattern", "layout.spacing_m = 1e308\n", "layout extent 1.5e+308 m overflows wavenumber * extent"),
         ("link", "layout.base_length_m = 1e308\n", "layout extent 1e+308 m overflows wavenumber * extent"),
+        # Once null_depth_db=0 and exit 0, and "all amplitudes identical" from
+        # link: the switch's pi was lost to the rounding of k * x.
+        ("pattern", "layout.spacing_m = 1e300\n", "layout extent 1.5e+300 m is too large to resolve its switch"),
+        ("link", "layout.spacing_m = 1e300\n", "layout extent 1.5e+300 m is too large to resolve its switch"),
         # Once inf in pattern_plate.csv and exit 0, and in range at 0 deg
         # "math domain error" from the gain over an infinite plate return.
         (

@@ -311,6 +311,17 @@ def test_response_matrix_rejects_an_overflowing_field():
     assert np.isfinite(finite).all()
 
 
+def test_response_matrix_refuses_a_layout_too_wide_to_resolve_its_switch():
+    # k * extent past pi * 2**50 rounds by more than pi/8; well inside it the null holds.
+    wide = build_linear_array(2, 1e13, LAM)
+    message = r"^layout extent 1500\d+\.\d+ m is too large to resolve its switch$"
+    with pytest.raises(ConfigurationError, match=message):
+        response_matrix(wide, (constructive_config(),), 24e9, 30.0, 30.0)
+    narrow = build_linear_array(2, 1e11, LAM)
+    on, off = response_matrix(narrow, (constructive_config(), destructive_config(narrow)), 24e9, 30.0, 30.0)
+    assert abs(off[0, 0]) < 1e-2 * abs(on[0, 0])
+
+
 def test_plate_formula_values():
     # frozen from the physical-optics formula evaluated directly
     assert math.isclose(plate_monostatic_amplitude(0.025, PlaneWave(24e9, 30.0)),
@@ -438,6 +449,43 @@ def test_pattern_csv_format(tmp_path):
     mag = math.hypot(float(row[1]), float(row[2]))
     assert math.isclose(mag, float(row[3]), rel_tol=1e-9)
     assert math.isclose(float(row[3]), 4.0 * SQRT_ETA, rel_tol=1e-9)
+
+
+# The CLI's default 0.25 deg observation grid: (2i - 720) * 90 / 720.
+GRID = np.arange(-720, 721, 2) * 90.0 / 720
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    layout=st.one_of(
+        st.builds(
+            lambda n, f, eta: build_linear_array(n, f * LAM, LAM, absorption_efficiency=eta),
+            st.integers(1, 16),
+            st.floats(0.5, 1.5),
+            st.floats(0.05, 1.0),
+        ),
+        st.builds(
+            lambda m, f, eta: build_concentric_surface(m, f * LAM, LAM, eta),
+            st.integers(1, 4),
+            st.floats(0.25, 2.0),
+            st.floats(0.05, 1.0),
+        ),
+    ),
+    amplitude=st.floats(1e-3, 1e3),
+    index=st.integers(1, len(GRID) - 2),
+)
+def test_generated_layouts_peak_at_retro_and_null_when_switched(layout, amplitude, index):
+    # Retro peak N * sqrt(eta) * A at any incidence on the grid, no direction
+    # above it (a grating lobe past lambda spacing may equal it), and the
+    # exact null of the half-toggled state where the pair count is even.
+    configs = [constructive_config()]
+    if len(layout.lines) % 2 == 0:
+        configs.append(destructive_config(layout))
+    values = np.abs(response_matrix(layout, configs, 24e9, GRID[index], GRID, amplitude)[:, 0])
+    peak = len(layout.elements) * math.sqrt(layout.absorption_efficiency) * amplitude
+    assert math.isclose(values[0, index], peak, rel_tol=1e-12)
+    assert values[0].max() <= peak * (1.0 + 1e-12)
+    assert values[1:, index].max(initial=0.0) <= 1e-10 * peak
 
 
 def _switched(layout):

@@ -306,10 +306,9 @@ def test_streamed_bin_means_equal_the_full_matrix_mean(monkeypatch, block):
     reflector = fmcw.SurfaceReflector(LAYOUT, schedule, incidence_angle_deg=30.0)
     frame = (ChirpParams(), 130, [Target(25.0, 0.0, reflector)], 1e-4, 26)
     mags = _full_magnitudes(*frame)
-    keep = [0, 41, 42, 500]
-    means, columns = link._bin_columns(*frame, keep)
+    means, columns = link._bin_columns(*frame, 0, 501)
     np.testing.assert_array_equal(means, mags.mean(axis=0))
-    np.testing.assert_array_equal(columns, mags[:, keep])
+    np.testing.assert_array_equal(columns, mags)
 
 
 def _recorded_extractions(monkeypatch):
@@ -332,6 +331,12 @@ def _recorded_extractions(monkeypatch):
     return calls
 
 
+def _plates(*scene):
+    """Bin extraction of a noisy 128-chirp frame of plates, each (range_m, width)."""
+    targets = [Target(r, 0.0, fmcw.PlateReflector(width)) for r, width in scene]
+    return link._extract_bin_amplitudes(ChirpParams(), 128, targets, 1e-6, 37)
+
+
 @pytest.mark.parametrize(
     "run, passes",
     [
@@ -339,8 +344,14 @@ def _recorded_extractions(monkeypatch):
         (lambda: run_link(scenario_for((0, 0, 0, 0), noise_power=1e-8, seed=5)), 2),
         # The default SNR sweep's -30 dB point: the noise outshines the tag.
         (lambda: ook_ber_trial(ChirpParams(), -30.0, 12.2, 256, 2, 12345), 2),
+        # Only the tag's lobe (bin 42) is kept, so the brighter plate behind
+        # it, whose bin 67 is the strongest, takes the second pass.
+        (lambda: _plates((25.0, 0.005), (40.0, 0.05)), 2),
+        # Lobes clipped by the spectrum's ends: bins 0-3 and 498-500.
+        (lambda: _plates((0.6, 0.05)), 1),
+        (lambda: _plates((ChirpParams().max_unambiguous_range, 0.05)), 1),
     ],
-    ids=["tag", "all-zero", "swamped"],
+    ids=["tag", "all-zero", "swamped", "brighter-second-target", "first-bins", "nyquist-bin"],
 )
 def test_bin_extraction_equals_the_full_matrix_choice(monkeypatch, run, passes):
     calls = _recorded_extractions(monkeypatch)
